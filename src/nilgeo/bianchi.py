@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .connection import Connection, curvature
-from .forms import curvature_form, d_nabla
+from .forms import Form, d_nabla
 from .matrices import Matrix
 from .microcalc import (
     Microcube,
@@ -30,7 +30,6 @@ from .microcalc import (
     slice_cube2,
 )
 from .models import Arrow, Point, compose, compose_all, invert
-from .weil import WeilElement
 
 # vertex name -> set of axes (1..3) that are "switched on" at that corner
 VERTEX_AXES: dict[str, frozenset[int]] = {
@@ -203,10 +202,6 @@ def corrupt_edge(
 # face curvature and the classical identity
 
 
-def _omega_arrow(conn: Connection, square: Microcube, w: WeilElement) -> Arrow:
-    return include_tangent(curvature(conn, square)).arrow_at(w)
-
-
 def face_curvature_checks(labeling: CubeLabeling) -> list[tuple[str, bool]]:
     """The three base-face loops against the curvature of the matching
     frozen slices, with the orientation signs the loop word forces."""
@@ -220,9 +215,8 @@ def face_curvature_checks(labeling: CubeLabeling) -> list[tuple[str, bool]]:
         ("OCEA", ("O", "C", "E", "A"), 2, (d1, d3), 1),
     ):
         loop = face_loop(labeling, cycle)
-        value = _omega_arrow(
-            conn, slice_cube(cube, axis, 0), alg.term(sign, mono)
-        )
+        omega = curvature(conn, slice_cube(cube, axis, 0))
+        value = include_tangent(omega).arrow_at(alg.term(sign, mono))
         checks.append((name, loop == value))
     return checks
 
@@ -244,32 +238,37 @@ class ClassicalReport:
 def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalReport:
     """Evaluate the derived curvature form on the cube (it must vanish) and
     assert the commutations of conjugated curvature values that let the
-    edge word be rearranged into cancelling blocks."""
-    value = d_nabla(conn, curvature_form(conn))(cube)
+    edge word be rearranged into cancelling blocks.
+
+    Both halves read the same six face curvatures, each computed once; the
+    derivative sees them through a form that looks its faces up."""
+    alg = cube.algebra
+    d1, d2, d3 = cube.args
+    squares = {
+        (i, e): slice_cube(cube, i, e)
+        for i, g in enumerate(cube.args, 1)
+        for e in (0, g)
+    }
+    omega = {key: curvature(conn, sq) for key, sq in squares.items()}
+    by_square = {squares[key]: value for key, value in omega.items()}
+    faces = Form(conn.model, 2, lambda sq: by_square[sq])
+    value = d_nabla(conn, faces)(cube)
     derivative_zero = value.is_zero()
 
     labeling = build_cube(conn, cube)
-    alg = cube.algebra
-    d1, d2, d3 = cube.args
 
     def conj(g: Arrow, loop: Arrow) -> Arrow:
         return compose_all(invert(g), loop, g)
 
-    f1 = _omega_arrow(conn, slice_cube(cube, 1, 0), alg.term(-1, (d2, d3)))
-    f2 = _omega_arrow(conn, slice_cube(cube, 2, 0), alg.term(1, (d1, d3)))
-    f3 = _omega_arrow(conn, slice_cube(cube, 3, 0), alg.term(-1, (d1, d2)))
-    c1 = conj(
-        labeling.edge_arrow("O", "A"),
-        _omega_arrow(conn, slice_cube(cube, 1, d1), alg.term(1, (d2, d3))),
-    )
-    c2 = conj(
-        labeling.edge_arrow("O", "B"),
-        _omega_arrow(conn, slice_cube(cube, 2, d2), alg.term(-1, (d1, d3))),
-    )
-    c3 = conj(
-        labeling.edge_arrow("O", "C"),
-        _omega_arrow(conn, slice_cube(cube, 3, d3), alg.term(1, (d1, d2))),
-    )
+    def face(i: int, e, sign: int, mono: tuple[str, str]) -> Arrow:
+        return include_tangent(omega[(i, e)]).arrow_at(alg.term(sign, mono))
+
+    f1 = face(1, 0, -1, (d2, d3))
+    f2 = face(2, 0, 1, (d1, d3))
+    f3 = face(3, 0, -1, (d1, d2))
+    c1 = conj(labeling.edge_arrow("O", "A"), face(1, d1, 1, (d2, d3)))
+    c2 = conj(labeling.edge_arrow("O", "B"), face(2, d2, -1, (d1, d3)))
+    c3 = conj(labeling.edge_arrow("O", "C"), face(3, d3, 1, (d1, d2)))
     named = {"w1": f1, "c1": c1, "w2": f2, "c2": c2, "w3": f3, "c3": c3}
     commutations = []
     keys = list(named)
@@ -278,11 +277,8 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
             commutations.append((f"{a}~{b}", _commute(named[a], named[b])))
 
     # the nested conjugation pattern: the far-face value carried back to C
-    inner = conj(
-        invert(labeling.edge_arrow("A", "E")),
-        _omega_arrow(conn, slice_cube(cube, 1, d1), alg.term(-1, (d2, d3))),
-    )
+    inner = conj(invert(labeling.edge_arrow("A", "E")), face(1, d1, -1, (d2, d3)))
     nested = conj(labeling.edge_arrow("C", "E"), inner)
-    far = _omega_arrow(conn, slice_cube(cube, 3, d3), alg.term(1, (d1, d2)))
+    far = face(3, d3, 1, (d1, d2))
     commutations.append(("nested~far", _commute(nested, far)))
     return ClassicalReport(derivative_zero, tuple(commutations))

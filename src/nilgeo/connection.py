@@ -64,6 +64,15 @@ class SplittingConnection:
             down = model.project_vert(Matrix.from_rational(img, alg0))
             if down != Matrix.from_rational(b, alg0):
                 raise ConnectionError_("images do not split the projection")
+        self._by_algebra: dict = {}
+
+    def _images_in(self, alg: WeilAlgebra) -> tuple[Matrix, ...]:
+        # every lift in one cube or square shares a handful of algebras
+        cached = self._by_algebra.get(alg)
+        if cached is None:
+            cached = tuple(Matrix.from_rational(img, alg) for img in self.images)
+            self._by_algebra[alg] = cached
+        return cached
 
     def apply(self, td: TangentData) -> TangentData:
         if td.grp != "G":
@@ -71,9 +80,9 @@ class SplittingConnection:
         alg = td.algebra
         coords = self.model.g_coords(td.vert)
         vert = Matrix.zero(self.model.spec("H").size, alg)
-        for c, img in zip(coords, self.images):
+        for c, img in zip(coords, self._images_in(alg)):
             if not c.is_zero():
-                vert = vert + Matrix.from_rational(img, alg) * c
+                vert = vert + img * c
         return TangentData(self.model, "H", td.anchor, td.direction, vert)
 
 

@@ -2,7 +2,11 @@
 
 Inverses exploit nilpotency: the constant part is inverted over the
 rationals by Gaussian elimination and the nilpotent remainder by a finite
-Neumann series, so everything stays exact.
+Neumann series, so everything stays exact.  When the constant part is
+already the identity, as for every square-zero step I + wV of a lifted
+edge, the elimination and both products with its result are skipped and
+the series runs on self - I directly; for a step it stops after one
+square.
 """
 
 from __future__ import annotations
@@ -17,6 +21,10 @@ Rational = Sequence[Sequence[Scalar]]
 
 class SingularMatrix(ZeroDivisionError):
     """Constant part of the matrix is not invertible over the rationals."""
+
+
+class SizeMismatch(ValueError):
+    """A binary operation was given matrices of different sizes."""
 
 
 class Matrix:
@@ -69,6 +77,7 @@ class Matrix:
         return hash(self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        _check_sizes(self, other)
         return Matrix(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
@@ -77,6 +86,7 @@ class Matrix:
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        _check_sizes(self, other)
         return Matrix(
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
@@ -89,9 +99,7 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            n = self.size
-            if other.size != n:
-                raise ValueError("size mismatch")
+            _check_sizes(self, other)
             cols = tuple(zip(*other.rows))
             return Matrix(
                 tuple(
@@ -146,20 +154,13 @@ class Matrix:
         )
 
     def inverse(self) -> "Matrix":
-        alg = self.algebra
-        n = self.size
-        c_inv = _rational_inverse(self.constant_matrix())
-        c_inv_m = Matrix.from_rational(c_inv, alg)
-        # self = C (I + U) with U nilpotent; inverse = (sum (-U)^k) C^{-1}
-        u = c_inv_m * self - Matrix.identity(n, alg)
-        acc = Matrix.identity(n, alg)
-        power = u
-        sign = -1
-        while not _is_zero_matrix(power):
-            acc = acc + power * sign
-            power = power * u
-            sign = -sign
-        return acc * c_inv_m
+        if _has_identity_constant(self):
+            return _unipotent_inverse(self)
+        c_inv_m = Matrix.from_rational(
+            _rational_inverse(self.constant_matrix()), self.algebra
+        )
+        # self = C (I + U) with U nilpotent; inverse = (I + U)^{-1} C^{-1}
+        return _unipotent_inverse(c_inv_m * self) * c_inv_m
 
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
@@ -174,6 +175,35 @@ def _dot(row, col):
         term = a * b
         acc = term if acc is None else acc + term
     return acc if acc is not None else row[0].algebra.zero
+
+
+def _check_sizes(a: Matrix, b: Matrix) -> None:
+    if len(a.rows) != len(b.rows):
+        raise SizeMismatch(f"{a.size}x{a.size} against {b.size}x{b.size}")
+
+
+def _has_identity_constant(m: Matrix) -> bool:
+    # read off the integer tables: a constant term equals 1 exactly when
+    # its numerator equals the element's denominator
+    return all(
+        a._c.get(0, 0) == (a._den if i == j else 0)
+        for i, r in enumerate(m.rows)
+        for j, a in enumerate(r)
+    )
+
+
+def _unipotent_inverse(m: Matrix) -> Matrix:
+    """Inverse of I + U with U nilpotent: the finite series of (-U)^k."""
+    identity = Matrix.identity(m.size, m.algebra)
+    u = m - identity
+    acc = identity
+    power = u
+    sign = -1
+    while not _is_zero_matrix(power):
+        acc = acc + power * sign
+        power = power * u
+        sign = -sign
+    return acc
 
 
 def _is_zero_matrix(m: Matrix) -> bool:

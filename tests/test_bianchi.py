@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from nilgeo import bianchi, matrices
 from nilgeo.bianchi import (
     FACES,
+    ClassicalReport,
     WordError,
     abstract_word,
     build_cube,
@@ -14,9 +16,10 @@ from nilgeo.bianchi import (
     verify_abstract_bianchi,
     verify_classical_bianchi,
 )
-from nilgeo.connection import preset_connection
-from nilgeo.microcalc import arrow_map
-from nilgeo.models import build_model, all_models, invert
+from nilgeo.connection import curvature, preset_connection
+from nilgeo.forms import curvature_form, d_nabla
+from nilgeo.microcalc import arrow_map, include_tangent, slice_cube
+from nilgeo.models import build_model, all_models, compose, compose_all, invert
 from nilgeo.sampling import sample_connection, sample_lie_rows, sample_microcube
 from nilgeo.weil import algebra
 
@@ -243,3 +246,65 @@ def test_classical_bianchi_gauge_quadratic_connection():
         conn, cube = random_setup(rng, model, degree=2)
         report = verify_classical_bianchi(conn, cube)
         assert report.ok, f"{model.name}"
+
+
+def _unshared_classical_report(conn, cube):
+    """The classical report with nothing shared: the derivative of the plain
+    curvature form, and each face curvature evaluated where it is used."""
+    derivative_zero = d_nabla(conn, curvature_form(conn))(cube).is_zero()
+    labeling = build_cube(conn, cube)
+    alg = cube.algebra
+    d1, d2, d3 = cube.args
+
+    def face(axis, e, sign, mono):
+        omega = curvature(conn, slice_cube(cube, axis, e))
+        return include_tangent(omega).arrow_at(alg.term(sign, mono))
+
+    def conj(g, loop):
+        return compose_all(invert(g), loop, g)
+
+    def commute(a, b):
+        return compose(a, b) == compose(b, a)
+
+    named = {
+        "w1": face(1, 0, -1, (d2, d3)),
+        "c1": conj(labeling.edge_arrow("O", "A"), face(1, d1, 1, (d2, d3))),
+        "w2": face(2, 0, 1, (d1, d3)),
+        "c2": conj(labeling.edge_arrow("O", "B"), face(2, d2, -1, (d1, d3))),
+        "w3": face(3, 0, -1, (d1, d2)),
+        "c3": conj(labeling.edge_arrow("O", "C"), face(3, d3, 1, (d1, d2))),
+    }
+    keys = list(named)
+    commutations = [
+        (f"{a}~{b}", commute(named[a], named[b]))
+        for i, a in enumerate(keys)
+        for b in keys[i + 1 :]
+    ]
+    inner = conj(invert(labeling.edge_arrow("A", "E")), face(1, d1, -1, (d2, d3)))
+    nested = conj(labeling.edge_arrow("C", "E"), inner)
+    commutations.append(("nested~far", commute(nested, face(3, d3, 1, (d1, d2)))))
+    return ClassicalReport(derivative_zero, tuple(commutations))
+
+
+def test_classical_bianchi_operation_counts(monkeypatch):
+    counts = {"curvature": 0, "elimination": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(bianchi, "curvature", counted("curvature", curvature))
+    monkeypatch.setattr(
+        matrices, "_rational_inverse", counted("elimination", matrices._rational_inverse)
+    )
+    rng = random.Random(63)
+    for model in (HEIS, build_model("trivial_gauge", "gl2")):
+        for _ in range(2):
+            conn, cube = random_setup(rng, model)
+            counts.update(curvature=0, elimination=0)
+            report = verify_classical_bianchi(conn, cube)
+            assert counts == {"curvature": 6, "elimination": 0}, model.name
+            assert report == _unshared_classical_report(conn, cube), model.name

@@ -124,6 +124,24 @@ def test_apply_splits_the_projection():
             assert project_tangent(conn.apply(t)).same_as(t)
 
 
+def test_splitting_apply_keeps_each_algebra_apart():
+    rng = random.Random(24)
+    plain = algebra(["d"])
+    paired = algebra(["d", "e"], killed=[("d", "e")])
+    for model in (HEIS, FLAT):
+        conn = sample_connection(rng, model)
+        # back to the first algebra after the second, so each is read cached
+        for alg in (plain, paired, plain, paired):
+            t = _random_g_tangent(rng, model, sample_point(rng, model, alg), alg)
+            t = TangentData(model, "G", t.anchor, t.direction, t.vert * alg.gen("d"))
+            got = conn.apply(t)
+            assert got.algebra is alg
+            want = Matrix.zero(model.spec("H").size, alg)
+            for c, img in zip(model.g_coords(t.vert), conn.images):
+                want = want + Matrix.from_rational(img, alg) * c
+            assert got.vert == want
+
+
 def _random_g_tangent(rng, model, x, alg):
     direction = tuple(alg.scalar(rng.randint(-3, 3)) for _ in range(model.base_dim))
     vert = sample_vert(rng, model, "G", alg)

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from nilgeo.matrices import Matrix, SingularMatrix
+from nilgeo import matrices
+from nilgeo.matrices import Matrix, SingularMatrix, SizeMismatch
+from nilgeo.microcalc import TangentData
+from nilgeo.models import build_model
 from nilgeo.polynomials import Poly, PolyMatrix
+from nilgeo.sampling import sample_point, sample_vert
 from nilgeo.weil import algebra
 
 
@@ -40,6 +44,56 @@ def test_inverse_with_nilpotent_part():
         assert inv * m == Matrix.identity(3, alg)
 
 
+@pytest.fixture
+def no_elimination(monkeypatch):
+    """Fail any Gaussian elimination over the rationals."""
+
+    def forbidden(rows):
+        raise AssertionError("identity constant part went through elimination")
+
+    monkeypatch.setattr(matrices, "_rational_inverse", forbidden)
+
+
+def test_inverse_with_identity_constant_part(no_elimination):
+    rng = random.Random(12)
+    alg = algebra(["d1", "d2"])
+    ident = Matrix.identity(3, alg)
+    monos = (("d1",), ("d2",), ("d1", "d2"))
+    for _ in range(30):
+        n = Matrix(
+            [
+                [sum((rng.randint(-3, 3) * alg.term(1, m) for m in monos), alg.zero)
+                 for _ in range(3)]
+                for _ in range(3)
+            ]
+        )
+        assert n * n != Matrix.zero(3, alg)  # the series needs its second term
+        m = ident + n
+        inv = m.inverse()
+        assert m * inv == ident
+        assert inv * m == ident
+        assert inv == ident - n + n * n
+
+
+def test_inverse_of_a_square_zero_step_is_closed_form(no_elimination):
+    rng = random.Random(13)
+    alg = algebra(["d1", "d2"])
+    w = alg.gen("d1")
+    for model in (build_model("heisenberg"), build_model("trivial_gauge", "gl2")):
+        for _ in range(5):
+            vert = sample_vert(rng, model, "H", alg) + sample_vert(
+                rng, model, "H", alg
+            ) * alg.gen("d2")
+            anchor = sample_point(rng, model, alg)
+            direction = sample_point(rng, model, alg)
+            body = TangentData(model, "H", anchor, direction, vert).arrow_at(w).body
+            ident = Matrix.identity(body.size, alg)
+            inv = body.inverse()
+            assert inv == ident - vert * w
+            assert body * inv == ident
+            assert inv * body == ident
+
+
 def test_inverse_requires_invertible_constant_part():
     alg = algebra(["d1"])
     m = Matrix(
@@ -50,6 +104,17 @@ def test_inverse_requires_invertible_constant_part():
     )
     with pytest.raises(SingularMatrix):
         m.inverse()
+
+
+def test_binary_operations_reject_size_mismatch():
+    alg = algebra(["d1"])
+    a = Matrix.identity(2, alg)
+    b = Matrix.identity(3, alg)
+    for op in (a.__add__, a.__sub__, a.__mul__):
+        with pytest.raises(SizeMismatch):
+            op(b)
+    with pytest.raises(SizeMismatch):
+        b + a
 
 
 def test_det_of_unipotent_perturbation():
