@@ -149,52 +149,70 @@ class LiftedSection(Section):
 # named presets
 
 
+def _heisenberg_standard(model: GroupoidModel) -> Connection:
+    return SplittingConnection(
+        model,
+        (
+            ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
+            ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+        ),
+    )
+
+
+def _direct_product_standard(model: GroupoidModel) -> Connection:
+    images = []
+    for i in range(2):
+        for j in range(2):
+            rows = [[Fraction(0)] * 3 for _ in range(3)]
+            rows[i][j] = Fraction(1)
+            if i == j:
+                rows[2][2] = Fraction(1)
+            images.append(tuple(tuple(r) for r in rows))
+    return SplittingConnection(model, images)
+
+
+def _gauge_coordinates():
+    return Poly(2, {}), Poly.var(2, 0), Poly.var(2, 1)
+
+
+def _scalar_x1dx2(model: GroupoidModel) -> Connection:
+    z, x1, _ = _gauge_coordinates()
+    return GaugeConnection(model, (PolyMatrix(((z,),)), PolyMatrix(((x1,),))))
+
+
+def _gl2_standard(model: GroupoidModel) -> Connection:
+    z, x1, x2 = _gauge_coordinates()
+    a1 = PolyMatrix(((z, x2), (z, z)))
+    a2 = PolyMatrix(((z, z), (x1, z)))
+    return GaugeConnection(model, (a1, a2))
+
+
+def _sl2_standard(model: GroupoidModel) -> Connection:
+    z, x1, x2 = _gauge_coordinates()
+    a1 = PolyMatrix(((x2, z), (z, -1 * x2)))
+    a2 = PolyMatrix(((z, x1), (z, z)))
+    return GaugeConnection(model, (a1, a2))
+
+
+# model name -> preset name -> builder; the one source of the presets
+_PRESETS = {
+    "heisenberg": {"standard": _heisenberg_standard},
+    "direct_product": {"standard": _direct_product_standard},
+    "trivial_gauge[scalar]": {"x1dx2": _scalar_x1dx2},
+    "trivial_gauge[gl2]": {"standard": _gl2_standard},
+    "trivial_gauge[sl2]": {"standard": _sl2_standard},
+}
+
+
 def preset_names(model: GroupoidModel) -> tuple[str, ...]:
-    if model.name == "heisenberg":
-        return ("standard",)
-    if model.name == "direct_product":
-        return ("standard",)
-    if model.name.startswith("trivial_gauge[scalar]"):
-        return ("x1dx2",)
-    return ("standard",)
+    return tuple(_PRESETS.get(model.name, ()))
 
 
 def preset_connection(model: GroupoidModel, name: str = "standard") -> Connection:
-    if model.name == "heisenberg" and name == "standard":
-        return SplittingConnection(
-            model,
-            (
-                ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
-                ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
-            ),
-        )
-    if model.name == "direct_product" and name == "standard":
-        images = []
-        for i in range(2):
-            for j in range(2):
-                rows = [[Fraction(0)] * 3 for _ in range(3)]
-                rows[i][j] = Fraction(1)
-                if i == j:
-                    rows[2][2] = Fraction(1)
-                images.append(tuple(tuple(r) for r in rows))
-        return SplittingConnection(model, images)
-    if isinstance(model, TrivialGaugeModel):
-        z = Poly(2, {})
-        x1 = Poly.var(2, 0)
-        x2 = Poly.var(2, 1)
-        if model.structure == "scalar" and name in ("x1dx2", "standard"):
-            return GaugeConnection(
-                model, (PolyMatrix(((z,),)), PolyMatrix(((x1,),)))
-            )
-        if model.structure == "gl2" and name == "standard":
-            a1 = PolyMatrix(((z, x2), (z, z)))
-            a2 = PolyMatrix(((z, z), (x1, z)))
-            return GaugeConnection(model, (a1, a2))
-        if model.structure == "sl2" and name == "standard":
-            a1 = PolyMatrix(((x2, z), (z, -1 * x2)))
-            a2 = PolyMatrix(((z, x1), (z, z)))
-            return GaugeConnection(model, (a1, a2))
-    raise KeyError(f"no preset {name!r} for model {model.name}")
+    builder = _PRESETS.get(model.name, {}).get(name)
+    if builder is None:
+        raise KeyError(f"no preset {name!r} for model {model.name}")
+    return builder(model)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,21 @@
 
 A form of degree n eats micro-n-cubes of the downstairs groupoid and
 returns kernel tangents at the same anchor.  Validation checks the
-homogeneity and alternation laws pointwise-exactly on supplied samples.
+homogeneity and alternation laws pointwise-exactly on supplied samples,
+evaluating the form once per distinct cube (scaling by 1 and the identity
+permutation give back the sample itself).
 
 The degree-raising derivative builds, for each cube argument, the value on
 the frozen slice times the conjugated, reversed value on the moved slice,
 inverts the odd-numbered factors and multiplies ascending; the result is
 read off the coefficient of the full product monomial, and the vanishing
-of every other coefficient is asserted on each evaluation.
+of every other coefficient is asserted on each evaluation.  A derived form
+evaluates its inner form once per distinct slice over its lifetime.
+
+Both memos go in front of `Form.__call__`, so every first evaluation is
+still validated.  Their keys lead with the cube's algebra: cubes over
+different algebras then never reach `WeilElement.__eq__`, which refuses to
+compare across algebras.
 """
 
 from __future__ import annotations
@@ -122,6 +130,20 @@ def splitting_one_form(model: GroupoidModel, images: Sequence) -> Form:
 DEFAULT_SCALARS = (0, 1, -1, 2, Fraction(1, 2))
 
 
+def _memoized(form: Form) -> Callable[[Microcube], TangentData]:
+    """`form`, evaluated once per distinct cube."""
+    memo: dict = {}
+
+    def value(cube: Microcube) -> TangentData:
+        key = (cube.algebra, cube)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = form(cube)
+        return got
+
+    return value
+
+
 def validate_form(
     form: Form,
     samples: Sequence[Microcube],
@@ -130,15 +152,16 @@ def validate_form(
     """Check homogeneity in every slot and full alternation on each sample;
     returns human-readable violation entries (empty means the form passed)."""
     violations: list[str] = []
+    value = _memoized(form)
     for k, cube in enumerate(samples):
-        base = form(cube)
+        base = value(cube)
         for i in range(1, form.degree + 1):
             for a in scalars:
-                got = form(scale_arg(cube, i, a))
+                got = value(scale_arg(cube, i, a))
                 if not got.same_as(base.scale(a)):
                     violations.append(f"sample {k}: homogeneity fails in slot {i} at a={a}")
         for theta in permutations(range(1, form.degree + 1)):
-            got = form(permute(cube, theta))
+            got = value(permute(cube, theta))
             if not got.same_as(base.scale(perm_sign(theta))):
                 violations.append(f"sample {k}: alternation fails for {theta}")
     return violations
@@ -149,14 +172,17 @@ def d_nabla(conn: Connection, form: Form) -> Form:
     inputs (the evaluator itself is uniform in the degree)."""
     if form.degree < 1:
         raise FormError("derivative needs a form of degree at least one")
+    inner = _memoized(form)
 
     def fn(cube: Microcube) -> TangentData:
-        return _derivative_value(conn, form, cube)
+        return _derivative_value(conn, inner, cube)
 
     return Form(form.model, form.degree + 1, fn)
 
 
-def _derivative_value(conn: Connection, form: Form, cube: Microcube) -> TangentData:
+def _derivative_value(
+    conn: Connection, form: Callable[[Microcube], TangentData], cube: Microcube
+) -> TangentData:
     args = cube.args
     alg = cube.algebra
     model = cube.model

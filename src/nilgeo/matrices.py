@@ -7,14 +7,21 @@ already the identity, as for every square-zero step I + wV of a lifted
 edge, the elimination and both products with its result are skipped and
 the series runs on self - I directly; for a step it stops after one
 square.
+
+Each entry of a product is one fused dot product: the terms accumulate in
+a single integer table over a common denominator and are normalized once.
+The public constructor checks that the matrix is square and that its
+entries share one algebra; results of the arithmetic here are both by
+construction and skip those checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .weil import Scalar, WeilAlgebra, WeilElement
+from .weil import AlgebraMismatch, Scalar, WeilAlgebra, WeilElement, _build, _mul_into
 
 Rational = Sequence[Sequence[Scalar]]
 
@@ -37,18 +44,23 @@ class Matrix:
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
+        if n:
+            alg = self.rows[0][0].algebra
+            for r in self.rows:
+                for a in r:
+                    _check_algebra(alg, a.algebra)
 
     @staticmethod
     def identity(n: int, alg: WeilAlgebra) -> "Matrix":
         one, zero = alg.one, alg.zero
-        return Matrix(
+        return _square(
             tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         )
 
     @staticmethod
     def zero(n: int, alg: WeilAlgebra) -> "Matrix":
         z = alg.zero
-        return Matrix(tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        return _square(tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
     @staticmethod
     def from_rational(rows: Rational, alg: WeilAlgebra) -> "Matrix":
@@ -78,7 +90,7 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_sizes(self, other)
-        return Matrix(
+        return _square(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
@@ -87,7 +99,7 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         _check_sizes(self, other)
-        return Matrix(
+        return _square(
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
@@ -95,26 +107,27 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return _square(tuple(tuple(-a for a in r) for r in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             _check_sizes(self, other)
+            alg = self.rows[0][0].algebra
             cols = tuple(zip(*other.rows))
-            return Matrix(
+            return _square(
                 tuple(
-                    tuple(_dot(row, col) for col in cols) for row in self.rows
+                    tuple(_dot(alg, row, col) for col in cols) for row in self.rows
                 )
             )
         # scalar or WeilElement
-        return Matrix(tuple(tuple(a * other for a in r) for r in self.rows))
+        return _square(tuple(tuple(a * other for a in r) for r in self.rows))
 
     def __rmul__(self, other):
         # scalars commute with everything we store
-        return Matrix(tuple(tuple(a * other for a in r) for r in self.rows))
+        return _square(tuple(tuple(a * other for a in r) for r in self.rows))
 
     def map(self, fn: Callable[[WeilElement], WeilElement]) -> "Matrix":
-        return Matrix(tuple(tuple(fn(a) for a in r) for r in self.rows))
+        return _square(tuple(tuple(fn(a) for a in r) for r in self.rows))
 
     def trace(self) -> WeilElement:
         t = self.rows[0][0]
@@ -167,14 +180,36 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _dot(row, col):
-    acc = None
+def _square(rows: tuple[tuple[WeilElement, ...], ...]) -> Matrix:
+    """Wrap rows that are square over one algebra by construction."""
+    m = object.__new__(Matrix)
+    m.rows = rows
+    return m
+
+
+def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
+    if other is not alg and other != alg:
+        raise AlgebraMismatch(f"cannot combine {alg!r} with {other!r}")
+
+
+def _dot(alg: WeilAlgebra, row, col) -> WeilElement:
+    """sum(row[k] * col[k]) accumulated in one integer table over a common
+    denominator, normalized once."""
+    terms = []
+    den = 1
     for a, b in zip(row, col):
-        if not a._c or not b._c:
-            continue  # zero entries dominate the structured matrices here
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else row[0].algebra.zero
+        if a.algebra is not alg or b.algebra is not alg:
+            _check_algebra(alg, a.algebra)
+            _check_algebra(alg, b.algebra)
+        if a._c and b._c:  # zero entries dominate the structured matrices here
+            terms.append((a, b))
+            den = lcm(den, a._den * b._den)
+    if not terms:
+        return alg._zero
+    out: dict[int, int] = {}
+    for a, b in terms:
+        _mul_into(alg, out, a._c, b._c, den // (a._den * b._den))
+    return _build(alg, out, den)
 
 
 def _check_sizes(a: Matrix, b: Matrix) -> None:
@@ -198,11 +233,11 @@ def _unipotent_inverse(m: Matrix) -> Matrix:
     u = m - identity
     acc = identity
     power = u
-    sign = -1
+    subtract = True
     while not _is_zero_matrix(power):
-        acc = acc + power * sign
+        acc = acc - power if subtract else acc + power
         power = power * u
-        sign = -sign
+        subtract = not subtract
     return acc
 
 

@@ -251,10 +251,11 @@ def check_prop_3_1(model, rng, trials, params) -> list[TrialResult]:
     for t in range(trials):
         conn = _connection(model, rng, params)
         cube = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
+        lifted = lift(conn, cube)
         ok = True
         for i in (1, 2):
             for a in (0, 1, -1, 2, Fraction(1, 2)):
-                if lift(conn, scale_arg(cube, i, a)) != scale_arg(lift(conn, cube), i, a):
+                if lift(conn, scale_arg(cube, i, a)) != scale_arg(lifted, i, a):
                     ok = False
         out.append(TrialResult("prop-3.1", ok))
     return out

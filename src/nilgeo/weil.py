@@ -9,7 +9,12 @@ restriction are all decidable and exact.
 Monomials are encoded as bit masks over the algebra's generator ordering.
 Internally a single common denominator is factored out of each element and
 the coefficient table holds plain integers; this keeps the hot product
-loops in machine-integer arithmetic instead of `Fraction` calls.
+loops in machine-integer arithmetic instead of `Fraction` calls.  Sparse
+factors multiply by a loop over pairs of monomials; dense ones (more pairs
+than the 3**n disjoint pairs of n generators) walk a per-algebra table of
+each monomial's surviving disjoint partners, built on the first dense
+product.  `_mul_into` is that shared kernel, and the fused matrix dot
+product accumulates all its terms through it before one normalization.
 """
 
 from __future__ import annotations
@@ -80,12 +85,16 @@ def algebra(names: Iterable[str], killed: Iterable[Iterable[str]] = ()) -> "Weil
 class WeilAlgebra:
     """R[g1,...,gn] / (gi^2 = 0, killed monomials).  Use `algebra()` to build."""
 
-    __slots__ = ("names", "killed", "_index", "_one", "_zero")
+    __slots__ = ("names", "killed", "_index", "_one", "_zero", "_dense_at", "_partners")
 
     def __init__(self, names: tuple[str, ...], killed: frozenset[int]):
         self.names = names
         self.killed = killed
         self._index = {g: i for i, g in enumerate(names)}
+        # a product is dense when it has more pairs than there are
+        # disjoint pairs of monomials; its partner table is built lazily
+        self._dense_at = 3 ** len(names)
+        self._partners: dict[int, tuple[tuple[int, int], ...]] | None = None
         self._zero = WeilElement(self, {}, 1)
         self._one = WeilElement(self, {0: 1}, 1)
 
@@ -137,7 +146,8 @@ class WeilAlgebra:
     def scalar(self, q: Scalar) -> "WeilElement":
         if type(q) is int:
             return WeilElement(self, {0: q} if q else {}, 1)
-        q = Fraction(q)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
         if not q:
             return self._zero
         return WeilElement(self, {0: q.numerator}, q.denominator)
@@ -192,11 +202,71 @@ class WeilAlgebra:
             k += 1
         return f"{base}{k}"
 
+    def _partner_table(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """For each surviving monomial m1, the pairs (m2, m1 | m2) over the
+        surviving monomials m2 disjoint from m1 whose product survives."""
+        table = self._partners
+        if table is None:
+            killed = self.killed
+            alive = [m for m in range(1 << len(self.names)) if m not in killed]
+            table = {
+                m1: tuple(
+                    (m2, m1 | m2)
+                    for m2 in alive
+                    if not m1 & m2 and m1 | m2 not in killed
+                )
+                for m1 in alive
+            }
+            self._partners = table
+        return table
+
+
+def _mul_into(
+    alg: WeilAlgebra,
+    out: dict[int, int],
+    c1: dict[int, int],
+    c2: dict[int, int],
+    scale: int = 1,
+) -> None:
+    """Accumulate scale * c1 * c2 into the integer table `out`."""
+    if scale != 1:
+        c1 = {m: v * scale for m, v in c1.items()}
+    get = out.get
+    if len(c1) * len(c2) > alg._dense_at:
+        partners = alg._partner_table()
+        find = c2.get
+        for m1, v1 in c1.items():
+            for m2, m in partners[m1]:
+                v2 = find(m2)
+                if v2 is not None:
+                    out[m] = get(m, 0) + v1 * v2
+        return
+    items2 = list(c2.items())
+    killed = alg.killed
+    if killed:
+        for m1, v1 in c1.items():
+            for m2, v2 in items2:
+                if m1 & m2:
+                    continue  # repeated generator: square-zero
+                m = m1 | m2
+                if m in killed:
+                    continue
+                out[m] = get(m, 0) + v1 * v2
+    else:
+        for m1, v1 in c1.items():
+            for m2, v2 in items2:
+                if m1 & m2:
+                    continue
+                m = m1 | m2
+                out[m] = get(m, 0) + v1 * v2
+
 
 def _build(alg: WeilAlgebra, table: dict[int, int], den: int) -> "WeilElement":
     """Normalize to canonical form: positive denominator coprime to the
-    content of the coefficient table, zero entries dropped."""
-    table = {m: v for m, v in table.items() if v}
+    content of the coefficient table, zero entries dropped.  Takes
+    ownership of `table`, which every caller builds fresh."""
+    if 0 in table.values():
+        table = {m: v for m, v in table.items() if v}
     if not table:
         return alg._zero
     if den == 1:
@@ -350,9 +420,10 @@ class WeilElement:
         )
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not WeilElement:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -386,26 +457,8 @@ class WeilElement:
             )
         if not self._c or not other._c:
             return self.algebra._zero
-        killed = self.algebra.killed
         out: dict[int, int] = {}
-        get = out.get
-        items2 = list(other._c.items())
-        if killed:
-            for m1, v1 in self._c.items():
-                for m2, v2 in items2:
-                    if m1 & m2:
-                        continue  # repeated generator: square-zero
-                    m = m1 | m2
-                    if m in killed:
-                        continue
-                    out[m] = get(m, 0) + v1 * v2
-        else:
-            for m1, v1 in self._c.items():
-                for m2, v2 in items2:
-                    if m1 & m2:
-                        continue
-                    m = m1 | m2
-                    out[m] = get(m, 0) + v1 * v2
+        _mul_into(self.algebra, out, self._c, other._c)
         return _build(self.algebra, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -444,11 +497,11 @@ class WeilElement:
         )
         inv = self.algebra.one
         power = u
-        sign = -1
+        subtract = True
         while not power.is_zero():
-            inv = inv + power * sign
+            inv = inv - power if subtract else inv + power
             power = power * u
-            sign = -sign
+            subtract = not subtract
         return inv * (Fraction(1) / c0)
 
     # -- quotients and substitution ------------------------------------------

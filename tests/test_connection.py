@@ -12,6 +12,7 @@ from nilgeo.connection import (
     lift,
     nabla_tangent,
     preset_connection,
+    preset_names,
     structure_equation,
 )
 from nilgeo.matrices import Matrix
@@ -146,6 +147,22 @@ def _random_g_tangent(rng, model, x, alg):
     direction = tuple(alg.scalar(rng.randint(-3, 3)) for _ in range(model.base_dim))
     vert = sample_vert(rng, model, "G", alg)
     return TangentData(model, "G", x, direction, vert)
+
+
+def test_every_listed_preset_builds_and_nothing_else_does():
+    for model in all_models():
+        names = preset_names(model)
+        assert names
+        for name in names:
+            assert preset_connection(model, name).model is model
+        for name in ("standard", "x1dx2", "bogus"):
+            if name not in names:
+                with pytest.raises(KeyError):
+                    preset_connection(model, name)
+    with pytest.raises(KeyError):
+        preset_connection(SCALAR, "standard")
+    with pytest.raises(KeyError):
+        preset_connection(SCALAR)
 
 
 def test_splitting_connection_rejects_non_sections():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilgeo.connection import preset_connection
+from nilgeo import forms
+from nilgeo.connection import curvature, preset_connection
 from nilgeo.forms import (
     Form,
     FormError,
@@ -15,7 +16,7 @@ from nilgeo.forms import (
     zero_form,
 )
 from nilgeo.matrices import Matrix
-from nilgeo.microcalc import TangentData, make_microcube
+from nilgeo.microcalc import Microcube, TangentData, make_microcube, permute, scale_arg
 from nilgeo.models import Arrow, all_models, build_model
 from nilgeo.polynomials import PolyMatrix
 from nilgeo.sampling import (
@@ -25,7 +26,7 @@ from nilgeo.sampling import (
     sample_poly,
     sample_poly_matrix,
 )
-from nilgeo.weil import algebra
+from nilgeo.weil import AlgebraMismatch, WeilAlgebra, algebra
 
 HEIS = build_model("heisenberg")
 SCALAR = build_model("trivial_gauge", "scalar")
@@ -202,3 +203,83 @@ def test_form_value_fiber_mismatch_is_caught():
     cube = sample_squares(rng, SCALAR, 1)[0]
     with pytest.raises(FormError):
         bad(cube)
+
+
+# -- one evaluation per distinct input -----------------------------------------
+
+
+def _planted(conn, wrong_on, factor):
+    """The curvature form, except on the one cube `wrong_on`, where the
+    value is multiplied by `factor`."""
+
+    def fn(cube):
+        value = curvature(conn, cube)
+        return value.scale(factor) if cube == wrong_on else value
+
+    return Form(conn.model, 2, fn)
+
+
+def test_planted_homogeneity_fault_is_reported():
+    conn = preset_connection(HEIS)
+    rng = random.Random(52)
+    planted_faults = 0
+    for square in sample_squares(rng, HEIS, 8):
+        planted = scale_arg(square, 1, 2)
+        if curvature(conn, planted).is_zero():
+            continue  # a fault on a zero value does not show
+        planted_faults += 1
+        problems = validate_form(_planted(conn, planted, 3), [square])
+        assert problems == ["sample 0: homogeneity fails in slot 1 at a=2"]
+    assert planted_faults >= 3
+
+
+def test_planted_alternation_fault_is_reported():
+    conn = preset_connection(HEIS)
+    rng = random.Random(53)
+    planted_faults = 0
+    for square in sample_squares(rng, HEIS, 8):
+        planted = permute(square, (2, 1))
+        if curvature(conn, planted).is_zero():
+            continue  # a fault on a zero value does not show
+        planted_faults += 1
+        problems = validate_form(_planted(conn, planted, -1), [square])
+        assert problems == ["sample 0: alternation fails for (2, 1)"]
+    assert planted_faults >= 3
+
+
+def test_validation_evaluates_each_distinct_square_once(monkeypatch):
+    calls = []
+
+    def counted(conn, cube):
+        calls.append(cube)
+        return curvature(conn, cube)
+
+    monkeypatch.setattr(forms, "curvature", counted)
+    rng = random.Random(54)
+    for model in all_models():
+        conn = sample_connection(rng, model)
+        square = sample_squares(rng, model, 1)[0]
+        calls.clear()
+        assert validate_form(curvature_form(conn), [square]) == []
+        # the sample, four scalings of each slot and the transposition;
+        # scaling by 1 and the identity permutation give the sample back
+        assert len(calls) == 10
+        assert len(set(calls)) == 10
+
+
+def test_memo_keys_from_different_algebras_do_not_raise(monkeypatch):
+    # with every key in one hash bucket, a lookup compares keys; the
+    # algebra leads the key, so squares over different algebras are
+    # never compared entry by entry (which raises AlgebraMismatch)
+    monkeypatch.setattr(Microcube, "__hash__", lambda self: 0)
+    monkeypatch.setattr(WeilAlgebra, "__hash__", lambda self: 0)
+    rng = random.Random(55)
+    squares = sample_squares(rng, SCALAR, 1) + sample_squares(
+        rng, SCALAR, 1, algebra(["d1", "d2", "e"])
+    )
+    with pytest.raises(AlgebraMismatch):
+        squares[0] == squares[1]
+    assert validate_form(zero_form(SCALAR, 2), squares) == []
+    conn = sample_connection(rng, SCALAR)
+    derived = d_nabla(conn, zero_form(SCALAR, 1))
+    assert validate_form(derived, squares, scalars=(0, 2)) == []

@@ -9,7 +9,7 @@ from nilgeo.microcalc import TangentData
 from nilgeo.models import build_model
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.sampling import sample_point, sample_vert
-from nilgeo.weil import algebra
+from nilgeo.weil import AlgebraMismatch, algebra
 
 
 def test_identity_and_product():
@@ -158,3 +158,58 @@ def test_poly_matrix_roundtrip():
     m = pm((alg.scalar(4), alg.scalar(0)))
     assert m[0, 1] == alg.scalar(4)
     assert pm.partial(0).rows[0][1] == Poly.const(2, 1)
+
+
+def _random_entry(rng, alg):
+    # sparse on purpose, with mixed denominators and plenty of zeros
+    out = alg.zero
+    for mask in range(1 << len(alg.names)):
+        if mask in alg.killed or rng.random() < 0.5:
+            continue
+        q = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 6)))
+        out = out + alg.term(q, alg.mono_names(mask))
+    return out
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        algebra(["d1"]),
+        algebra(["d1", "d2"]),
+        algebra(["d1", "d2", "d3"]),
+        algebra(["d1", "d2"], killed=[("d1", "d2")]),
+    ],
+    ids=["d1", "d1d2", "d1d2d3", "paired"],
+)
+def test_fused_product_matches_term_by_term_reference(alg):
+    rng = random.Random(14 + len(alg.names))
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        a = Matrix([[_random_entry(rng, alg) for _ in range(n)] for _ in range(n)])
+        b = Matrix([[_random_entry(rng, alg) for _ in range(n)] for _ in range(n)])
+        got = a * b
+        for i in range(n):
+            for j in range(n):
+                want = alg.zero
+                for k in range(n):
+                    want = want + a[i, k] * b[k, j]
+                assert got[i, j] == want
+                assert got[i, j].coeffs == want.coeffs
+
+
+def test_public_constructor_rejects_mixed_algebras():
+    d1, d2 = algebra(["d1"]), algebra(["d1", "d2"])
+    with pytest.raises(AlgebraMismatch):
+        Matrix([[d1.one, d2.zero], [d1.zero, d1.one]])
+    with pytest.raises(AlgebraMismatch):
+        Matrix([[d1.one, d1.zero], [d1.zero, d2.one]])
+
+
+def test_product_across_algebras_raises():
+    d1, d2 = algebra(["d1"]), algebra(["d1", "d2"])
+    for make in (Matrix.identity, Matrix.zero):
+        with pytest.raises(AlgebraMismatch):
+            make(2, d1) * make(2, d2)
+    m = Matrix.from_rational([[1, 2], [3, 4]], d1)
+    with pytest.raises(AlgebraMismatch):
+        m * m.map(lambda w: w.convert(d2))

@@ -275,3 +275,53 @@ def test_str_roundtrip_smoke():
     a = D(2)
     x = a.one - a.gen("d1") + Fraction(1, 2) * a.term(1, ("d1", "d2"))
     assert "d1" in str(x)
+
+
+# -- dense products -----------------------------------------------------------
+
+
+def pair_loop_product(a, b):
+    """Reference product over the name tables: every pair of monomials,
+    skipping repeated generators and killed products."""
+    alg = a.algebra
+    out = {}
+    for n1, q1 in a.coeffs.items():
+        for n2, q2 in b.coeffs.items():
+            if set(n1) & set(n2) or alg.term(1, n1 + n2).is_zero():
+                continue
+            key = alg.mono_names(alg.mask(n1 + n2))
+            out[key] = out.get(key, 0) + q1 * q2
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize(
+    "n, killed",
+    [
+        (1, []),
+        (2, []),
+        (2, [("d1", "d2")]),
+        (3, []),
+        (3, [("d1", "d3")]),
+        (4, []),
+        (4, [("d1", "d3"), ("d2", "d3", "d4")]),
+    ],
+)
+def test_dense_product_matches_pair_loop(n, killed):
+    rng = random.Random(4000 + 10 * n + len(killed))
+    alg = algebra([f"d{i}" for i in range(1, n + 1)], killed=killed)
+    for _ in range(60):
+        a = random_element(rng, alg)
+        b = random_element(rng, alg)
+        if len(a.coeffs) * len(b.coeffs) <= 3**n:
+            continue  # sparse pairs take the pair loop itself
+        assert (a * b).coeffs == pair_loop_product(a, b)
+        assert (b * a).coeffs == pair_loop_product(b, a)
+
+
+def test_sparse_product_matches_pair_loop():
+    rng = random.Random(4100)
+    alg = algebra(["d1", "d2", "d3"], killed=[("d2", "d3")])
+    for _ in range(60):
+        a = random_element(rng, alg)
+        b = alg.scalar(rng.randint(-3, 3)) + rng.randint(-3, 3) * alg.gen("d2")
+        assert (a * b).coeffs == pair_loop_product(a, b)
