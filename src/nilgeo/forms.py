@@ -169,7 +169,12 @@ def validate_form(
 
 def d_nabla(conn: Connection, form: Form) -> Form:
     """Covariant exterior derivative; degrees one and two are the supported
-    inputs (the evaluator itself is uniform in the degree)."""
+    inputs (the evaluator itself is uniform in the degree).
+
+    The derived form evaluates `form` once per distinct face and keeps
+    every such value for as long as the derived form lives, so the memo
+    grows with the number of distinct faces it has seen; derive a fresh
+    form for each batch of cubes rather than keeping one indefinitely."""
     if form.degree < 1:
         raise FormError("derivative needs a form of degree at least one")
     inner = _memoized(form)

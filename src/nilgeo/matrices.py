@@ -11,17 +11,17 @@ square.
 Each entry of a product is one fused dot product: the terms accumulate in
 a single integer table over a common denominator and are normalized once.
 The public constructor checks that the matrix is square and that its
-entries share one algebra; results of the arithmetic here are both by
-construction and skip those checks.
+entries share one algebra.  Results of the arithmetic here are both by
+construction and skip those checks; `map` runs a caller's function, so its
+results take the full check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .weil import AlgebraMismatch, Scalar, WeilAlgebra, WeilElement, _build, _mul_into
+from .weil import AlgebraMismatch, Scalar, WeilAlgebra, WeilElement, _sum_of_products
 
 Rational = Sequence[Sequence[Scalar]]
 
@@ -48,7 +48,8 @@ class Matrix:
             alg = self.rows[0][0].algebra
             for r in self.rows:
                 for a in r:
-                    _check_algebra(alg, a.algebra)
+                    if a.algebra is not alg:
+                        _check_algebra(alg, a.algebra)
 
     @staticmethod
     def identity(n: int, alg: WeilAlgebra) -> "Matrix":
@@ -127,7 +128,8 @@ class Matrix:
         return _square(tuple(tuple(a * other for a in r) for r in self.rows))
 
     def map(self, fn: Callable[[WeilElement], WeilElement]) -> "Matrix":
-        return _square(tuple(tuple(fn(a) for a in r) for r in self.rows))
+        # fn may change algebras, so its results go through the full check
+        return Matrix(tuple(fn(a) for a in r) for r in self.rows)
 
     def trace(self) -> WeilElement:
         t = self.rows[0][0]
@@ -193,23 +195,12 @@ def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
 
 
 def _dot(alg: WeilAlgebra, row, col) -> WeilElement:
-    """sum(row[k] * col[k]) accumulated in one integer table over a common
-    denominator, normalized once."""
-    terms = []
-    den = 1
+    """sum(row[k] * col[k]) as one fused sum of products over `alg`."""
     for a, b in zip(row, col):
         if a.algebra is not alg or b.algebra is not alg:
             _check_algebra(alg, a.algebra)
             _check_algebra(alg, b.algebra)
-        if a._c and b._c:  # zero entries dominate the structured matrices here
-            terms.append((a, b))
-            den = lcm(den, a._den * b._den)
-    if not terms:
-        return alg._zero
-    out: dict[int, int] = {}
-    for a, b in terms:
-        _mul_into(alg, out, a._c, b._c, den // (a._den * b._den))
-    return _build(alg, out, den)
+    return _sum_of_products(alg, zip(row, col))
 
 
 def _check_sizes(a: Matrix, b: Matrix) -> None:

@@ -13,14 +13,15 @@ loops in machine-integer arithmetic instead of `Fraction` calls.  Sparse
 factors multiply by a loop over pairs of monomials; dense ones (more pairs
 than the 3**n disjoint pairs of n generators) walk a per-algebra table of
 each monomial's surviving disjoint partners, built on the first dense
-product.  `_mul_into` is that shared kernel, and the fused matrix dot
-product accumulates all its terms through it before one normalization.
+product.  `_mul_into` is that shared kernel; `_sum_of_products`, the
+fused dot product behind matrix products, accumulates all its terms
+through it before one normalization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -259,6 +260,24 @@ def _mul_into(
                     continue
                 m = m1 | m2
                 out[m] = get(m, 0) + v1 * v2
+
+
+def _sum_of_products(alg: WeilAlgebra, pairs) -> "WeilElement":
+    """sum(a * b) over (a, b) pairs of elements of `alg`, accumulated in one
+    integer table over a common denominator and normalized once.  The
+    caller has checked the algebras."""
+    terms = []
+    den = 1
+    for a, b in pairs:
+        if a._c and b._c:  # zero factors dominate structured matrices
+            terms.append((a._c, b._c, a._den * b._den))
+            den = lcm(den, a._den * b._den)
+    if not terms:
+        return alg._zero
+    out: dict[int, int] = {}
+    for c1, c2, d in terms:
+        _mul_into(alg, out, c1, c2, den // d)
+    return _build(alg, out, den)
 
 
 def _build(alg: WeilAlgebra, table: dict[int, int], den: int) -> "WeilElement":

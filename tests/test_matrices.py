@@ -213,3 +213,11 @@ def test_product_across_algebras_raises():
     m = Matrix.from_rational([[1, 2], [3, 4]], d1)
     with pytest.raises(AlgebraMismatch):
         m * m.map(lambda w: w.convert(d2))
+
+
+def test_map_rejects_results_over_mixed_algebras():
+    d1, d2 = algebra(["d1"]), algebra(["d1", "d2"])
+    m = Matrix.from_rational([[1, 2], [3, 4]], d1)
+    with pytest.raises(AlgebraMismatch):
+        m.map(lambda w: w.convert(d2) if w.constant_term() == 1 else w)
+    assert m.map(lambda w: w.convert(d2)).algebra == d2
