@@ -8,8 +8,9 @@ edge, the elimination and both products with its result are skipped and
 the series runs on self - I directly; for a step it stops after one
 square.
 
-Each entry of a product is one fused dot product: the terms accumulate in
-a single integer table over a common denominator and are normalized once.
+Each entry of a product is one fused sum of products
+(`weil._sum_of_products`): the terms accumulate in a single integer table
+over a common denominator and are normalized once.
 The public constructor checks that the matrix is square and that its
 entries share one algebra.  Results of the arithmetic here are both by
 construction and skip those checks; `map` runs a caller's function, so its
@@ -113,11 +114,17 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             _check_sizes(self, other)
+            if not self.rows:
+                return self
+            # each factor is over one algebra, so one comparison covers
+            # every pair of entries
             alg = self.rows[0][0].algebra
+            _check_algebra(alg, other.rows[0][0].algebra)
             cols = tuple(zip(*other.rows))
             return _square(
                 tuple(
-                    tuple(_dot(alg, row, col) for col in cols) for row in self.rows
+                    tuple(_sum_of_products(alg, zip(row, col)) for col in cols)
+                    for row in self.rows
                 )
             )
         # scalar or WeilElement
@@ -192,15 +199,6 @@ def _square(rows: tuple[tuple[WeilElement, ...], ...]) -> Matrix:
 def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
     if other is not alg and other != alg:
         raise AlgebraMismatch(f"cannot combine {alg!r} with {other!r}")
-
-
-def _dot(alg: WeilAlgebra, row, col) -> WeilElement:
-    """sum(row[k] * col[k]) as one fused sum of products over `alg`."""
-    for a, b in zip(row, col):
-        if a.algebra is not alg or b.algebra is not alg:
-            _check_algebra(alg, a.algebra)
-            _check_algebra(alg, b.algebra)
-    return _sum_of_products(alg, zip(row, col))
 
 
 def _check_sizes(a: Matrix, b: Matrix) -> None:
