@@ -28,10 +28,7 @@ from .microcalc import (
     permute,
     scale_arg,
     slice_cube,
-    slice_cube2,
     strong_diff,
-    tangent_add,
-    tangent_scale,
     tau,
     transpose,
 )
@@ -41,9 +38,9 @@ from .connection import (
     curvature,
     curvature_via_strong_diff,
     lift,
-    preset_connection,
     structure_equation,
 )
+from .sampling import preset_connection
 from .forms import Form, curvature_form, d_nabla, validate_form
 from .bianchi import (
     build_cube,

@@ -27,7 +27,7 @@ from .microcalc import (
     from_tangent,
     include_tangent,
     slice_cube,
-    slice_cube2,
+    slice_multi,
 )
 from .models import Arrow, Point, compose, compose_all, invert
 
@@ -103,7 +103,7 @@ def build_cube(conn: Connection, cube: Microcube) -> CubeLabeling:
                 i, j = sorted(set((1, 2, 3)) - {k})
                 e_i = args[i - 1] if i in VERTEX_AXES[x] else 0
                 e_j = args[j - 1] if j in VERTEX_AXES[x] else 0
-                t = slice_cube2(cube, i, j, e_i, e_j)
+                t = slice_multi(cube, {i: e_i, j: e_j})
                 lifted = conn.apply(from_tangent(t))
                 arrow = lifted.arrow_at(alg.gen(args[k - 1]))
                 cube.model.check(arrow)

@@ -22,8 +22,8 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .connection import preset_names
-from .models import MODEL_NAMES, TrivialGaugeModel, build_model
+from .models import all_models, build_model
+from .sampling import preset_names
 from .suites import SUITES, SUITE_NAMES, SuiteParams, check_bianchi_mutation, nonzero_curvature_witnesses
 
 
@@ -126,24 +126,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.model not in MODEL_NAMES:
-        raise ConfigError(
-            f"unknown model {cfg.model!r}; registry has: {', '.join(MODEL_NAMES)}"
-        )
-    if cfg.model == "trivial_gauge":
-        group = cfg.structure_group or "scalar"
-        if group not in TrivialGaugeModel.STRUCTURE_GROUPS:
-            raise ConfigError(
-                f"unknown structure group {group!r}; choices: "
-                + ", ".join(TrivialGaugeModel.STRUCTURE_GROUPS)
-            )
-        if cfg.base_dim is not None and cfg.base_dim != 2:
-            raise ConfigError("the gauge base has dimension 2")
-    else:
-        if cfg.structure_group is not None:
-            raise ConfigError("structure_group only applies to trivial_gauge")
-        if cfg.base_dim is not None and cfg.base_dim != 0:
-            raise ConfigError(f"{cfg.model} lives over a one-point base")
+    try:
+        model = build_model(cfg.model, cfg.structure_group)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
+    if cfg.base_dim is not None and cfg.base_dim != model.base_dim:
+        raise ConfigError(f"{model.name} has base dimension {model.base_dim}")
     if cfg.suite not in SUITE_NAMES:
         raise ConfigError(
             f"unknown suite {cfg.suite!r}; choices: {', '.join(SUITE_NAMES)}"
@@ -154,7 +142,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("poly_degree must be between 0 and 3")
     if cfg.connection != "random" and not cfg.connection.startswith("preset:"):
         raise ConfigError("connection must be 'random' or 'preset:<name>'")
-    model = build_model(cfg.model, cfg.structure_group)
     if cfg.connection.startswith("preset:"):
         name = cfg.connection.split(":", 1)[1]
         if name not in preset_names(model):
@@ -171,7 +158,6 @@ def run_suite(cfg: RunConfig) -> tuple[int, list[str]]:
         connection=cfg.connection,
         bound=cfg.coeff_bound,
         degree=cfg.poly_degree,
-        mutation=cfg.mutation,
     )
     suite_names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     results = []
@@ -203,17 +189,9 @@ def run_suite(cfg: RunConfig) -> tuple[int, list[str]]:
 
 def _list_models() -> list[str]:
     lines = []
-    for name in MODEL_NAMES:
-        if name == "trivial_gauge":
-            for group in TrivialGaugeModel.STRUCTURE_GROUPS:
-                model = build_model(name, group)
-                lines.append(
-                    f"{name} structure_group={group} presets: "
-                    + ", ".join(preset_names(model))
-                )
-        else:
-            model = build_model(name)
-            lines.append(f"{name} presets: " + ", ".join(preset_names(model)))
+    for model in all_models():
+        group = "" if model.structure is None else f" structure_group={model.structure}"
+        lines.append(f"{model.family}{group} presets: " + ", ".join(preset_names(model)))
     return lines
 
 

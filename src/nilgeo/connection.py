@@ -4,7 +4,8 @@ A connection is fiberwise-linear lift data: a splitting matrix on the
 downstairs tangent coordinates (one-point models) or vertical coefficient
 polynomials over the base (gauge models).  The lift of a microsquare, the
 curvature word and its strong-difference characterization all reduce to
-exact Weil-matrix words.
+exact Weil-matrix words.  The named presets and the random connections of
+each shipped configuration live in `sampling`, next to the samplers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .models import (
     compose_all,
     invert,
 )
-from .polynomials import Poly, PolyMatrix
+from .polynomials import PolyMatrix
 from .weil import WeilAlgebra, algebra
 
 
@@ -143,76 +144,6 @@ class LiftedSection(Section):
 
     def at(self, x: Point, alg: WeilAlgebra) -> TangentData:
         return self.conn.apply(self.base.at(x, alg))
-
-
-# ---------------------------------------------------------------------------
-# named presets
-
-
-def _heisenberg_standard(model: GroupoidModel) -> Connection:
-    return SplittingConnection(
-        model,
-        (
-            ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
-            ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
-        ),
-    )
-
-
-def _direct_product_standard(model: GroupoidModel) -> Connection:
-    images = []
-    for i in range(2):
-        for j in range(2):
-            rows = [[Fraction(0)] * 3 for _ in range(3)]
-            rows[i][j] = Fraction(1)
-            if i == j:
-                rows[2][2] = Fraction(1)
-            images.append(tuple(tuple(r) for r in rows))
-    return SplittingConnection(model, images)
-
-
-def _gauge_coordinates():
-    return Poly(2, {}), Poly.var(2, 0), Poly.var(2, 1)
-
-
-def _scalar_x1dx2(model: GroupoidModel) -> Connection:
-    z, x1, _ = _gauge_coordinates()
-    return GaugeConnection(model, (PolyMatrix(((z,),)), PolyMatrix(((x1,),))))
-
-
-def _gl2_standard(model: GroupoidModel) -> Connection:
-    z, x1, x2 = _gauge_coordinates()
-    a1 = PolyMatrix(((z, x2), (z, z)))
-    a2 = PolyMatrix(((z, z), (x1, z)))
-    return GaugeConnection(model, (a1, a2))
-
-
-def _sl2_standard(model: GroupoidModel) -> Connection:
-    z, x1, x2 = _gauge_coordinates()
-    a1 = PolyMatrix(((x2, z), (z, -1 * x2)))
-    a2 = PolyMatrix(((z, x1), (z, z)))
-    return GaugeConnection(model, (a1, a2))
-
-
-# model name -> preset name -> builder; the one source of the presets
-_PRESETS = {
-    "heisenberg": {"standard": _heisenberg_standard},
-    "direct_product": {"standard": _direct_product_standard},
-    "trivial_gauge[scalar]": {"x1dx2": _scalar_x1dx2},
-    "trivial_gauge[gl2]": {"standard": _gl2_standard},
-    "trivial_gauge[sl2]": {"standard": _sl2_standard},
-}
-
-
-def preset_names(model: GroupoidModel) -> tuple[str, ...]:
-    return tuple(_PRESETS.get(model.name, ()))
-
-
-def preset_connection(model: GroupoidModel, name: str = "standard") -> Connection:
-    builder = _PRESETS.get(model.name, {}).get(name)
-    if builder is None:
-        raise KeyError(f"no preset {name!r} for model {model.name}")
-    return builder(model)
 
 
 # ---------------------------------------------------------------------------

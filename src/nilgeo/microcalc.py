@@ -104,14 +104,6 @@ def make_microcube(arrow: Arrow, args: Sequence[str]) -> Microcube:
     return Microcube(arrow, args)
 
 
-def zero_tangent(
-    model: GroupoidModel, grp: str, x: Point, alg: WeilAlgebra
-) -> "TangentData":
-    n = model.spec(grp).size
-    zero = alg.zero
-    return TangentData(model, grp, x, tuple(zero for _ in x), Matrix.zero(n, alg))
-
-
 # ---------------------------------------------------------------------------
 # slicing and reparametrization
 
@@ -122,12 +114,6 @@ def slice_cube(cube: Microcube, i: int, e) -> Microcube:
     `e` is 0 or a generator name; passing the argument's own name keeps it
     as a symbolic parameter of the resulting lower cube."""
     return slice_multi(cube, {i: e})
-
-
-def slice_cube2(cube: Microcube, i: int, j: int, e1, e2) -> Microcube:
-    if not i < j:
-        raise CubeError("slice positions must be increasing")
-    return slice_multi(cube, {i: e1, j: e2})
 
 
 def slice_multi(cube: Microcube, frozen: dict[int, object]) -> Microcube:
@@ -312,14 +298,6 @@ class TangentData:
             and a.direction == b.direction
             and a.vert == b.vert
         )
-
-
-def tangent_add(t1: TangentData, t2: TangentData) -> TangentData:
-    return t1 + t2
-
-
-def tangent_scale(a: Scalar, t: TangentData) -> TangentData:
-    return t.scale(a)
 
 
 def from_tangent(t: Microcube) -> TangentData:

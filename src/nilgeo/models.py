@@ -11,6 +11,12 @@ L -> H -> G that the connection calculus runs on:
                         coordinate base; G is the pair groupoid, L the
                         bundle of K-loops.  K is scalars, GL2 or SL2.
 
+The registry at the end of this module lists each shipped configuration
+once, keyed by its name: ``heisenberg``, ``direct_product`` and
+``trivial_gauge[scalar|gl2|sl2]``.  `build_model`, `all_models` and the CLI
+read it; `sampling` keeps each configuration's connection presets and
+sampler under the same name.
+
 An arrow is (source point, target point, matrix body); both points are
 coordinate tuples of Weil elements (empty over a one-point base).
 Composition follows function order: ``compose(g, h)`` applies h first and
@@ -239,8 +245,16 @@ def invert(g: Arrow) -> Arrow:
 class GroupoidModel:
     """Shared behaviour; concrete models fix the exact-sequence data."""
 
-    name: str
+    family: str  # the `model` a configuration names
+    structure: str | None = None  # its `structure_group`, if it takes one
     base_dim: int
+
+    @property
+    def name(self) -> str:
+        """The registry key: the family, with any structure group in brackets."""
+        if self.structure is None:
+            return self.family
+        return f"{self.family}[{self.structure}]"
 
     def spec(self, grp: str):
         return {"H": self._h, "G": self._g, "L": self._l}[grp]
@@ -268,27 +282,17 @@ class GroupoidModel:
         """True when the arrow projects to an identity arrow downstairs."""
         return self.project(h).is_identity()
 
-    def include(self, l: Arrow) -> Arrow:
-        """The canonical injection of the kernel; bodies embed unchanged."""
-        if l.grp != "L":
-            raise CompositionError("include expects an L-arrow")
-        self.check(l)
-        return Arrow(self, "H", l.source, l.target, l.body)
+    def lie_basis(self, grp: str):
+        return self.spec(grp).lie_basis()
 
-    def as_kernel(self, h: Arrow) -> Arrow:
-        """Inverse of `include` on its image."""
-        if not self.kernel_test(h):
-            raise MembershipError("arrow is not in the kernel")
-        return self.check(Arrow(self, "L", h.source, h.target, h.body))
-
-    # subclasses: project, project_vert, g_coords, lie_basis, label
+    # subclasses: project, project_vert, g_coords
 
 
 class HeisenbergModel(GroupoidModel):
     """Central extension over a point: unipotent 3x3 upper-triangular H."""
 
+    family = "heisenberg"
     base_dim = 0
-    name = "heisenberg"
 
     def __init__(self):
         self._h = PatternGroup("unipotent3", 3, ((0, 1), (1, 2), (0, 2)))
@@ -315,16 +319,13 @@ class HeisenbergModel(GroupoidModel):
     def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
         return (vert[0, 1], vert[0, 2])
 
-    def lie_basis(self, grp: str):
-        return self.spec(grp).lie_basis()
-
 
 class DirectProductModel(GroupoidModel):
     """H = GL2 x GL1 with first-block projection; every splitting induced
     by a Lie morphism into the scalar factor is flat."""
 
+    family = "direct_product"
     base_dim = 0
-    name = "direct_product"
 
     def __init__(self):
         self._h = BlockDiagonal(GeneralLinear(2), GeneralLinear(1))
@@ -344,29 +345,19 @@ class DirectProductModel(GroupoidModel):
     def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
         return (vert[0, 0], vert[0, 1], vert[1, 0], vert[1, 1])
 
-    def lie_basis(self, grp: str):
-        return self.spec(grp).lie_basis()
-
 
 class TrivialGaugeModel(GroupoidModel):
-    """Gauge groupoid M x K x M over a coordinate base M of dimension 2."""
+    """Gauge groupoid M x K x M over a coordinate base M of dimension 2;
+    `group` is the structure group K, named `structure`."""
 
+    family = "trivial_gauge"
     base_dim = 2
 
-    STRUCTURE_GROUPS = ("scalar", "gl2", "sl2")
-
-    def __init__(self, structure: str = "scalar"):
-        if structure not in self.STRUCTURE_GROUPS:
-            raise ValueError(f"unknown structure group {structure!r}")
+    def __init__(self, structure: str, group):
         self.structure = structure
-        self.name = f"trivial_gauge[{structure}]"
-        self._h = {
-            "scalar": GeneralLinear(1),
-            "gl2": GeneralLinear(2),
-            "sl2": UnitDeterminant(2),
-        }[structure]
+        self._h = group
         self._g = FixedIdentity(1)
-        self._l = self._h
+        self._l = group
 
     def project(self, h: Arrow) -> Arrow:
         if h.grp != "H":
@@ -379,50 +370,33 @@ class TrivialGaugeModel(GroupoidModel):
     def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
         return ()
 
-    def lie_basis(self, grp: str):
-        if grp == "G":
-            return ()
-        return self._h.lie_basis()
-
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: each shipped configuration once, keyed by name; the first
+# configuration of a family is its default
 
-MODEL_NAMES = ("heisenberg", "direct_product", "trivial_gauge")
-
-_INSTANCES: dict[str, GroupoidModel] = {}
+_REGISTRY = {
+    model.name: model
+    for model in (
+        HeisenbergModel(),
+        DirectProductModel(),
+        TrivialGaugeModel("scalar", GeneralLinear(1)),
+        TrivialGaugeModel("gl2", GeneralLinear(2)),
+        TrivialGaugeModel("sl2", UnitDeterminant(2)),
+    )
+}
 
 
 def build_model(name: str, structure_group: str | None = None) -> GroupoidModel:
-    if name == "heisenberg":
-        key = name
-    elif name == "direct_product":
-        key = name
-    elif name == "trivial_gauge":
-        structure_group = structure_group or "scalar"
-        key = f"trivial_gauge[{structure_group}]"
-    else:
-        raise KeyError(
-            f"unknown model {name!r}; registry has: {', '.join(MODEL_NAMES)}"
-        )
-    inst = _INSTANCES.get(key)
-    if inst is None:
-        if name == "heisenberg":
-            inst = HeisenbergModel()
-        elif name == "direct_product":
-            inst = DirectProductModel()
-        else:
-            inst = TrivialGaugeModel(structure_group)
-        _INSTANCES[key] = inst
-    return inst
+    """The registered configuration of the family `name` with the given
+    structure group, or the family's default when none is given."""
+    for model in _REGISTRY.values():
+        if model.family == name and structure_group in (None, model.structure):
+            return model
+    wanted = name if structure_group is None else f"{name}[{structure_group}]"
+    raise KeyError(f"unknown model {wanted!r}; registry has: {', '.join(_REGISTRY)}")
 
 
 def all_models() -> tuple[GroupoidModel, ...]:
     """Every shipped configuration, in a fixed order."""
-    return (
-        build_model("heisenberg"),
-        build_model("direct_product"),
-        build_model("trivial_gauge", "scalar"),
-        build_model("trivial_gauge", "gl2"),
-        build_model("trivial_gauge", "sl2"),
-    )
+    return tuple(_REGISTRY.values())

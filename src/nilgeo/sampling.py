@@ -3,6 +3,11 @@
 Everything is drawn from an explicit `random.Random` in a fixed order, so
 a seed fully determines every sampled element, cube, section and
 connection: runs are bit-reproducible.
+
+The connection table at the end holds, for each shipped configuration
+(keyed by model name, as in the `models` registry), its named presets and
+its random-connection sampler.  Each splitting image layout is written once,
+over its free scalars: a preset fixes them, the sampler draws them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .connection import GaugeConnection, SplittingConnection
+from .connection import Connection, GaugeConnection, SplittingConnection
 from .matrices import Matrix
 from .microcalc import ConstantSection, Microcube, PolySection, Section, make_microcube
 from .models import (
@@ -23,8 +28,8 @@ from .models import (
     GroupoidModel,
     PatternGroup,
     Point,
-    TrivialGaugeModel,
     UnitDeterminant,
+    _rational_det,
 )
 from .polynomials import Poly, PolyMatrix
 from .weil import WeilAlgebra, WeilElement, _build as weil_build
@@ -106,8 +111,6 @@ def _constant_member(rng: random.Random, spec, bound: Fraction):
             rows = tuple(
                 tuple(sample_rational(rng, bound) for _ in range(n)) for _ in range(n)
             )
-            from .models import _rational_det
-
             if _rational_det(rows) != 0:
                 return rows
     if isinstance(spec, UnitDeterminant):
@@ -297,29 +300,95 @@ def sample_connection(
     model: GroupoidModel,
     bound: Fraction = Fraction(2),
     degree: int = 2,
-):
-    if isinstance(model, TrivialGaugeModel):
-        coeffs = [
-            sample_poly_matrix(rng, model, "H", degree, bound)
-            for _ in range(model.base_dim)
-        ]
-        return GaugeConnection(model, coeffs)
-    if model.name == "heisenberg":
-        lam = sample_rational(rng, bound)
-        mu = sample_rational(rng, bound)
-        images = (
+) -> Connection:
+    sampler, _ = _CONNECTIONS[model.name]
+    return sampler(rng, model, bound, degree)
+
+
+def preset_names(model: GroupoidModel) -> tuple[str, ...]:
+    _, presets = _CONNECTIONS[model.name]
+    return tuple(presets)
+
+
+def preset_connection(model: GroupoidModel, name: str = "standard") -> Connection:
+    _, presets = _CONNECTIONS[model.name]
+    if name not in presets:
+        raise KeyError(f"no preset {name!r} for model {model.name}")
+    builder, *fixed = presets[name]
+    return builder(model, *fixed)
+
+
+# ---------------------------------------------------------------------------
+# connections of the shipped configurations
+
+
+def _heisenberg(model, lam, mu) -> Connection:
+    return SplittingConnection(
+        model,
+        (
             ((0, 1, lam), (0, 0, 0), (0, 0, 0)),
             ((0, 0, mu), (0, 0, 1), (0, 0, 0)),
-        )
-        return SplittingConnection(model, images)
-    if model.name == "direct_product":
-        c = sample_rational(rng, bound)
-        images = []
-        for i in range(2):
-            for j in range(2):
-                rows = [[Fraction(0)] * 3 for _ in range(3)]
-                rows[i][j] = Fraction(1)
-                rows[2][2] = c if i == j else Fraction(0)
-                images.append(tuple(tuple(r) for r in rows))
-        return SplittingConnection(model, images)
-    raise KeyError(f"no connection sampler for model {model.name}")
+        ),
+    )
+
+
+def _sample_heisenberg(rng, model, bound, degree) -> Connection:
+    lam = sample_rational(rng, bound)
+    mu = sample_rational(rng, bound)
+    return _heisenberg(model, lam, mu)
+
+
+def _direct_product(model, c) -> Connection:
+    images = []
+    for i in range(2):
+        for j in range(2):
+            rows = [[Fraction(0)] * 3 for _ in range(3)]
+            rows[i][j] = Fraction(1)
+            rows[2][2] = c if i == j else Fraction(0)
+            images.append(tuple(tuple(r) for r in rows))
+    return SplittingConnection(model, images)
+
+
+def _sample_direct_product(rng, model, bound, degree) -> Connection:
+    return _direct_product(model, sample_rational(rng, bound))
+
+
+def _sample_gauge(rng, model, bound, degree) -> Connection:
+    coeffs = [
+        sample_poly_matrix(rng, model, "H", degree, bound)
+        for _ in range(model.base_dim)
+    ]
+    return GaugeConnection(model, coeffs)
+
+
+def _gauge_coordinates():
+    return Poly(2, {}), Poly.var(2, 0), Poly.var(2, 1)
+
+
+def _scalar_x1dx2(model) -> Connection:
+    z, x1, _ = _gauge_coordinates()
+    return GaugeConnection(model, (PolyMatrix(((z,),)), PolyMatrix(((x1,),))))
+
+
+def _gl2_standard(model) -> Connection:
+    z, x1, x2 = _gauge_coordinates()
+    a1 = PolyMatrix(((z, x2), (z, z)))
+    a2 = PolyMatrix(((z, z), (x1, z)))
+    return GaugeConnection(model, (a1, a2))
+
+
+def _sl2_standard(model) -> Connection:
+    z, x1, x2 = _gauge_coordinates()
+    a1 = PolyMatrix(((x2, z), (z, -1 * x2)))
+    a2 = PolyMatrix(((z, x1), (z, z)))
+    return GaugeConnection(model, (a1, a2))
+
+
+# model name -> (sampler, preset name -> (builder, *the scalars it fixes))
+_CONNECTIONS = {
+    "heisenberg": (_sample_heisenberg, {"standard": (_heisenberg, 0, 0)}),
+    "direct_product": (_sample_direct_product, {"standard": (_direct_product, 1)}),
+    "trivial_gauge[scalar]": (_sample_gauge, {"x1dx2": (_scalar_x1dx2,)}),
+    "trivial_gauge[gl2]": (_sample_gauge, {"standard": (_gl2_standard,)}),
+    "trivial_gauge[sl2]": (_sample_gauge, {"standard": (_sl2_standard,)}),
+}

@@ -23,7 +23,6 @@ from .connection import (
     curvature,
     curvature_via_strong_diff,
     lift,
-    preset_connection,
     structure_equation,
 )
 from .forms import (
@@ -53,6 +52,7 @@ from .microcalc import (
 from .models import Arrow, build_model, compose, invert
 from .sampling import (
     perturbed_square,
+    preset_connection,
     sample_connection,
     sample_lie_rows,
     sample_microcube,
@@ -78,7 +78,6 @@ class SuiteParams:
     connection: str = "random"  # "random" or "preset:<name>"
     bound: Fraction = Fraction(2)
     degree: int = 2
-    mutation: bool = False
 
 
 def _connection(model, rng, params: SuiteParams):

@@ -166,12 +166,6 @@ class WeilAlgebra:
             return self._zero
         return WeilElement(self, {mask: coeff.numerator}, coeff.denominator)
 
-    def element(self, table: Mapping[Iterable[str], Scalar]) -> "WeilElement":
-        out = self._zero
-        for names, coeff in table.items():
-            out = out + self.term(coeff, names)
-        return out
-
     # -- derived algebras ---------------------------------------------------
 
     def kill(self, monomials: Iterable[Iterable[str]]) -> "WeilAlgebra":

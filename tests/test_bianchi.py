@@ -16,11 +16,16 @@ from nilgeo.bianchi import (
     verify_abstract_bianchi,
     verify_classical_bianchi,
 )
-from nilgeo.connection import curvature, preset_connection
+from nilgeo.connection import curvature
 from nilgeo.forms import curvature_form, d_nabla
 from nilgeo.microcalc import arrow_map, include_tangent, slice_cube
 from nilgeo.models import build_model, all_models, compose, compose_all, invert
-from nilgeo.sampling import sample_connection, sample_lie_rows, sample_microcube
+from nilgeo.sampling import (
+    preset_connection,
+    sample_connection,
+    sample_lie_rows,
+    sample_microcube,
+)
 from nilgeo.weil import algebra
 
 ALG3 = algebra(["d1", "d2", "d3"])

@@ -1,8 +1,12 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from nilgeo.cli import ConfigError, main, parse_config, run_suite
+from nilgeo.models import all_models, build_model
+from nilgeo.sampling import preset_connection, preset_names, sample_connection
 from nilgeo.suites import SUITES, TrialResult
 
 
@@ -146,6 +150,76 @@ def test_main_exit_codes_and_output(tmp_path, capsys):
     assert main(["--list-models"]) == 0
     listing = capsys.readouterr().out
     assert "heisenberg" in listing and "structure_group=sl2" in listing
+
+
+# SHA-256 of the report text for suite = all, trials = 1, mutation = true,
+# recorded before the model registry replaced the per-model dispatch.  The
+# listed presets give the same report as a random connection.  Seeding each
+# trial on its own will change these digests once, on purpose.
+REPORT_DIGESTS = {
+    ("heisenberg", None, 1): "cb35e706b6a33f9ca09b1ecebf875604ade57874224b5f6c4c67290855dff5e7",
+    ("heisenberg", None, 7): "2d91f4efd91ec5a50ccb0f135b0a327d877f65f665ee72be7938213285eccf2e",
+    ("direct_product", None, 1): "06ae78a53d4ab945407fbe3a2add45f9857a24f336bf01b4f1a7dc846aed0845",
+    ("direct_product", None, 7): "5dd7bacd179df1fdcc1dc99cf111567cd5feb9df23dd0506862d69c50419d877",
+    ("trivial_gauge", "scalar", 1): "8776871c5364e768cd4be9cc97c360284c6e23f37499221423fe47b3b732733c",
+    ("trivial_gauge", "scalar", 7): "cb8e7fd303382f98f498b4c35470ffbdfc476b87f68f130c2ecb881cf9d3ff79",
+    ("trivial_gauge", "gl2", 1): "4bc409e1c48dbef899fd393e047b20bacad612ab2403c67bc6c5bd1cbd447cd2",
+    ("trivial_gauge", "gl2", 7): "8a763de03b6aa71801004ddb3b02ecc83df771bfaa7094dd77fceafc8bf33f67",
+    ("trivial_gauge", "sl2", 1): "46442f455aa0fc00e0fb8b18550009922620eb0d74cafb049ba23a4ef5dd0e29",
+    ("trivial_gauge", "sl2", 7): "48713fc23b2329a1791efb8b4d05f827bb42efe9741b288add45f1ce246cf25f",
+}
+
+MODEL_LISTING = """\
+heisenberg presets: standard
+direct_product presets: standard
+trivial_gauge structure_group=scalar presets: x1dx2
+trivial_gauge structure_group=gl2 presets: standard
+trivial_gauge structure_group=sl2 presets: standard
+"""
+
+
+def test_report_digests_are_pinned(capsys):
+    for (name, group, seed), digest in REPORT_DIGESTS.items():
+        model = build_model(name, group)
+        presets = [f"preset:{preset}" for preset in preset_names(model)]
+        for connection in ["random", *presets]:
+            text = f"model = {name}\nseed = {seed}\ntrials = 1\nmutation = true\n"
+            if group:
+                text += f"structure_group = {group}\n"
+            text += f"connection = {connection}\n"
+            status, lines = run_suite(parse_config(text))
+            report = "\n".join(lines) + "\n"
+            assert status == 0
+            assert hashlib.sha256(report.encode()).hexdigest() == digest, (
+                name, group, seed, connection
+            )
+    assert main(["--list-models"]) == 0
+    assert capsys.readouterr().out == MODEL_LISTING
+
+
+def test_every_registered_model_is_reachable_everywhere(capsys):
+    models = all_models()
+    assert main(["--list-models"]) == 0
+    listing = capsys.readouterr().out.splitlines()
+    assert len(listing) == len(models)
+    for model, line in zip(models, listing):
+        assert build_model(model.family, model.structure) is model
+        assert sample_connection(random.Random(0), model).model is model
+        names = preset_names(model)
+        assert names
+        for name in names:
+            assert preset_connection(model, name).model is model
+        assert line.startswith(f"{model.family} ")
+        assert line.endswith("presets: " + ", ".join(names))
+        text = f"model = {model.family}\nseed = 1\n"
+        if model.structure is not None:
+            text += f"structure_group = {model.structure}\n"
+        for dim in range(4):
+            if dim == model.base_dim:
+                assert parse_config(text + f"base_dim = {dim}\n").base_dim == dim
+            else:
+                with pytest.raises(ConfigError, match="base dimension"):
+                    parse_config(text + f"base_dim = {dim}\n")
 
 
 def test_main_overrides(tmp_path, capsys):

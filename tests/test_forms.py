@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilgeo import forms
-from nilgeo.connection import curvature, preset_connection
+from nilgeo.connection import curvature
 from nilgeo.forms import (
     Form,
     FormError,
@@ -20,6 +20,7 @@ from nilgeo.microcalc import Microcube, TangentData, make_microcube, permute, sc
 from nilgeo.models import Arrow, all_models, build_model
 from nilgeo.polynomials import PolyMatrix
 from nilgeo.sampling import (
+    preset_connection,
     sample_connection,
     sample_microcube,
     sample_point,

@@ -127,9 +127,10 @@ def test_include_lands_in_kernel():
         x = sample_point(rng, model, alg)
         vert = sample_vert(rng, model, "L", alg)
         body = Matrix.identity(model.spec("L").size, alg) + vert * alg.gen("d1")
-        l = Arrow(model, "L", x, x, body)
-        assert model.kernel_test(model.include(l))
-        assert model.as_kernel(model.include(l)) == l
+        assert model.validate(Arrow(model, "L", x, x, body))
+        h = Arrow(model, "H", x, x, body)
+        assert model.validate(h)
+        assert model.kernel_test(h)
 
 
 def test_exactness_on_random_elements():
@@ -137,15 +138,15 @@ def test_exactness_on_random_elements():
     for model in all_models():
         for _ in range(20):
             h = random_arrow(rng, model, "H", ALG2)
-            in_kernel = model.kernel_test(h)
-            if in_kernel:
-                back = model.include(model.as_kernel(h))
-                assert back.body == h.body
+            if model.kernel_test(h):
+                assert model.validate(Arrow(model, "L", h.source, h.target, h.body))
             # elements built from the kernel always pass
             x = h.source
             vert = sample_vert(rng, model, "L", ALG2)
             body = Matrix.identity(model.spec("L").size, ALG2) + vert * ALG2.gen("d1")
-            assert model.kernel_test(model.include(Arrow(model, "L", x, x, body)))
+            l = Arrow(model, "L", x, x, body)
+            assert model.validate(l)
+            assert model.kernel_test(Arrow(model, "H", x, x, body))
 
 
 def test_validate_identity_everywhere():
@@ -197,6 +198,12 @@ def test_closure_under_compose_and_invert():
 
 
 def test_registry_rejects_unknown_names():
-    with pytest.raises(KeyError):
-        build_model("nope")
+    for name, group in (
+        ("nope", None),
+        ("heisenberg", "gl2"),
+        ("direct_product", "scalar"),
+        ("trivial_gauge", "so3"),
+    ):
+        with pytest.raises(KeyError, match="registry has: heisenberg, direct_product"):
+            build_model(name, group)
     assert len(all_models()) == 5

@@ -21,14 +21,14 @@ def D2():
 
 
 def random_element(rng, alg, bound=4):
-    table = {}
+    out = alg.zero
     for mask in range(1 << len(alg.names)):
         if mask in alg.killed:
             continue
         num = rng.randint(-bound, bound)
         den = rng.choice((1, 1, 1, 2, 3))
-        table[alg.mono_names(mask)] = Fraction(num, den)
-    return alg.element(table)
+        out = out + alg.term(Fraction(num, den), alg.mono_names(mask))
+    return out
 
 
 # -- products ---------------------------------------------------------------
