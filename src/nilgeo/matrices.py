@@ -10,7 +10,8 @@ square.
 
 Each entry of a product is one fused sum of products
 (`weil._sum_of_products`): the terms accumulate in a single integer table
-over a common denominator and are normalized once.
+over a common denominator and are normalized once.  `drop` and
+`coefficient` compute their generator mask once for all entries.
 The public constructor checks that the matrix is square and that its
 entries share one algebra.  Results of the arithmetic here are both by
 construction and skip those checks; `map` runs a caller's function, so its
@@ -163,14 +164,21 @@ class Matrix:
         return tuple(tuple(a.constant_term() for a in r) for r in self.rows)
 
     def coefficient(self, names: Iterable[str]) -> "Matrix":
-        names = tuple(names)
-        return self.map(lambda a: a.coefficient(names))
+        """Entrywise `WeilElement.coefficient`, with one mask for all entries."""
+        mask = self.algebra.mask(names)
+        return _square(tuple(tuple(a._coefficient(mask) for a in r) for r in self.rows))
+
+    def drop(self, names: Iterable[str]) -> "Matrix":
+        """Entrywise `WeilElement.drop`, with one mask for all entries."""
+        return self._drop(self.algebra.mask(names))
+
+    def _drop(self, mask: int) -> "Matrix":
+        return _square(tuple(tuple(a._drop(mask) for a in r) for r in self.rows))
 
     def is_identity(self) -> bool:
-        alg = self.algebra
-        one, zero = alg.one, alg.zero
+        # read off the integer tables: 1 on the diagonal, empty elsewhere
         return all(
-            a == (one if i == j else zero)
+            (len(a._c) == 1 and a._c.get(0) == a._den) if i == j else not a._c
             for i, r in enumerate(self.rows)
             for j, a in enumerate(r)
         )

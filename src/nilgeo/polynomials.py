@@ -3,15 +3,24 @@
 Used for base-dependent data (sections, vertical connection coefficients).
 Evaluation accepts Weil-valued coordinates, so polynomial data can be read
 off exactly at rationally-centred points with nilpotent displacements.
+
+Evaluation shares monomials: one call builds each monomial x^e that its
+terms need once, from a smaller monomial by one Weil product (the
+constant and the coordinates themselves cost none), and reads every
+polynomial as one rational linear combination of those monomials
+(`weil._linear_combination`), summed in one integer table and normalized
+once.  A `PolyMatrix` shares its monomials across all of its entries.
+Exponents are non-negative integers and coefficients exact rationals;
+anything else raises when the polynomial is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .matrices import Matrix
-from .weil import Scalar, WeilElement
+from .matrices import Matrix, _check_algebra, _square
+from .weil import Scalar, WeilAlgebra, WeilElement, _exact, _linear_combination
 
 
 class Poly:
@@ -26,9 +35,12 @@ class Poly:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError("exponent tuple has wrong length")
-            c = Fraction(c)
+            if not all(isinstance(k, int) and k >= 0 for k in exps):
+                raise ValueError(f"exponents must be non-negative integers: {exps}")
+            c = Fraction(_exact(c))
             if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                prev = clean.get(exps)
+                clean[exps] = c if prev is None else prev + c
         self.terms = {e: c for e, c in clean.items() if c}
 
     @staticmethod
@@ -55,6 +67,8 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -79,19 +93,13 @@ class Poly:
     def __call__(self, coords: Sequence[WeilElement]) -> WeilElement:
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
-        alg = coords[0].algebra
-        # cache powers of each coordinate
-        powers: list[list[WeilElement]] = [[alg.one, x] for x in coords]
-        out = alg.zero
-        for exps, c in sorted(self.terms.items()):
-            term = alg.scalar(c)
-            for i, k in enumerate(exps):
-                while len(powers[i]) <= k:
-                    powers[i].append(powers[i][-1] * coords[i])
-                if k:
-                    term = term * powers[i][k]
-            out = out + term
-        return out
+        return self._at(coords[0].algebra, _monomials(coords, self.terms))
+
+    def _at(
+        self, alg: WeilAlgebra, mono: dict[tuple[int, ...], WeilElement]
+    ) -> WeilElement:
+        """The value, given its monomials at the point (see `_monomials`)."""
+        return _linear_combination(alg, ((c, mono[e]) for e, c in self.terms.items()))
 
     def __eq__(self, other):
         return (
@@ -135,7 +143,11 @@ class PolyMatrix:
         return len(self.rows)
 
     def __call__(self, coords: Sequence[WeilElement]) -> Matrix:
-        return Matrix(tuple(tuple(p(coords) for p in r) for r in self.rows))
+        if any(len(coords) != p.nvars for r in self.rows for p in r):
+            raise ValueError("coordinate count mismatch")
+        alg = coords[0].algebra
+        mono = _monomials(coords, (e for r in self.rows for p in r for e in p.terms))
+        return _square(tuple(tuple(p._at(alg, mono) for p in r) for r in self.rows))
 
     def partial(self, i: int) -> "PolyMatrix":
         return PolyMatrix(tuple(tuple(p.partial(i) for p in r) for r in self.rows))
@@ -145,3 +157,30 @@ class PolyMatrix:
         for i in range(self.size):
             acc = acc + self.rows[i][i]
         return not acc.terms
+
+
+def _monomials(
+    coords: Sequence[WeilElement], exponents: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], WeilElement]:
+    """x^e at the coordinates for every listed exponent tuple e, together
+    with the constant, the coordinates and the smaller monomials they are
+    built from.  Each new monomial costs one Weil product: x^e is
+    x^(e - u_i) * x_i for the first axis i that e uses."""
+    alg = coords[0].algebra
+    for x in coords:
+        _check_algebra(alg, x.algebra)
+    n = len(coords)
+    mono = {(0,) * n: alg.one}
+    for i, x in enumerate(coords):
+        mono[tuple(1 if j == i else 0 for j in range(n))] = x
+    for e in exponents:
+        path = []
+        while e not in mono:
+            i = next(j for j, k in enumerate(e) if k)
+            path.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        m = mono[e]
+        for e, i in reversed(path):
+            m = m * coords[i]
+            mono[e] = m
+    return mono

@@ -15,7 +15,9 @@ than the 3**n disjoint pairs of n generators) walk a per-algebra table of
 each monomial's surviving disjoint partners, built on the first dense
 product.  `_mul_into` is that shared kernel; `_sum_of_products`, the
 fused dot product behind matrix products, accumulates all its terms
-through it before one normalization.
+through it before one normalization.  `_linear_combination`, its sibling
+for rational multiples of elements, does the same for polynomial
+evaluation.  Scalars are exact: a float raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class WeilAlgebra:
         if type(q) is int:
             return WeilElement(self, {0: q} if q else {}, 1)
         if not isinstance(q, Fraction):
-            q = Fraction(q)
+            q = Fraction(_exact(q))
         if not q:
             return self._zero
         return WeilElement(self, {0: q.numerator}, q.denominator)
@@ -274,6 +276,35 @@ def _sum_of_products(alg: WeilAlgebra, pairs) -> "WeilElement":
     return _build(alg, out, den)
 
 
+def _linear_combination(alg: WeilAlgebra, terms) -> "WeilElement":
+    """sum(q * a) over (q, a) pairs of a rational q and an element a of
+    `alg`, accumulated in one integer table over a common denominator and
+    normalized once.  The caller has checked the algebras."""
+    scaled = []
+    den = 1
+    for q, a in terms:
+        if q and a._c:
+            d = q.denominator * a._den
+            scaled.append((q.numerator, a._c, d))
+            den = lcm(den, d)
+    if not scaled:
+        return alg._zero
+    out: dict[int, int] = {}
+    get = out.get
+    for n, c, d in scaled:
+        n *= den // d
+        for m, v in c.items():
+            out[m] = get(m, 0) + n * v
+    return _build(alg, out, den)
+
+
+def _exact(q):
+    """`q` itself if it is an exact rational (int or Fraction)."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {type(q).__name__} {q!r}")
+    return q
+
+
 def _build(alg: WeilAlgebra, table: dict[int, int], den: int) -> "WeilElement":
     """Normalize to canonical form: positive denominator coprime to the
     content of the coefficient table, zero entries dropped.  Takes
@@ -330,13 +361,17 @@ class WeilElement:
     def coefficient(self, names: Iterable[str]) -> "WeilElement":
         """Cofactor of the given monomial: sum over keys containing it of
         coeff * (key minus monomial).  `coefficient(())` returns self."""
-        mask = self.algebra.mask(names)
+        return self._coefficient(self.algebra.mask(names))
+
+    def _coefficient(self, mask: int) -> "WeilElement":
         out = {m & ~mask: v for m, v in self._c.items() if m & mask == mask}
         return _build(self.algebra, out, self._den)
 
     def drop(self, names: Iterable[str]) -> "WeilElement":
         """Evaluate the listed generators at zero (a fast substitution)."""
-        mask = self.algebra.mask(names)
+        return self._drop(self.algebra.mask(names))
+
+    def _drop(self, mask: int) -> "WeilElement":
         out = {m: v for m, v in self._c.items() if not m & mask}
         if len(out) == len(self._c):
             return self
@@ -381,10 +416,6 @@ class WeilElement:
             for m, v in self._c.items()
         }
         return _build(self.algebra, out, self._den * q.denominator)
-
-    def involves(self, names: Iterable[str]) -> bool:
-        mask = self.algebra.mask(names)
-        return any(m & mask for m in self._c)
 
     # -- ring operations ----------------------------------------------------
 

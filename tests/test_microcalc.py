@@ -10,6 +10,8 @@ from nilgeo.microcalc import (
     DifferenceError,
     PolySection,
     TangentData,
+    arrow_drop,
+    arrow_map,
     bisection_product,
     bracket,
     bracket_sections,
@@ -27,10 +29,10 @@ from nilgeo.microcalc import (
     tau,
     transpose,
 )
-from nilgeo.models import Arrow, build_model
+from nilgeo.models import Arrow, all_models, build_model
 from nilgeo.polynomials import Poly
 from nilgeo.sampling import perturbed_square, sample_microcube
-from nilgeo.weil import algebra
+from nilgeo.weil import WeilAlgebra, algebra
 
 HEIS = build_model("heisenberg")
 
@@ -96,6 +98,59 @@ def test_double_slice_at_zero_keeps_the_remaining_edge():
     assert got.args == ("d3",)
     want = cube.arrow.body.map(lambda w: w.drop(("d1", "d2")))
     assert got.arrow.body == want
+
+
+def _subsets(names):
+    return [
+        tuple(g for k, g in enumerate(names) if m >> k & 1)
+        for m in range(1 << len(names))
+    ]
+
+
+def test_drop_and_coefficient_match_entrywise_results():
+    rng = random.Random(12)
+    alg = algebra(["d1", "d2", "d3"])
+    for model in all_models():
+        for grp in ("G", "H"):
+            cube = sample_microcube(rng, model, grp, alg.names, alg)
+            a = cube.arrow
+            for names in _subsets(alg.names):
+                assert arrow_drop(a, names) == arrow_map(a, lambda w: w.drop(names))
+                assert a.body.drop(names) == a.body.map(lambda w: w.drop(names))
+                assert a.body.coefficient(names) == a.body.map(
+                    lambda w: w.coefficient(names)
+                )
+
+
+def test_arrow_drop_computes_one_mask_per_arrow(monkeypatch):
+    rng = random.Random(13)
+    alg = algebra(["d1", "d2"])
+    arrows = [
+        sample_microcube(rng, model, "G", alg.names, alg).arrow for model in all_models()
+    ]
+    calls = []
+    mask = WeilAlgebra.mask
+
+    def counted(self, names):
+        calls.append(names)
+        return mask(self, names)
+
+    monkeypatch.setattr(WeilAlgebra, "mask", counted)
+    for a in arrows:
+        calls.clear()
+        arrow_drop(a, ("d1",))
+        assert len(calls) == 1
+
+
+def test_arrow_drop_reads_foreign_coordinates_by_name():
+    # the body and the coordinates order their generators differently
+    body_alg, coord_alg = algebra(["d1", "e"]), algebra(["e", "d1"])
+    model = build_model("trivial_gauge", "scalar")
+    x = (coord_alg.scalar(1) + coord_alg.gen("d1"), coord_alg.gen("e"))
+    a = Arrow(model, "G", x, x, Matrix.identity(1, body_alg))
+    got = arrow_drop(a, ("d1",))
+    assert got.source == (coord_alg.scalar(1), coord_alg.gen("e"))
+    assert got.body == Matrix.identity(1, body_alg)
 
 
 def test_slice_rejects_colliding_parameter():
