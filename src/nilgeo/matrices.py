@@ -1,19 +1,30 @@
-"""Square matrices of Weil elements.
+"""Square matrices over a Weil algebra, stored as one integer table.
+
+A matrix M over an algebra of square-zero generators is a truncated Taylor
+polynomial with matrix coefficients, M = sum of C_m * m over the surviving
+monomials m.  A `Matrix` stores exactly that: one map from monomial mask to
+a flat, row-major n x n integer matrix, over one common denominator for
+the whole table.  The form is canonical (no all-zero masks, a positive
+denominator coprime to the content of every entry), so equality and
+hashing read the table directly.
+
+A product pairs the disjoint surviving masks of its factors and does one
+small integer matrix product per pair, then normalizes once.  Sums,
+multiples, `drop`, `coefficient` and `convert` work on the table the same
+way, and `PolyMatrix` evaluation writes its linear combinations straight
+into one (`_combination`).  Entries (`m[i, j]`, `rows`) are built as
+`WeilElement`s only when read.
 
 Inverses exploit nilpotency: the constant part is inverted over the
 rationals by Gaussian elimination and the nilpotent remainder by a finite
 Neumann series, so everything stays exact.  When the constant part is
 already the identity, as for every square-zero step I + wV of a lifted
 edge, the elimination and both products with its result are skipped and
-the series runs on self - I directly; for a step it stops after one
-square.
+the series runs on the nilpotent part directly; for a step it stops after
+one square.
 
-Each entry of a product is one fused sum of products
-(`weil._sum_of_products`): the terms accumulate in a single integer table
-over a common denominator and are normalized once.  `drop` and
-`coefficient` compute their generator mask once for all entries.
-The public constructor checks that the matrix is square and that its
-entries share one algebra.  Results of the arithmetic here are both by
+The public constructor checks that the matrix is square, not empty and
+over one algebra.  Results of the arithmetic here are all three by
 construction and skip those checks; `map` runs a caller's function, so its
 results take the full check.
 """
@@ -21,9 +32,12 @@ results take the full check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
+from math import gcd, lcm
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from .weil import AlgebraMismatch, Scalar, WeilAlgebra, WeilElement, _sum_of_products
+from .weil import AlgebraMismatch, Scalar, WeilAlgebra, WeilElement, _build, _exact
 
 Rational = Sequence[Sequence[Scalar]]
 
@@ -37,113 +51,124 @@ class SizeMismatch(ValueError):
 
 
 class Matrix:
-    """Immutable square matrix whose entries share one Weil algebra."""
+    """Immutable square matrix over one Weil algebra: monomial mask -> flat
+    integer n x n matrix (`_t`), over the common denominator `_den`."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("algebra", "size", "_t", "_den")
 
     def __init__(self, rows: Iterable[Iterable[WeilElement]]):
-        self.rows = tuple(tuple(r) for r in rows)
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square")
-        if n:
-            alg = self.rows[0][0].algebra
-            for r in self.rows:
-                for a in r:
-                    if a.algebra is not alg:
-                        _check_algebra(alg, a.algebra)
+        rows = tuple(tuple(r) for r in rows)
+        n = _check_shape(rows)
+        alg = rows[0][0].algebra
+        entries = [a for r in rows for a in r]
+        for a in entries:
+            if a.algebra is not alg:
+                _check_algebra(alg, a.algebra)
+        packed = _combination(alg, n, ((k, 1, a) for k, a in enumerate(entries)))
+        self.algebra = alg
+        self.size = n
+        self._t = packed._t
+        self._den = packed._den
 
     @staticmethod
     def identity(n: int, alg: WeilAlgebra) -> "Matrix":
-        one, zero = alg.one, alg.zero
-        return _square(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
+        return _new(alg, _check_size(n), {0: _eye(n)}, 1)
 
     @staticmethod
     def zero(n: int, alg: WeilAlgebra) -> "Matrix":
-        z = alg.zero
-        return _square(tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        return _new(alg, _check_size(n), {}, 1)
 
     @staticmethod
     def from_rational(rows: Rational, alg: WeilAlgebra) -> "Matrix":
-        return Matrix(tuple(tuple(alg.scalar(v) for v in r) for r in rows))
+        rows = tuple(tuple(r) for r in rows)
+        n = _check_shape(rows)
+        vals = [_exact(v) for r in rows for v in r]  # ints have denominator 1
+        den = lcm(*(q.denominator for q in vals))
+        flat = tuple(q.numerator * (den // q.denominator) for q in vals)
+        return _new(alg, n, {0: flat} if any(flat) else {}, den)
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def algebra(self) -> WeilAlgebra:
-        return self.rows[0][0].algebra
-
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> WeilElement:
         i, j = ij
-        return self.rows[i][j]
+        span = range(self.size)  # indexes like a tuple of rows
+        k = span[i] * self.size + span[j]
+        return _build(
+            self.algebra, {m: v[k] for m, v in self._t.items() if v[k]}, self._den
+        )
+
+    @property
+    def rows(self) -> tuple[tuple[WeilElement, ...], ...]:
+        n = self.size
+        return tuple(tuple(self[i, j] for j in range(n)) for i in range(n))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.size == other.size and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        if self.size != other.size:
+            return False
+        _check_algebra(self.algebra, other.algebra)
+        return self._den == other._den and self._t == other._t
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.size, self._den, frozenset(self._t.items())))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        _check_sizes(self, other)
-        return _square(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        _check_sizes(self, other)
-        return _square(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "Matrix":
-        return _square(tuple(tuple(-a for a in r) for r in self.rows))
+        return _new(
+            self.algebra,
+            self.size,
+            {m: tuple([-x for x in v]) for m, v in self._t.items()},
+            self._den,
+        )
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            _check_sizes(self, other)
-            if not self.rows:
-                return self
-            # each factor is over one algebra, so one comparison covers
-            # every pair of entries
-            alg = self.rows[0][0].algebra
-            _check_algebra(alg, other.rows[0][0].algebra)
-            cols = tuple(zip(*other.rows))
-            return _square(
-                tuple(
-                    tuple(_sum_of_products(alg, zip(row, col)) for col in cols)
-                    for row in self.rows
-                )
-            )
-        # scalar or WeilElement
-        return _square(tuple(tuple(a * other for a in r) for r in self.rows))
+        if not isinstance(other, Matrix):
+            return self._scaled(other)
+        _check_sizes(self, other)
+        _check_algebra(self.algebra, other.algebra)
+        return _product(self, other._t, other._den, _kernel(self.size))
 
-    def __rmul__(self, other):
-        # scalars commute with everything we store
-        return _square(tuple(tuple(a * other for a in r) for r in self.rows))
+    def _scaled(self, other):
+        """self * other for a rational or a `WeilElement` other."""
+        if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            num = other.numerator
+            out = {m: tuple([x * num for x in v]) for m, v in self._t.items()}
+            return _normal(self.algebra, self.size, out, self._den * other.denominator)
+        if not isinstance(other, WeilElement):
+            return NotImplemented
+        _check_algebra(self.algebra, other.algebra)
+        return _product(self, other._c, other._den, _times)
+
+    # scalars and elements commute with everything we store
+    __rmul__ = _scaled
 
     def map(self, fn: Callable[[WeilElement], WeilElement]) -> "Matrix":
         # fn may change algebras, so its results go through the full check
         return Matrix(tuple(fn(a) for a in r) for r in self.rows)
 
-    def trace(self) -> WeilElement:
-        t = self.rows[0][0]
-        for i in range(1, self.size):
-            t = t + self.rows[i][i]
-        return t
+    def convert(self, target: WeilAlgebra) -> "Matrix":
+        """Entrywise `WeilElement.convert`: re-key the table by name."""
+        alg = self.algebra
+        if target is alg or target == alg:
+            return _new(target, self.size, self._t, self._den)
+        out = {}
+        for m, v in self._t.items():
+            names = alg.mono_names(m)
+            mask = target.mask(names)
+            if mask in target.killed:
+                raise AlgebraMismatch(f"monomial {names} is killed in {target!r}")
+            out[mask] = v
+        return _new(target, self.size, out, self._den)
 
     def det(self) -> WeilElement:
         n = self.size
@@ -161,27 +186,35 @@ class Matrix:
         raise NotImplementedError("determinant only needed for sizes <= 3")
 
     def constant_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(a.constant_term() for a in r) for r in self.rows)
+        n = self.size
+        c = self._t.get(0, (0,) * (n * n))
+        return tuple(
+            tuple(Fraction(c[i * n + j], self._den) for j in range(n))
+            for i in range(n)
+        )
 
     def coefficient(self, names: Iterable[str]) -> "Matrix":
-        """Entrywise `WeilElement.coefficient`, with one mask for all entries."""
+        """Entrywise `WeilElement.coefficient`, as one mask filter."""
         mask = self.algebra.mask(names)
-        return _square(tuple(tuple(a._coefficient(mask) for a in r) for r in self.rows))
+        out = {m & ~mask: v for m, v in self._t.items() if m & mask == mask}
+        return _normal(self.algebra, self.size, out, self._den)
 
     def drop(self, names: Iterable[str]) -> "Matrix":
-        """Entrywise `WeilElement.drop`, with one mask for all entries."""
+        """Entrywise `WeilElement.drop`, as one mask filter."""
         return self._drop(self.algebra.mask(names))
 
     def _drop(self, mask: int) -> "Matrix":
-        return _square(tuple(tuple(a._drop(mask) for a in r) for r in self.rows))
+        t = self._t
+        out = {m: v for m, v in t.items() if not m & mask}
+        if len(out) == len(t):
+            return self
+        return _normal(self.algebra, self.size, out, self._den)
+
+    def is_zero(self) -> bool:
+        return not self._t
 
     def is_identity(self) -> bool:
-        # read off the integer tables: 1 on the diagonal, empty elsewhere
-        return all(
-            (len(a._c) == 1 and a._c.get(0) == a._den) if i == j else not a._c
-            for i, r in enumerate(self.rows)
-            for j, a in enumerate(r)
-        )
+        return self._den == 1 and len(self._t) == 1 and self._t.get(0) == _eye(self.size)
 
     def inverse(self) -> "Matrix":
         if _has_identity_constant(self):
@@ -197,11 +230,117 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _square(rows: tuple[tuple[WeilElement, ...], ...]) -> Matrix:
-    """Wrap rows that are square over one algebra by construction."""
+def _new(alg: WeilAlgebra, n: int, table: dict, den: int) -> Matrix:
+    """Wrap a table that is canonical by construction."""
     m = object.__new__(Matrix)
-    m.rows = rows
+    m.algebra = alg
+    m.size = n
+    m._t = table
+    m._den = den
     return m
+
+
+def _normal(alg: WeilAlgebra, n: int, table: dict, den: int) -> Matrix:
+    """Bring a fresh table of tuples over a positive denominator to
+    canonical form: all-zero masks dropped, the denominator coprime to the
+    content."""
+    if not all(map(any, table.values())):
+        table = {m: v for m, v in table.items() if any(v)}
+    if den != 1:
+        g = den  # an empty table leaves g = den, and den becomes 1
+        for v in table.values():
+            g = gcd(g, *v)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            table = {m: tuple([x // g for x in v]) for m, v in table.items()}
+    return _new(alg, n, table, den)
+
+
+def _combine(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """a + sign * b over the least common denominator."""
+    _check_sizes(a, b)
+    alg = a.algebra
+    _check_algebra(alg, b.algebra)
+    if not b._t:
+        return a
+    d1, d2 = a._den, b._den
+    g = gcd(d1, d2)
+    s1, s2 = d2 // g, sign * (d1 // g)
+    out = dict(a._t) if s1 == 1 else {
+        m: tuple([x * s1 for x in v]) for m, v in a._t.items()
+    }
+    get = out.get
+    for m, v in b._t.items():
+        if s2 != 1:
+            v = tuple([x * s2 for x in v])
+        prev = get(m)
+        out[m] = v if prev is None else tuple(map(add, prev, v))
+    return _normal(alg, a.size, out, d1 * s1)
+
+
+def _product(a: Matrix, t2: dict, den2: int, kernel) -> Matrix:
+    """a times the table `t2` over `den2`: `kernel` multiplies one of a's
+    flat matrices by one value of `t2` for each pair of disjoint masks whose
+    union survives."""
+    alg = a.algebra
+    killed = alg.killed
+    items2 = list(t2.items())
+    out: dict[int, tuple[int, ...]] = {}
+    get = out.get
+    for m1, x in a._t.items():
+        for m2, y in items2:
+            if m1 & m2:
+                continue  # repeated generator: square-zero
+            m = m1 | m2
+            if m in killed:
+                continue
+            p = kernel(x, y)
+            prev = get(m)
+            out[m] = p if prev is None else tuple(map(add, prev, p))
+    return _normal(alg, a.size, out, a._den * den2)
+
+
+def _times(a: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """A flat matrix times an integer: the kernel of products with elements."""
+    return a if c == 1 else tuple([x * c for x in a])
+
+
+def _combination(alg: WeilAlgebra, n: int, terms) -> Matrix:
+    """The matrix whose flat entry k is the sum of q * x over the (k, q, x)
+    `terms`, with q rational and x an element of `alg`: one integer table
+    over a common denominator, normalized once.  The caller has checked
+    the algebras."""
+    scaled = []
+    den = 1
+    for k, q, x in terms:
+        if q and x._c:
+            d = q.denominator * x._den
+            scaled.append((k, q.numerator, x._c, d))
+            den = lcm(den, d)
+    table: dict[int, list[int]] = {}
+    for k, num, c, d in scaled:
+        num *= den // d
+        for m, v in c.items():
+            col = table.get(m)
+            if col is None:
+                col = table[m] = [0] * (n * n)
+            col[k] += num * v
+    return _normal(alg, n, {m: tuple(v) for m, v in table.items()}, den)
+
+
+def _check_size(n: int) -> int:
+    if n < 1:
+        raise ValueError("matrix must not be empty")
+    return n
+
+
+def _check_shape(rows: tuple[tuple, ...]) -> int:
+    n = _check_size(len(rows))
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    return n
 
 
 def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
@@ -210,36 +349,79 @@ def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
 
 
 def _check_sizes(a: Matrix, b: Matrix) -> None:
-    if len(a.rows) != len(b.rows):
+    if a.size != b.size:
         raise SizeMismatch(f"{a.size}x{a.size} against {b.size}x{b.size}")
 
 
-def _has_identity_constant(m: Matrix) -> bool:
-    # read off the integer tables: a constant term equals 1 exactly when
-    # its numerator equals the element's denominator
-    return all(
-        a._c.get(0, 0) == (a._den if i == j else 0)
-        for i, r in enumerate(m.rows)
-        for j, a in enumerate(r)
+@lru_cache(maxsize=None)
+def _eye(n: int) -> tuple[int, ...]:
+    """The flat n x n identity."""
+    return tuple(int(k % (n + 1) == 0) for k in range(n * n))
+
+
+def _mul1(a, b):
+    return (a[0] * b[0],)
+
+
+def _mul2(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
+def _mul3(a, b):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6,
+        a0 * b1 + a1 * b4 + a2 * b7,
+        a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6,
+        a3 * b1 + a4 * b4 + a5 * b7,
+        a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6,
+        a6 * b1 + a7 * b4 + a8 * b7,
+        a6 * b2 + a7 * b5 + a8 * b8,
     )
 
 
+_UNROLLED = {1: _mul1, 2: _mul2, 3: _mul3}
+
+
+def _kernel(n: int):
+    """Product of two flat n x n integer matrices: unrolled for the shipped
+    sizes 1 to 3, row-by-column sums beyond."""
+    kernel = _UNROLLED.get(n)
+    if kernel is None:
+        kernel = partial(_mul_general, n)
+    return kernel
+
+
+def _mul_general(n, a, b):
+    cols = [b[j::n] for j in range(n)]
+    return tuple(
+        [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in cols]
+    )
+
+
+def _has_identity_constant(m: Matrix) -> bool:
+    # a constant term equals I exactly when its numerators are den * I
+    c = m._t.get(0)
+    return c is not None and c == tuple([m._den * x for x in _eye(m.size)])
+
+
 def _unipotent_inverse(m: Matrix) -> Matrix:
-    """Inverse of I + U with U nilpotent: the finite series of (-U)^k."""
-    identity = Matrix.identity(m.size, m.algebra)
-    u = m - identity
-    acc = identity
+    """Inverse of I + U with U nilpotent: the finite series of (-U)^k.
+    `m` has constant part exactly I, so U is its table without mask 0."""
+    u = _normal(m.algebra, m.size, {k: v for k, v in m._t.items() if k}, m._den)
+    acc = Matrix.identity(m.size, m.algebra)
     power = u
     subtract = True
-    while not _is_zero_matrix(power):
+    while not power.is_zero():
         acc = acc - power if subtract else acc + power
         power = power * u
         subtract = not subtract
     return acc
-
-
-def _is_zero_matrix(m: Matrix) -> bool:
-    return all(a.is_zero() for r in m.rows for a in r)
 
 
 def _rational_inverse(rows: tuple[tuple[Fraction, ...], ...]):

@@ -256,13 +256,11 @@ class TangentData:
             self.grp,
             tuple(c.convert(alg) for c in self.anchor),
             tuple(c.convert(alg) for c in self.direction),
-            self.vert.map(lambda w: w.convert(alg)),
+            self.vert.convert(alg),
         )
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.direction) and all(
-            w.is_zero() for row in self.vert.rows for w in row
-        )
+        return all(c.is_zero() for c in self.direction) and self.vert.is_zero()
 
     def _check_mate(self, other: "TangentData"):
         if self.model is not other.model or self.grp != other.grp:
@@ -377,21 +375,13 @@ def _axis_diff(g2: Microcube, g1: Microcube, axis: int) -> Microcube:
     if not _shared_slice_equal(g1, g2, (d,)):
         raise DifferenceError(f"squares disagree at {d} = 0")
     # subtract the coefficients of every monomial containing d, keep the rest
-    def mix(w1: WeilElement, w2: WeilElement) -> WeilElement:
-        return w2 - w1 + w1.drop((d,))
-
     a1, a2 = g1.arrow, g2.arrow
     out = Arrow(
         a1.model,
         a1.grp,
         a1.source,
-        tuple(mix(c1, c2) for c1, c2 in zip(a1.target, a2.target)),
-        Matrix(
-            tuple(
-                tuple(mix(w1, w2) for w1, w2 in zip(r1, r2))
-                for r1, r2 in zip(a1.body.rows, a2.body.rows)
-            )
-        ),
+        tuple(c2 - c1 + c1.drop((d,)) for c1, c2 in zip(a1.target, a2.target)),
+        a2.body - a1.body + a1.body.drop((d,)),
     )
     return make_microcube(out, g1.args)
 
@@ -481,7 +471,7 @@ class PolySection(Section):
         direction = tuple(p(x) for p in self.velocity)
         size = self.model.spec(self.grp).size
         if self.vertical is None:
-            vert = Matrix.identity(size, alg) - Matrix.identity(size, alg)
+            vert = Matrix.zero(size, alg)
         else:
             vert = self.vertical(x)
         return TangentData(self.model, self.grp, x, direction, vert)
@@ -551,7 +541,7 @@ def _extract_square_tangent(
         word.grp,
         tuple(c.convert(base_alg) for c in x),
         tuple(c.convert(base_alg) for c in direction),
-        vert.map(lambda w: w.convert(base_alg)),
+        vert.convert(base_alg),
     )
     return out
 

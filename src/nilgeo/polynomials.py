@@ -9,7 +9,9 @@ terms need once, from a smaller monomial by one Weil product (the
 constant and the coordinates themselves cost none), and reads every
 polynomial as one rational linear combination of those monomials
 (`weil._linear_combination`), summed in one integer table and normalized
-once.  A `PolyMatrix` shares its monomials across all of its entries.
+once.  A `PolyMatrix` shares its monomials across all of its entries and
+writes every entry's combination straight into the matrix's own integer
+table (`matrices._combination`).
 Exponents are non-negative integers and coefficients exact rationals;
 anything else raises when the polynomial is built.
 """
@@ -19,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .matrices import Matrix, _check_algebra, _square
-from .weil import Scalar, WeilAlgebra, WeilElement, _exact, _linear_combination
+from .matrices import Matrix, _check_algebra, _combination
+from .weil import Scalar, WeilElement, _exact, _linear_combination
 
 
 class Poly:
@@ -37,7 +39,8 @@ class Poly:
                 raise ValueError("exponent tuple has wrong length")
             if not all(isinstance(k, int) and k >= 0 for k in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
-            c = Fraction(_exact(c))
+            if not isinstance(c, Fraction):
+                c = Fraction(_exact(c))
             if c:
                 prev = clean.get(exps)
                 clean[exps] = c if prev is None else prev + c
@@ -53,6 +56,8 @@ class Poly:
         return Poly(nvars, {exps: Fraction(1)})
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         merged = dict(self.terms)
         for e, c in other.terms.items():
             merged[e] = merged.get(e, Fraction(0)) + c
@@ -62,6 +67,8 @@ class Poly:
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -93,13 +100,10 @@ class Poly:
     def __call__(self, coords: Sequence[WeilElement]) -> WeilElement:
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
-        return self._at(coords[0].algebra, _monomials(coords, self.terms))
-
-    def _at(
-        self, alg: WeilAlgebra, mono: dict[tuple[int, ...], WeilElement]
-    ) -> WeilElement:
-        """The value, given its monomials at the point (see `_monomials`)."""
-        return _linear_combination(alg, ((c, mono[e]) for e, c in self.terms.items()))
+        mono = _monomials(coords, self.terms)
+        return _linear_combination(
+            coords[0].algebra, ((c, mono[e]) for e, c in self.terms.items())
+        )
 
     def __eq__(self, other):
         return (
@@ -145,9 +149,13 @@ class PolyMatrix:
     def __call__(self, coords: Sequence[WeilElement]) -> Matrix:
         if any(len(coords) != p.nvars for r in self.rows for p in r):
             raise ValueError("coordinate count mismatch")
-        alg = coords[0].algebra
-        mono = _monomials(coords, (e for r in self.rows for p in r for e in p.terms))
-        return _square(tuple(tuple(p._at(alg, mono) for p in r) for r in self.rows))
+        entries = [p for r in self.rows for p in r]
+        mono = _monomials(coords, (e for p in entries for e in p.terms))
+        return _combination(
+            coords[0].algebra,
+            self.size,
+            ((k, c, mono[e]) for k, p in enumerate(entries) for e, c in p.terms.items()),
+        )
 
     def partial(self, i: int) -> "PolyMatrix":
         return PolyMatrix(tuple(tuple(p.partial(i) for p in r) for r in self.rows))

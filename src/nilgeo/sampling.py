@@ -267,14 +267,20 @@ def sample_poly_matrix(
     basis = model.lie_basis(grp)
     size = model.spec(grp).size
     nvars = model.base_dim
-    rows = [[Poly(nvars, {}) for _ in range(size)] for _ in range(size)]
+    # each entry's terms accumulate over the basis; one `Poly` per entry
+    terms = [[{} for _ in range(size)] for _ in range(size)]
     for b in basis:
         p = sample_poly(rng, nvars, degree, bound)
         for i, row in enumerate(b):
             for j, v in enumerate(row):
                 if v:
-                    rows[i][j] = rows[i][j] + p * v
-    return PolyMatrix(rows)
+                    entry = terms[i][j]
+                    for e, c in p.terms.items():
+                        if v != 1:
+                            c = c * v
+                        prev = entry.get(e)
+                        entry[e] = c if prev is None else prev + c
+    return PolyMatrix([[Poly(nvars, t) for t in row] for row in terms])
 
 
 def sample_section(

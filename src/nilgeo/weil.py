@@ -13,11 +13,11 @@ loops in machine-integer arithmetic instead of `Fraction` calls.  Sparse
 factors multiply by a loop over pairs of monomials; dense ones (more pairs
 than the 3**n disjoint pairs of n generators) walk a per-algebra table of
 each monomial's surviving disjoint partners, built on the first dense
-product.  `_mul_into` is that shared kernel; `_sum_of_products`, the
-fused dot product behind matrix products, accumulates all its terms
-through it before one normalization.  `_linear_combination`, its sibling
-for rational multiples of elements, does the same for polynomial
-evaluation.  Scalars are exact: a float raises `TypeError`.
+product.  `_mul_into` is that kernel.  `_linear_combination` sums
+rational multiples of elements in one integer table and normalizes once,
+for polynomial evaluation.  Matrices over an algebra keep their own table
+of the same shape, one integer matrix per monomial (see `matrices`).
+Scalars are exact: a float raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -223,11 +223,8 @@ def _mul_into(
     out: dict[int, int],
     c1: dict[int, int],
     c2: dict[int, int],
-    scale: int = 1,
 ) -> None:
-    """Accumulate scale * c1 * c2 into the integer table `out`."""
-    if scale != 1:
-        c1 = {m: v * scale for m, v in c1.items()}
+    """Accumulate c1 * c2 into the integer table `out`."""
     get = out.get
     if len(c1) * len(c2) > alg._dense_at:
         partners = alg._partner_table()
@@ -256,24 +253,6 @@ def _mul_into(
                     continue
                 m = m1 | m2
                 out[m] = get(m, 0) + v1 * v2
-
-
-def _sum_of_products(alg: WeilAlgebra, pairs) -> "WeilElement":
-    """sum(a * b) over (a, b) pairs of elements of `alg`, accumulated in one
-    integer table over a common denominator and normalized once.  The
-    caller has checked the algebras."""
-    terms = []
-    den = 1
-    for a, b in pairs:
-        if a._c and b._c:  # zero factors dominate structured matrices
-            terms.append((a._c, b._c, a._den * b._den))
-            den = lcm(den, a._den * b._den)
-    if not terms:
-        return alg._zero
-    out: dict[int, int] = {}
-    for c1, c2, d in terms:
-        _mul_into(alg, out, c1, c2, den // d)
-    return _build(alg, out, den)
 
 
 def _linear_combination(alg: WeilAlgebra, terms) -> "WeilElement":
@@ -354,9 +333,6 @@ class WeilElement:
 
     def is_zero(self) -> bool:
         return not self._c
-
-    def is_scalar(self) -> bool:
-        return all(m == 0 for m in self._c)
 
     def coefficient(self, names: Iterable[str]) -> "WeilElement":
         """Cofactor of the given monomial: sum over keys containing it of

@@ -12,6 +12,13 @@ from nilgeo.sampling import sample_point, sample_vert
 from nilgeo.weil import AlgebraMismatch, algebra
 
 
+def _trace(m):
+    t = m[0, 0]
+    for i in range(1, m.size):
+        t = t + m[i, i]
+    return t
+
+
 def test_identity_and_product():
     alg = algebra(["d1"])
     i3 = Matrix.identity(3, alg)
@@ -122,7 +129,7 @@ def test_det_of_unipotent_perturbation():
     a = Matrix.from_rational([[2, 1], [3, -1]], alg)
     m = Matrix.identity(2, alg) + a * alg.gen("d1")
     # det(I + d*A) = 1 + d*tr(A) once d^2 = 0
-    assert m.det() == alg.one + alg.gen("d1") * a.trace()
+    assert m.det() == alg.one + alg.gen("d1") * _trace(a)
 
 
 def test_trace_and_coefficient():
@@ -221,3 +228,254 @@ def test_map_rejects_results_over_mixed_algebras():
     with pytest.raises(AlgebraMismatch):
         m.map(lambda w: w.convert(d2) if w.constant_term() == 1 else w)
     assert m.map(lambda w: w.convert(d2)).algebra == d2
+
+
+class EntryMatrix:
+    """Oracle: the per-entry layout, a tuple of rows of `WeilElement`s with
+    every operation done entry by entry."""
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(r) for r in rows)
+        self.size = len(self.rows)
+        self.algebra = self.rows[0][0].algebra
+
+    def _entrywise(self, fn):
+        return EntryMatrix(tuple(fn(a) for a in r) for r in self.rows)
+
+    def __add__(self, other):
+        return EntryMatrix(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._entrywise(lambda a: -a)
+
+    def __mul__(self, other):
+        if not isinstance(other, EntryMatrix):
+            return self._entrywise(lambda a: a * other)
+        cols = tuple(zip(*other.rows))
+        zero = self.algebra.zero
+        return EntryMatrix(
+            tuple(sum((a * b for a, b in zip(row, col)), zero) for col in cols)
+            for row in self.rows
+        )
+
+    def drop(self, names):
+        return self._entrywise(lambda a: a.drop(names))
+
+    def coefficient(self, names):
+        return self._entrywise(lambda a: a.coefficient(names))
+
+    def identity(self):
+        alg, n = self.algebra, self.size
+        return EntryMatrix(
+            tuple(alg.one if i == j else alg.zero for j in range(n)) for i in range(n)
+        )
+
+    def inverse(self):
+        if all(
+            self.rows[i][j].constant_term() == (1 if i == j else 0)
+            for i in range(self.size)
+            for j in range(self.size)
+        ):
+            return self._unipotent_inverse()
+        const = tuple(tuple(a.constant_term() for a in r) for r in self.rows)
+        c_inv = EntryMatrix(
+            tuple(self.algebra.scalar(v) for v in r)
+            for r in matrices._rational_inverse(const)
+        )
+        return (c_inv * self)._unipotent_inverse() * c_inv
+
+    def _unipotent_inverse(self):
+        ident = self.identity()
+        u = self - ident
+        acc, power, sign = ident, u, -1
+        while not all(a.is_zero() for r in power.rows for a in r):
+            acc = acc + power * sign
+            power = power * u
+            sign = -sign
+        return acc
+
+
+def assert_same(got, want):
+    assert isinstance(got, Matrix)
+    assert got == Matrix(want.rows)
+    assert hash(got) == hash(Matrix(want.rows))
+    for rg, rw in zip(got.rows, want.rows):
+        for a, b in zip(rg, rw):
+            assert a.coeffs == b.coeffs
+
+
+ORACLE_ALGEBRAS = [
+    algebra(["d1"]),
+    algebra(["d1", "d2"]),
+    algebra(["d1", "d2", "d3"]),
+    algebra(["d1", "d2"], killed=[("d1", "d2")]),
+    algebra(["d1", "d2", "d3"], killed=[("d1", "d3")]),
+]
+ORACLE_IDS = ["d1", "d1d2", "d1d2d3", "d1d2-killed", "d1d2d3-killed"]
+
+
+def _random_pair(rng, alg, n=None):
+    n = n or rng.randint(1, 3)
+    rows = [[_random_entry(rng, alg) for _ in range(n)] for _ in range(n)]
+    return Matrix(rows), EntryMatrix(rows)
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_table_layout_matches_per_entry_oracle(alg):
+    rng = random.Random(60 + len(alg.names) + len(alg.killed))
+    names = alg.names
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        a, ea = _random_pair(rng, alg, n)
+        b, eb = _random_pair(rng, alg, n)
+        assert_same(a, ea)
+        assert_same(a * b, ea * eb)
+        assert_same(a + b, ea + eb)
+        assert_same(a - b, ea - eb)
+        assert_same(a - a, ea - ea)
+        assert_same(-a, -ea)
+        w = _random_entry(rng, alg)
+        q = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4, 9)))
+        k = rng.randint(-3, 3)
+        for s in (w, q, k, alg.zero):
+            assert_same(a * s, ea * s)
+            assert_same(s * a, ea * s)
+        subset = tuple(g for g in names if rng.random() < 0.5)
+        assert_same(a.drop(subset), ea.drop(subset))
+        assert_same(a.coefficient(subset), ea.coefficient(subset))
+        assert a.constant_matrix() == tuple(
+            tuple(x.constant_term() for x in r) for r in ea.rows
+        )
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_inverse_matches_per_entry_oracle_on_both_paths(alg):
+    rng = random.Random(70 + len(alg.names) + len(alg.killed))
+    done = {"identity": 0, "elimination": 0}
+    while min(done.values()) < 10:
+        n = rng.randint(1, 3)
+        _, nil = _random_pair(rng, alg, n)
+        nil = nil - EntryMatrix(
+            tuple(alg.scalar(x.constant_term()) for x in r) for r in nil.rows
+        )
+        if rng.random() < 0.5:
+            const = nil.identity()
+            path = "identity"
+        else:
+            const = EntryMatrix(
+                tuple(
+                    alg.scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+                    for _ in range(n)
+                )
+                for _ in range(n)
+            )
+            path = "elimination"
+        want = const + nil
+        m = Matrix(want.rows)
+        try:
+            got = m.inverse()
+        except SingularMatrix:
+            continue
+        assert matrices._has_identity_constant(m) == (const.rows == nil.identity().rows)
+        assert_same(got, want.inverse())
+        assert m * got == Matrix.identity(n, alg)
+        done[path] += 1
+
+
+def test_size_four_product_matches_per_entry_oracle():
+    rng = random.Random(75)
+    alg = algebra(["d1", "d2"])
+    for _ in range(10):
+        a, ea = _random_pair(rng, alg, 4)
+        b, eb = _random_pair(rng, alg, 4)
+        assert_same(a * b, ea * eb)
+
+
+def test_equal_values_from_different_paths_agree():
+    alg = algebra(["d1", "d2"])
+    d1 = alg.gen("d1")
+    x = (alg.scalar(2) + d1, alg.scalar(Fraction(1, 3)))
+    x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+    half = Fraction(1, 2)
+    # [[x1/2, 3 x2], [0, x1 x2]] at x: [[1 + d1/2, 1], [0, 2/3 + d1/3]]
+    pm = PolyMatrix([[x1 * half, x2 * 3], [Poly(2, {}), x1 * x2]])
+    want_rows = (
+        (alg.one + d1 * half, alg.one),
+        (alg.zero, alg.scalar(Fraction(2, 3)) + d1 * Fraction(1, 3)),
+    )
+    ident = Matrix.identity(2, alg)
+    constant = Matrix.from_rational([[1, 1], [0, Fraction(2, 3)]], alg)
+    slope = Matrix.from_rational([[half, 0], [0, Fraction(1, 3)]], alg)
+    d12 = alg.term(5, ("d1", "d2"))
+    other = algebra(["d1"])
+    paths = [
+        Matrix(want_rows),
+        pm(x),
+        ident * Matrix(want_rows),
+        Matrix(want_rows) * ident,
+        constant + slope * d1,
+        (constant + slope * d1 + ident * d12).drop(("d2",)),
+        Matrix(want_rows).map(lambda w: w),
+        Matrix([[w.convert(other) for w in r] for r in want_rows]).map(
+            lambda w: w.convert(alg)
+        ),
+        Matrix([[w.convert(other) for w in r] for r in want_rows]).convert(alg),
+    ]
+    for m in paths:
+        assert m == paths[0]
+        assert hash(m) == hash(paths[0])
+        assert m.rows == want_rows
+    flat = Matrix.from_rational([[1, 1], [0, Fraction(2, 3)]], alg)
+    for m in (constant, paths[0].drop(("d1",)), Matrix(want_rows).coefficient(())
+              .drop(("d1", "d2"))):
+        assert m == flat and hash(m) == hash(flat) and m.rows == flat.rows
+
+
+def test_adding_a_non_matrix_raises_type_error():
+    m = Matrix.identity(2, algebra(["d1"]))
+    with pytest.raises(TypeError):
+        m + 1
+    with pytest.raises(TypeError):
+        m - 1
+    with pytest.raises(TypeError):
+        m * 0.5
+
+
+def test_empty_matrices_are_rejected():
+    alg = algebra(["d1"])
+    with pytest.raises(ValueError):
+        Matrix(())
+    with pytest.raises(ValueError):
+        Matrix.from_rational((), alg)
+    for make in (Matrix.identity, Matrix.zero):
+        with pytest.raises(ValueError):
+            make(0, alg)
+
+
+def test_convert_matches_entrywise_convert():
+    rng = random.Random(77)
+    src = algebra(["d2", "d1"])
+    dst = algebra(["d1", "d2", "d3"])
+    for _ in range(10):
+        a, ea = _random_pair(rng, src)
+        assert_same(a.convert(dst), ea._entrywise(lambda w: w.convert(dst)))
+        assert a.convert(dst) == a.map(lambda w: w.convert(dst))
+    top = Matrix.identity(2, src) * src.term(1, ("d1", "d2"))
+    with pytest.raises(AlgebraMismatch):
+        top.convert(algebra(["d1", "d2"], killed=[("d1", "d2")]))
+
+
+def test_entry_access_indexes_like_rows():
+    m = Matrix.from_rational([[1, 2], [3, Fraction(1, 4)]], algebra(["d1"]))
+    for i in range(-2, 2):
+        for j in range(-2, 2):
+            assert m[i, j] == m.rows[i][j]
+    with pytest.raises(IndexError):
+        m[2, 0]
+    with pytest.raises(IndexError):
+        m[0, -3]

@@ -155,3 +155,11 @@ def test_poly_times_weil_element_is_not_implemented():
         p * w
     with pytest.raises(TypeError):
         w * p
+
+
+def test_adding_a_non_polynomial_raises_type_error():
+    p = Poly.var(1, 0)
+    with pytest.raises(TypeError):
+        p + 1
+    with pytest.raises(TypeError):
+        p - 1
