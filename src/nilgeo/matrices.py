@@ -6,13 +6,14 @@ monomials m.  A `Matrix` stores exactly that: one map from monomial mask to
 a flat, row-major n x n integer matrix, over one common denominator for
 the whole table.  The form is canonical (no all-zero masks, a positive
 denominator coprime to the content of every entry), so equality and
-hashing read the table directly.
+hashing read the algebra, the size and the table directly.
 
 A product pairs the disjoint surviving masks of its factors and does one
 small integer matrix product per pair, then normalizes once.  Sums,
 multiples, `drop`, `coefficient` and `convert` work on the table the same
-way, and `PolyMatrix` evaluation writes its linear combinations straight
-into one (`_combination`).  Entries (`m[i, j]`, `rows`) are built as
+way.  `_combination` sums rational multiples of elements straight into a
+table: `PolyMatrix` evaluation writes every entry through it, and `Poly`
+evaluation reads a 1 x 1 one.  Entries (`m[i, j]`, `rows`) are built as
 `WeilElement`s only when read.
 
 Inverses exploit nilpotency: the constant part is inverted over the
@@ -32,12 +33,20 @@ results take the full check.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .weil import AlgebraMismatch, Scalar, WeilAlgebra, WeilElement, _build, _exact
+from .weil import (
+    AlgebraMismatch,
+    Scalar,
+    WeilAlgebra,
+    WeilElement,
+    _build,
+    _convert_mask,
+    _exact,
+)
 
 Rational = Sequence[Sequence[Scalar]]
 
@@ -109,7 +118,7 @@ class Matrix:
         return self._den == other._den and self._t == other._t
 
     def __hash__(self):
-        return hash((self.size, self._den, frozenset(self._t.items())))
+        return hash((self.algebra, self.size, self._den, frozenset(self._t.items())))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -161,13 +170,7 @@ class Matrix:
         alg = self.algebra
         if target is alg or target == alg:
             return _new(target, self.size, self._t, self._den)
-        out = {}
-        for m, v in self._t.items():
-            names = alg.mono_names(m)
-            mask = target.mask(names)
-            if mask in target.killed:
-                raise AlgebraMismatch(f"monomial {names} is killed in {target!r}")
-            out[mask] = v
+        out = {_convert_mask(alg, target, m): v for m, v in self._t.items()}
         return _new(target, self.size, out, self._den)
 
     def det(self) -> WeilElement:
@@ -359,49 +362,22 @@ def _eye(n: int) -> tuple[int, ...]:
     return tuple(int(k % (n + 1) == 0) for k in range(n * n))
 
 
-def _mul1(a, b):
-    return (a[0] * b[0],)
-
-
-def _mul2(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
-
-
-def _mul3(a, b):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        a0 * b0 + a1 * b3 + a2 * b6,
-        a0 * b1 + a1 * b4 + a2 * b7,
-        a0 * b2 + a1 * b5 + a2 * b8,
-        a3 * b0 + a4 * b3 + a5 * b6,
-        a3 * b1 + a4 * b4 + a5 * b7,
-        a3 * b2 + a4 * b5 + a5 * b8,
-        a6 * b0 + a7 * b3 + a8 * b6,
-        a6 * b1 + a7 * b4 + a8 * b7,
-        a6 * b2 + a7 * b5 + a8 * b8,
-    )
-
-
-_UNROLLED = {1: _mul1, 2: _mul2, 3: _mul3}
-
-
+@lru_cache(maxsize=None)
 def _kernel(n: int):
-    """Product of two flat n x n integer matrices: unrolled for the shipped
-    sizes 1 to 3, row-by-column sums beyond."""
-    kernel = _UNROLLED.get(n)
-    if kernel is None:
-        kernel = partial(_mul_general, n)
-    return kernel
-
-
-def _mul_general(n, a, b):
-    cols = [b[j::n] for j in range(n)]
-    return tuple(
-        [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in cols]
+    """The product of two flat n x n integer matrices, written out once for
+    size n as one tuple of sums of products.  Products are most of a
+    curvature pass, and at the sizes the models use a row-by-column loop
+    costs about ten times as much per call as the written-out form."""
+    a = ", ".join(f"a{k}" for k in range(n * n))
+    b = ", ".join(f"b{k}" for k in range(n * n))
+    entries = ", ".join(
+        " + ".join(f"a{i * n + k} * b{k * n + j}" for k in range(n))
+        for i in range(n)
+        for j in range(n)
     )
+    scope: dict = {}
+    exec(f"def mul(a, b):\n    {a}, = a\n    {b}, = b\n    return ({entries},)", scope)
+    return scope["mul"]
 
 
 def _has_identity_constant(m: Matrix) -> bool:

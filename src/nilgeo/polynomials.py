@@ -7,11 +7,11 @@ off exactly at rationally-centred points with nilpotent displacements.
 Evaluation shares monomials: one call builds each monomial x^e that its
 terms need once, from a smaller monomial by one Weil product (the
 constant and the coordinates themselves cost none), and reads every
-polynomial as one rational linear combination of those monomials
-(`weil._linear_combination`), summed in one integer table and normalized
-once.  A `PolyMatrix` shares its monomials across all of its entries and
-writes every entry's combination straight into the matrix's own integer
-table (`matrices._combination`).
+polynomial as one rational linear combination of those monomials,
+summed in one integer table over a common denominator and normalized once
+(`matrices._combination`).  A `PolyMatrix` shares its monomials across all
+of its entries and writes every entry's combination straight into the
+matrix's own integer table; a `Poly` is read as a 1 x 1 one.
 Exponents are non-negative integers and coefficients exact rationals;
 anything else raises when the polynomial is built.
 """
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .matrices import Matrix, _check_algebra, _combination
-from .weil import Scalar, WeilElement, _exact, _linear_combination
+from .weil import Scalar, WeilElement, _exact
 
 
 class Poly:
@@ -101,9 +101,9 @@ class Poly:
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
         mono = _monomials(coords, self.terms)
-        return _linear_combination(
-            coords[0].algebra, ((c, mono[e]) for e, c in self.terms.items())
-        )
+        return _combination(
+            coords[0].algebra, 1, ((0, c, mono[e]) for e, c in self.terms.items())
+        )[0, 0]
 
     def __eq__(self, other):
         return (

@@ -13,17 +13,17 @@ loops in machine-integer arithmetic instead of `Fraction` calls.  Sparse
 factors multiply by a loop over pairs of monomials; dense ones (more pairs
 than the 3**n disjoint pairs of n generators) walk a per-algebra table of
 each monomial's surviving disjoint partners, built on the first dense
-product.  `_mul_into` is that kernel.  `_linear_combination` sums
-rational multiples of elements in one integer table and normalizes once,
-for polynomial evaluation.  Matrices over an algebra keep their own table
-of the same shape, one integer matrix per monomial (see `matrices`).
+product.  `_mul_into` is that kernel.  Matrices over an algebra keep
+their own table of the same shape, one integer matrix per monomial (see
+`matrices`); rational linear combinations of elements, as polynomial
+evaluation needs them, are summed there (`matrices._combination`).
 Scalars are exact: a float raises `TypeError`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -255,26 +255,14 @@ def _mul_into(
                 out[m] = get(m, 0) + v1 * v2
 
 
-def _linear_combination(alg: WeilAlgebra, terms) -> "WeilElement":
-    """sum(q * a) over (q, a) pairs of a rational q and an element a of
-    `alg`, accumulated in one integer table over a common denominator and
-    normalized once.  The caller has checked the algebras."""
-    scaled = []
-    den = 1
-    for q, a in terms:
-        if q and a._c:
-            d = q.denominator * a._den
-            scaled.append((q.numerator, a._c, d))
-            den = lcm(den, d)
-    if not scaled:
-        return alg._zero
-    out: dict[int, int] = {}
-    get = out.get
-    for n, c, d in scaled:
-        n *= den // d
-        for m, v in c.items():
-            out[m] = get(m, 0) + n * v
-    return _build(alg, out, den)
+def _convert_mask(source: WeilAlgebra, target: WeilAlgebra, m: int) -> int:
+    """The mask in `target` of the monomial `m` of `source`, found by
+    generator names; the monomial must survive in `target`."""
+    names = source.mono_names(m)
+    mask = target.mask(names)
+    if mask in target.killed:
+        raise AlgebraMismatch(f"monomial {names} is killed in {target!r}")
+    return mask
 
 
 def _exact(q):
@@ -540,14 +528,8 @@ class WeilElement:
         Every monomial in the support must exist (and survive) there."""
         if target is self.algebra or target == self.algebra:
             return WeilElement(target, dict(self._c), self._den)
-        out: dict[int, int] = {}
-        for m, v in self._c.items():
-            mask = target.mask(self.algebra.mono_names(m))
-            if mask in target.killed:
-                raise AlgebraMismatch(
-                    f"monomial {self.algebra.mono_names(m)} is killed in {target!r}"
-                )
-            out[mask] = v
+        source = self.algebra
+        out = {_convert_mask(source, target, m): v for m, v in self._c.items()}
         return WeilElement(target, out, self._den)
 
     def subs(

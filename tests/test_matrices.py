@@ -436,6 +436,13 @@ def test_equal_values_from_different_paths_agree():
         assert m == flat and hash(m) == hash(flat) and m.rows == flat.rows
 
 
+def test_equal_tables_over_different_algebras_are_distinct_keys():
+    a, b = algebra(["d1"]), algebra(["d2"])
+    keys = {Matrix.identity(2, a), Matrix.identity(2, b)}
+    assert len(keys) == 2
+    assert {Matrix.zero(1, a): 0, Matrix.zero(1, b): 1}[Matrix.zero(1, a)] == 0
+
+
 def test_adding_a_non_matrix_raises_type_error():
     m = Matrix.identity(2, algebra(["d1"]))
     with pytest.raises(TypeError):
@@ -465,6 +472,10 @@ def test_convert_matches_entrywise_convert():
         a, ea = _random_pair(rng, src)
         assert_same(a.convert(dst), ea._entrywise(lambda w: w.convert(dst)))
         assert a.convert(dst) == a.map(lambda w: w.convert(dst))
+        for i in range(a.size):
+            for j in range(a.size):
+                got = {frozenset(k): v for k, v in a.convert(dst)[i, j].coeffs.items()}
+                assert got == {frozenset(k): v for k, v in a[i, j].coeffs.items()}
     top = Matrix.identity(2, src) * src.term(1, ("d1", "d2"))
     with pytest.raises(AlgebraMismatch):
         top.convert(algebra(["d1", "d2"], killed=[("d1", "d2")]))

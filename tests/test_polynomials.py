@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from nilgeo.matrices import _combination
 from nilgeo.polynomials import Poly, PolyMatrix
-from nilgeo.weil import WeilAlgebra, WeilElement, _linear_combination, algebra
+from nilgeo.weil import WeilAlgebra, WeilElement, algebra
 
 
 def termwise(p, coords):
@@ -84,19 +85,23 @@ def test_linear_combination_matches_fraction_sum():
     rng = random.Random(47)
     alg = algebra(["d1", "d2"], killed=[("d1", "d2")])
     for _ in range(50):
+        # (flat entry index of a 2 x 2 matrix, rational, element)
         terms = [
             (
+                rng.randrange(4),
                 rng.choice((0, 1, -2, _rational(rng))),
                 rng.choice((alg.zero, _random_point(rng, alg, 1)[0])),
             )
-            for _ in range(rng.randint(0, 5))
+            for _ in range(rng.randint(0, 8))
         ]
-        want = {}
-        for q, a in terms:
+        want = [{} for _ in range(4)]
+        for k, q, a in terms:
             for mono, v in a.coeffs.items():
-                want[mono] = want.get(mono, Fraction(0)) + q * v
-        want = {mono: v for mono, v in want.items() if v}
-        assert _linear_combination(alg, terms).coeffs == want
+                want[k][mono] = want[k].get(mono, Fraction(0)) + q * v
+        got = _combination(alg, 2, terms)
+        for k in range(4):
+            entry = {mono: v for mono, v in want[k].items() if v}
+            assert got[divmod(k, 2)].coeffs == entry
 
 
 def test_poly_matrix_evaluation_shares_monomials(monkeypatch):
