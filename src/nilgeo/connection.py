@@ -150,11 +150,6 @@ class LiftedSection(Section):
 # lift to microsquares
 
 
-def nabla_tangent(conn: Connection, t: Microcube) -> Microcube:
-    """Lift a degree-one cube fiberwise."""
-    return conn.apply(from_tangent(t)).tangent(t.args[0], t.algebra)
-
-
 def lift(conn: Connection, cube: Microcube) -> Microcube:
     """Lift a microsquare: the d2-edge moved to the d1-frozen fiber,
     composed with the lift of the bottom edge."""

@@ -67,18 +67,6 @@ class Form:
         return value
 
 
-def zero_form(model: GroupoidModel, degree: int) -> Form:
-    def fn(cube: Microcube) -> TangentData:
-        alg = cube.algebra
-        size = model.spec("L").size
-        zero = alg.zero
-        return TangentData(
-            model, "L", cube.anchor, tuple(zero for _ in cube.anchor), Matrix.zero(size, alg)
-        )
-
-    return Form(model, degree, fn)
-
-
 def curvature_form(conn: Connection) -> Form:
     return Form(conn.model, 2, lambda cube: curvature(conn, cube))
 

@@ -9,12 +9,14 @@ denominator coprime to the content of every entry), so equality and
 hashing read the algebra, the size and the table directly.
 
 A product pairs the disjoint surviving masks of its factors and does one
-small integer matrix product per pair, then normalizes once.  Sums,
-multiples, `drop`, `coefficient` and `convert` work on the table the same
-way.  `_combination` sums rational multiples of elements straight into a
-table: `PolyMatrix` evaluation writes every entry through it, and `Poly`
-evaluation reads a 1 x 1 one.  Entries (`m[i, j]`, `rows`) are built as
-`WeilElement`s only when read.
+small integer matrix product per pair, then normalizes once.  Sums and
+multiples work on the table the same way, and `drop`, `coefficient`,
+`convert` and the arrow transforms of `microcalc` apply a mask plan of
+`weil` to it (`_apply`).  `_combination` sums rational multiples of
+elements straight into a table: `PolyMatrix` evaluation writes every entry
+through it, and `Poly` evaluation reads a 1 x 1 one.  `models` reads the
+table by position: `support` and `gather`.  Entries (`m[i, j]`, `rows`)
+are built as `WeilElement`s only when read.
 
 Inverses exploit nilpotency: the constant part is inverted over the
 rationals by Gaussian elimination and the nilpotent remainder by a finite
@@ -26,8 +28,7 @@ one square.
 
 The public constructor checks that the matrix is square, not empty and
 over one algebra.  Results of the arithmetic here are all three by
-construction and skip those checks; `map` runs a caller's function, so its
-results take the full check.
+construction and skip those checks.
 """
 
 from __future__ import annotations
@@ -36,16 +37,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .weil import (
-    AlgebraMismatch,
-    Scalar,
-    WeilAlgebra,
-    WeilElement,
-    _build,
-    _convert_mask,
-    _exact,
+    AlgebraMismatch, Scalar, WeilAlgebra, WeilElement, _build, _exact, _Plan, _Transforms,
 )
 
 Rational = Sequence[Sequence[Scalar]]
@@ -59,7 +54,7 @@ class SizeMismatch(ValueError):
     """A binary operation was given matrices of different sizes."""
 
 
-class Matrix:
+class Matrix(_Transforms):
     """Immutable square matrix over one Weil algebra: monomial mask -> flat
     integer n x n matrix (`_t`), over the common denominator `_den`."""
 
@@ -161,32 +156,8 @@ class Matrix:
     # scalars and elements commute with everything we store
     __rmul__ = _scaled
 
-    def map(self, fn: Callable[[WeilElement], WeilElement]) -> "Matrix":
-        # fn may change algebras, so its results go through the full check
-        return Matrix(tuple(fn(a) for a in r) for r in self.rows)
-
-    def convert(self, target: WeilAlgebra) -> "Matrix":
-        """Entrywise `WeilElement.convert`: re-key the table by name."""
-        alg = self.algebra
-        if target is alg or target == alg:
-            return _new(target, self.size, self._t, self._den)
-        out = {_convert_mask(alg, target, m): v for m, v in self._t.items()}
-        return _new(target, self.size, out, self._den)
-
     def det(self) -> WeilElement:
-        n = self.size
-        r = self.rows
-        if n == 1:
-            return r[0][0]
-        if n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        if n == 3:
-            return (
-                r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-            )
-        raise NotImplementedError("determinant only needed for sizes <= 3")
+        return _det(self.rows)
 
     def constant_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         n = self.size
@@ -196,22 +167,32 @@ class Matrix:
             for i in range(n)
         )
 
-    def coefficient(self, names: Iterable[str]) -> "Matrix":
-        """Entrywise `WeilElement.coefficient`, as one mask filter."""
-        mask = self.algebra.mask(names)
-        out = {m & ~mask: v for m, v in self._t.items() if m & mask == mask}
-        return _normal(self.algebra, self.size, out, self._den)
+    def _apply(self, plan: _Plan) -> "Matrix":
+        """Entrywise `WeilElement._apply`: one plan lookup per mask."""
+        out: dict[int, tuple[int, ...]] = {}
+        for m, v in self._t.items():
+            if (hit := plan[m]) is not None:
+                new, f = hit
+                v = v if f == 1 else tuple([x * f for x in v])
+                out[new] = tuple(map(add, out[new], v)) if new in out else v
+        return _normal(plan.target, self.size, out, self._den * plan.den)
 
-    def drop(self, names: Iterable[str]) -> "Matrix":
-        """Entrywise `WeilElement.drop`, as one mask filter."""
-        return self._drop(self.algebra.mask(names))
+    def support(self) -> set[tuple[int, int]]:
+        """The positions (i, j) whose entry is nonzero at some monomial."""
+        n = self.size
+        return {divmod(k, n) for v in self._t.values() for k, x in enumerate(v) if x}
 
-    def _drop(self, mask: int) -> "Matrix":
-        t = self._t
-        out = {m: v for m, v in t.items() if not m & mask}
-        if len(out) == len(t):
-            return self
-        return _normal(self.algebra, self.size, out, self._den)
+    def gather(self, cells: Sequence[Sequence[tuple[int, int] | None]]) -> "Matrix":
+        """The matrix whose entry (i, j) is this one's entry at the position
+        cells[i][j], or zero where that cell is None."""
+        span = range(self.size)  # positions index like m[i, j]
+        flat = [
+            None if c is None else span[c[0]] * self.size + span[c[1]]
+            for r in cells
+            for c in r
+        ]
+        out = {m: tuple([0 if k is None else v[k] for k in flat]) for m, v in self._t.items()}
+        return _normal(self.algebra, _check_shape(cells), out, self._den)
 
     def is_zero(self) -> bool:
         return not self._t
@@ -354,6 +335,23 @@ def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
 def _check_sizes(a: Matrix, b: Matrix) -> None:
     if a.size != b.size:
         raise SizeMismatch(f"{a.size}x{a.size} against {b.size}x{b.size}")
+
+
+def _det(rows):
+    """Cofactor expansion of a square matrix of size at most 3, over any
+    commutative ring: Weil elements, rationals or integers."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        return (
+            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+        )
+    raise NotImplementedError("determinant only needed for sizes <= 3")
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,9 @@ Two views of a tangent coexist here.  `Microcube` keeps the full arrow
 (needed for slicing, permuting and word building); `TangentData` keeps the
 linearization (anchor, boundary velocity, vertical matrix), which is the
 right shape for fiberwise-linear bookkeeping.
+
+Slicing, permuting, rescaling and restricting a cube are mask plans of
+`weil`, which `_transform` applies throughout an arrow.
 """
 
 from __future__ import annotations
@@ -28,7 +31,10 @@ from .models import (
     invert,
 )
 from .polynomials import Poly, PolyMatrix
-from .weil import Scalar, WeilAlgebra, WeilElement
+from .weil import (
+    Scalar, WeilAlgebra, WeilElement, _Plan, _drop_plan, _rename_plan, _restrict_plan,
+    _scale_plan,
+)
 
 
 class CubeError(ValueError):
@@ -67,37 +73,20 @@ class Microcube:
         return self.arrow.model
 
 
-def arrow_map(a: Arrow, fn: Callable[[WeilElement], WeilElement]) -> Arrow:
-    return Arrow(
-        a.model,
-        a.grp,
-        tuple(fn(c) for c in a.source),
-        tuple(fn(c) for c in a.target),
-        a.body.map(fn),
+def _transform(a: Arrow, plan_of: Callable[[WeilAlgebra], _Plan]) -> Arrow:
+    """Apply the plan `plan_of(alg)` to the body and to every coordinate over
+    its algebra `alg`; a coordinate over another algebra gets that one's."""
+    alg, plan = a.algebra, plan_of(a.algebra)
+    source, target = (
+        tuple(w._apply(plan if w.algebra is alg else plan_of(w.algebra)) for w in p)
+        for p in (a.source, a.target)
     )
+    return Arrow(a.model, a.grp, source, target, a.body._apply(plan))
 
 
 def arrow_drop(a: Arrow, names: Sequence[str]) -> Arrow:
-    """Evaluate the listed generators at zero throughout the arrow, with one
-    generator mask for the body and every coordinate over its algebra."""
-    alg = a.algebra
-    mask = alg.mask(names)
-
-    def drop(w: WeilElement) -> WeilElement:
-        # a coordinate over another algebra needs its own mask
-        return w._drop(mask) if w.algebra is alg else w.drop(names)
-
-    return Arrow(
-        a.model,
-        a.grp,
-        tuple(drop(c) for c in a.source),
-        tuple(drop(c) for c in a.target),
-        a.body._drop(mask),
-    )
-
-
-def arrow_restrict(a: Arrow, kill) -> Arrow:
-    return arrow_map(a, lambda w: w.restrict(kill))
+    """Evaluate the listed generators at zero throughout the arrow."""
+    return _transform(a, lambda alg: _drop_plan(alg, alg.mask(names)))
 
 
 def make_microcube(arrow: Arrow, args: Sequence[str]) -> Microcube:
@@ -154,7 +143,7 @@ def slice_multi(cube: Microcube, frozen: dict[int, object]) -> Microcube:
             raise CubeError("frozen value must be 0 or a generator name")
     a = cube.arrow
     if rename:
-        a = arrow_map(a, lambda w: w.rename(rename))
+        a = _transform(a, lambda alg: _rename_plan(alg, tuple(rename.items())))
     if zeroed:
         a = arrow_drop(a, zeroed)
     if not remaining:
@@ -179,8 +168,9 @@ def permute(cube: Microcube, theta: Sequence[int]) -> Microcube:
     args = cube.args
     if sorted(theta) != list(range(1, len(args) + 1)):
         raise CubeError(f"not a permutation of 1..{len(args)}: {theta}")
-    mapping = {args[k]: args[theta[k] - 1] for k in range(len(args))}
-    return make_microcube(arrow_map(cube.arrow, lambda w: w.rename(mapping)), args)
+    pairs = tuple(zip(args, (args[t - 1] for t in theta)))
+    arrow = _transform(cube.arrow, lambda alg: _rename_plan(alg, pairs))
+    return make_microcube(arrow, args)
 
 
 def transpose(cube: Microcube) -> Microcube:
@@ -213,7 +203,7 @@ def scale_arg(cube: Microcube, i: int, a: Scalar) -> Microcube:
         raise CubeError(f"scale index {i} out of range")
     g = cube.args[i - 1]
     return make_microcube(
-        arrow_map(cube.arrow, lambda w: w.scale_gen(g, a)), cube.args
+        _transform(cube.arrow, lambda alg: _scale_plan(alg, g, a)), cube.args
     )
 
 
@@ -322,14 +312,6 @@ def from_tangent(t: Microcube) -> TangentData:
     return TangentData(t.model, t.arrow.grp, t.anchor, direction, vert)
 
 
-def project_tangent(td: TangentData) -> TangentData:
-    if td.grp != "H":
-        raise CompositionError("project expects an H-tangent")
-    return TangentData(
-        td.model, "G", td.anchor, td.direction, td.model.project_vert(td.vert)
-    )
-
-
 def include_tangent(td: TangentData) -> TangentData:
     if td.grp != "L":
         raise CompositionError("include expects an L-tangent")
@@ -362,17 +344,11 @@ def degenerate_square(
     return make_microcube(t.arrow_at(w), args)
 
 
-def _shared_slice_equal(g1: Microcube, g2: Microcube, names: Sequence[str]) -> bool:
-    a = arrow_drop(g1.arrow, names)
-    b = arrow_drop(g2.arrow, names)
-    return a == b
-
-
 def _axis_diff(g2: Microcube, g1: Microcube, axis: int) -> Microcube:
     if g1.args != g2.args or g1.degree != 2:
         raise DifferenceError("differences need two microsquares on the same arguments")
     d = g1.args[axis - 1]
-    if not _shared_slice_equal(g1, g2, (d,)):
+    if arrow_drop(g1.arrow, (d,)) != arrow_drop(g2.arrow, (d,)):
         raise DifferenceError(f"squares disagree at {d} = 0")
     # subtract the coefficients of every monomial containing d, keep the rest
     a1, a2 = g1.arrow, g2.arrow
@@ -402,7 +378,8 @@ def strong_diff(g2: Microcube, g1: Microcube) -> TangentData:
     if g1.args != g2.args or g1.degree != 2:
         raise DifferenceError("strong difference needs two microsquares on the same arguments")
     top = g1.args
-    if arrow_restrict(g1.arrow, [top]) != arrow_restrict(g2.arrow, [top]):
+    below = [_transform(g.arrow, lambda alg: _restrict_plan(alg.kill([top]))) for g in (g1, g2)]
+    if below[0] != below[1]:
         raise DifferenceError("squares disagree below the top coefficient")
     delta = compose(g2.arrow, invert(g1.arrow))  # both squares start at the anchor
     for d in top:

@@ -21,6 +21,9 @@ An arrow is (source point, target point, matrix body); both points are
 coordinate tuples of Weil elements (empty over a one-point base).
 Composition follows function order: ``compose(g, h)`` applies h first and
 needs the source of g to equal the target of h exactly.
+
+Group tests and projections read a body's table by position
+(`Matrix.support`, `Matrix.gather`) and build no entries.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import Matrix
+from .matrices import Matrix, _det
 from .weil import WeilAlgebra, WeilElement
 
 Point = tuple[WeilElement, ...]
@@ -57,7 +60,10 @@ class GeneralLinear:
     def contains(self, m: Matrix) -> bool:
         if m.size != self.size:
             return False
-        return _rational_det(m.constant_matrix()) != 0
+        # the table holds den times the constant part, so this integer
+        # determinant vanishes exactly when the rational one does
+        n, c = self.size, m._t.get(0)
+        return c is not None and _det([c[i * n:i * n + n] for i in range(n)]) != 0
 
     def lie_basis(self):
         return tuple(
@@ -93,7 +99,7 @@ class PatternGroup:
     """Identity matrix plus free entries at fixed positions.
 
     Only patterns closed under multiplication are used here (strictly
-    upper-triangular supports), so membership is a per-entry check.
+    upper-triangular supports), so membership is a support check on m - I.
     """
 
     def __init__(self, name: str, size: int, free: Sequence[tuple[int, int]]):
@@ -104,16 +110,7 @@ class PatternGroup:
     def contains(self, m: Matrix) -> bool:
         if m.size != self.size:
             return False
-        alg = m.algebra
-        free = set(self.free)
-        for i in range(self.size):
-            for j in range(self.size):
-                if (i, j) in free:
-                    continue
-                want = alg.one if i == j else alg.zero
-                if m[i, j] != want:
-                    return False
-        return True
+        return (m - Matrix.identity(self.size, m.algebra)).support() <= set(self.free)
 
     def lie_basis(self):
         return tuple(_unit_matrix(self.size, i, j) for i, j in self.free)
@@ -127,23 +124,13 @@ class BlockDiagonal:
         self.second = second
         self.size = first.size + second.size
         self.name = f"{first.name}x{second.name}"
+        self._blocks = (_cells(range(first.size)), _cells(range(first.size, self.size)))
 
     def contains(self, m: Matrix) -> bool:
-        if m.size != self.size:
-            return False
         k = self.first.size
-        zero = m.algebra.zero
-        for i in range(self.size):
-            for j in range(self.size):
-                if (i < k) != (j < k) and m[i, j] != zero:
-                    return False
-        a = Matrix(tuple(tuple(m[i, j] for j in range(k)) for i in range(k)))
-        b = Matrix(
-            tuple(
-                tuple(m[i, j] for j in range(k, self.size))
-                for i in range(k, self.size)
-            )
-        )
+        if m.size != self.size or any((i < k) != (j < k) for i, j in m.support()):
+            return False
+        a, b = (m.gather(cells) for cells in self._blocks)
         return self.first.contains(a) and self.second.contains(b)
 
     def lie_basis(self):
@@ -180,19 +167,9 @@ def _unit_matrix(n, i, j):
     )
 
 
-def _rational_det(rows) -> Fraction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        return (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-    raise NotImplementedError
+def _cells(span: range) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The positions of the square block on the rows and columns `span`."""
+    return tuple(tuple((i, j) for j in span) for i in span)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +271,9 @@ class HeisenbergModel(GroupoidModel):
     family = "heisenberg"
     base_dim = 0
 
+    # the G-coordinates of an H-body: (0, 1) stays, (1, 2) moves to (0, 2)
+    _down = ((None, (0, 1), (1, 2)), (None,) * 3, (None,) * 3)
+
     def __init__(self):
         self._h = PatternGroup("unipotent3", 3, ((0, 1), (1, 2), (0, 2)))
         self._g = PatternGroup("two-param-abelian", 3, ((0, 1), (0, 2)))
@@ -302,19 +282,11 @@ class HeisenbergModel(GroupoidModel):
     def project(self, h: Arrow) -> Arrow:
         if h.grp != "H":
             raise CompositionError("project expects an H-arrow")
-        alg = h.algebra
-        b = h.body
-        rows = (
-            (alg.one, b[0, 1], b[1, 2]),
-            (alg.zero, alg.one, alg.zero),
-            (alg.zero, alg.zero, alg.one),
-        )
-        return Arrow(self, "G", h.source, h.target, Matrix(rows))
+        body = Matrix.identity(3, h.algebra) + h.body.gather(self._down)
+        return Arrow(self, "G", h.source, h.target, body)
 
     def project_vert(self, w: Matrix) -> Matrix:
-        alg = w.algebra
-        z = alg.zero
-        return Matrix(((z, w[0, 1], w[1, 2]), (z, z, z), (z, z, z)))
+        return w.gather(self._down)
 
     def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
         return (vert[0, 1], vert[0, 2])
@@ -326,6 +298,7 @@ class DirectProductModel(GroupoidModel):
 
     family = "direct_product"
     base_dim = 0
+    _down = _cells(range(2))  # the GL2 block
 
     def __init__(self):
         self._h = BlockDiagonal(GeneralLinear(2), GeneralLinear(1))
@@ -335,12 +308,10 @@ class DirectProductModel(GroupoidModel):
     def project(self, h: Arrow) -> Arrow:
         if h.grp != "H":
             raise CompositionError("project expects an H-arrow")
-        b = h.body
-        rows = ((b[0, 0], b[0, 1]), (b[1, 0], b[1, 1]))
-        return Arrow(self, "G", h.source, h.target, Matrix(rows))
+        return Arrow(self, "G", h.source, h.target, h.body.gather(self._down))
 
     def project_vert(self, w: Matrix) -> Matrix:
-        return Matrix(((w[0, 0], w[0, 1]), (w[1, 0], w[1, 1])))
+        return w.gather(self._down)
 
     def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
         return (vert[0, 0], vert[0, 1], vert[1, 0], vert[1, 1])
@@ -365,7 +336,7 @@ class TrivialGaugeModel(GroupoidModel):
         return Arrow(self, "G", h.source, h.target, Matrix.identity(1, h.algebra))
 
     def project_vert(self, w: Matrix) -> Matrix:
-        return Matrix(((w.algebra.zero,),))
+        return Matrix.zero(1, w.algebra)
 
     def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
         return ()

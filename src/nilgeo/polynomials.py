@@ -47,10 +47,6 @@ class Poly:
         self.terms = {e: c for e, c in clean.items() if c}
 
     @staticmethod
-    def const(nvars: int, c: Scalar) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: Fraction(c)})
-
-    @staticmethod
     def var(nvars: int, i: int) -> "Poly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return Poly(nvars, {exps: Fraction(1)})
@@ -134,8 +130,12 @@ class PolyMatrix:
     def __init__(self, rows: Sequence[Sequence[Poly]]):
         self.rows = tuple(tuple(r) for r in rows)
         n = len(self.rows)
+        if not n:
+            raise ValueError("matrix must not be empty")
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
+        if len({p.nvars for r in self.rows for p in r}) != 1:
+            raise ValueError("entries must all take the same number of variables")
 
     @staticmethod
     def zero(size: int, nvars: int) -> "PolyMatrix":
@@ -147,7 +147,7 @@ class PolyMatrix:
         return len(self.rows)
 
     def __call__(self, coords: Sequence[WeilElement]) -> Matrix:
-        if any(len(coords) != p.nvars for r in self.rows for p in r):
+        if len(coords) != self.rows[0][0].nvars:
             raise ValueError("coordinate count mismatch")
         entries = [p for r in self.rows for p in r]
         mono = _monomials(coords, (e for p in entries for e in p.terms))

@@ -20,17 +20,7 @@ from typing import Sequence
 from .connection import Connection, GaugeConnection, SplittingConnection
 from .matrices import Matrix
 from .microcalc import ConstantSection, Microcube, PolySection, Section, make_microcube
-from .models import (
-    Arrow,
-    BlockDiagonal,
-    FixedIdentity,
-    GeneralLinear,
-    GroupoidModel,
-    PatternGroup,
-    Point,
-    UnitDeterminant,
-    _rational_det,
-)
+from .models import Arrow, GroupoidModel, Point
 from .polynomials import Poly, PolyMatrix
 from .weil import WeilAlgebra, WeilElement, _build as weil_build
 
@@ -39,7 +29,7 @@ DENOMINATORS = (1, 1, 1, 2, 3)
 
 def sample_rational(rng: random.Random, bound: Fraction = Fraction(2)) -> Fraction:
     den = rng.choice(DENOMINATORS)
-    top = int(bound * den)
+    top = bound.numerator * den // bound.denominator
     return Fraction(rng.randint(-top, top), den)
 
 
@@ -91,91 +81,6 @@ def sample_point(
     bound: Fraction = Fraction(2),
 ) -> Point:
     return tuple(alg.scalar(sample_rational(rng, bound)) for _ in range(model.base_dim))
-
-
-def _constant_member(rng: random.Random, spec, bound: Fraction):
-    """Random rational matrix satisfying the spec, built by closure."""
-    n = spec.size
-    if isinstance(spec, FixedIdentity):
-        return tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-    if isinstance(spec, PatternGroup):
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for i, j in spec.free:
-            rows[i][j] = sample_rational(rng, bound)
-        return tuple(tuple(r) for r in rows)
-    if isinstance(spec, GeneralLinear):
-        while True:
-            rows = tuple(
-                tuple(sample_rational(rng, bound) for _ in range(n)) for _ in range(n)
-            )
-            if _rational_det(rows) != 0:
-                return rows
-    if isinstance(spec, UnitDeterminant):
-        # product of shears keeps the determinant pinned at one
-        a, b, c = (sample_rational(rng, bound) for _ in range(3))
-        return (
-            (1 + a * b, a + c + a * b * c),
-            (b, 1 + b * c),
-        )
-    if isinstance(spec, BlockDiagonal):
-        first = _constant_member(rng, spec.first, bound)
-        second = _constant_member(rng, spec.second, bound)
-        k = spec.first.size
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(k):
-            for j in range(k):
-                rows[i][j] = first[i][j]
-        for i in range(n - k):
-            for j in range(n - k):
-                rows[k + i][k + j] = second[i][j]
-        return tuple(tuple(r) for r in rows)
-    raise TypeError(f"no sampler for spec {spec!r}")
-
-
-def sample_body(
-    rng: random.Random,
-    model: GroupoidModel,
-    grp: str,
-    alg: WeilAlgebra,
-    bound: Fraction = Fraction(2),
-) -> Matrix:
-    """Random group member over the full ambient algebra: a random constant
-    member times one perturbation per ambient monomial."""
-    spec = model.spec(grp)
-    body = Matrix.from_rational(_constant_member(rng, spec, bound), alg)
-    size = spec.size
-    if model.lie_basis(grp):
-        for mask in range(1, 1 << len(alg.names)):
-            if mask in alg.killed:
-                continue
-            mono = alg.term(1, alg.mono_names(mask))
-            body = body * (
-                Matrix.identity(size, alg)
-                + sample_vert(rng, model, grp, alg, bound) * mono
-            )
-    return body
-
-
-def sample_arrow(
-    rng: random.Random,
-    model: GroupoidModel,
-    grp: str,
-    alg: WeilAlgebra,
-    x: Point | None = None,
-    y: Point | None = None,
-    bound: Fraction = Fraction(2),
-) -> Arrow:
-    """Random arrow; endpoints may be any Weil-valued points."""
-    if x is None:
-        x = tuple(sample_weil(rng, alg, bound) for _ in range(model.base_dim))
-    if y is None:
-        y = tuple(sample_weil(rng, alg, bound) for _ in range(model.base_dim))
-    if grp == "L":
-        y = x
-    return model.check(Arrow(model, grp, x, y, sample_body(rng, model, grp, alg, bound)))
 
 
 def sample_microcube(

@@ -17,14 +17,22 @@ product.  `_mul_into` is that kernel.  Matrices over an algebra keep
 their own table of the same shape, one integer matrix per monomial (see
 `matrices`); rational linear combinations of elements, as polynomial
 evaluation needs them, are summed there (`matrices._combination`).
+
+Dropping generators, taking a cofactor, renaming, restricting to a
+quotient, rescaling a generator and converting to another algebra only
+re-key the masks of a table.  Each is one *plan* here (`_Plan`), which
+elements, matrices and arrows apply alike.  Each builder but rescaling,
+whose factor is any rational, is cached: its arguments are interned
+algebras, masks and generator names.
 Scalars are exact: a float raises `TypeError`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -163,7 +171,7 @@ class WeilAlgebra:
 
     def term(self, coeff: Scalar, names: Iterable[str]) -> "WeilElement":
         mask = self.mask(names)
-        coeff = Fraction(coeff)
+        coeff = Fraction(_exact(coeff))
         if coeff == 0 or mask in self.killed:
             return self._zero
         return WeilElement(self, {mask: coeff.numerator}, coeff.denominator)
@@ -255,21 +263,83 @@ def _mul_into(
                 out[m] = get(m, 0) + v1 * v2
 
 
-def _convert_mask(source: WeilAlgebra, target: WeilAlgebra, m: int) -> int:
-    """The mask in `target` of the monomial `m` of `source`, found by
-    generator names; the monomial must survive in `target`."""
-    names = source.mono_names(m)
-    mask = target.mask(names)
-    if mask in target.killed:
-        raise AlgebraMismatch(f"monomial {names} is killed in {target!r}")
-    return mask
-
-
 def _exact(q):
     """`q` itself if it is an exact rational (int or Fraction)."""
     if not isinstance(q, (int, Fraction)):
         raise TypeError(f"expected an int or Fraction, got {type(q).__name__} {q!r}")
     return q
+
+
+class _Plan(dict):
+    """A mask transform into `target`: old mask -> (new mask, integer
+    factor), or None where the monomial dies; results are also divided by
+    `den`.  `rule` finds a mask's image on its first use, so a rule raises
+    only for a monomial that is present."""
+
+    def __init__(self, target: "WeilAlgebra", rule, den: int = 1):
+        self.target, self.rule, self.den = target, rule, den
+
+    def __missing__(self, m: int):
+        hit = self[m] = self.rule(m)
+        return hit
+
+
+@lru_cache(maxsize=None)
+def _drop_plan(alg: "WeilAlgebra", mask: int) -> _Plan:
+    """Evaluate the generators of `mask` at zero."""
+    return _Plan(alg, lambda m: None if m & mask else (m, 1))
+
+
+@lru_cache(maxsize=None)
+def _coefficient_plan(alg: "WeilAlgebra", mask: int) -> _Plan:
+    """The cofactor of the monomial `mask`."""
+    return _Plan(alg, lambda m: (m & ~mask, 1) if m & mask == mask else None)
+
+
+@lru_cache(maxsize=None)
+def _rename_plan(alg: "WeilAlgebra", pairs: tuple[tuple[str, str], ...]) -> _Plan:
+    """Rename each generator `old` to `new` over the (old, new) pairs at once;
+    a monomial whose image would repeat a generator raises."""
+    bits = [(alg.gen_bit(old), alg.gen_bit(new)) for old, new in pairs]
+    moved = sum(b for b, _ in bits)  # distinct bits: the sum is their union
+
+    def rule(m):
+        new = m & ~moved
+        for old_bit, new_bit in bits:
+            if m & old_bit:
+                if new & new_bit:
+                    raise SubstitutionError("renaming collides inside a monomial")
+                new |= new_bit
+        return None if new in alg.killed else (new, 1)
+
+    return _Plan(alg, rule)
+
+
+@lru_cache(maxsize=None)
+def _restrict_plan(target: "WeilAlgebra") -> _Plan:
+    """The image in `target`, a quotient by more monomials."""
+    return _Plan(target, lambda m: None if m in target.killed else (m, 1))
+
+
+def _scale_plan(alg: "WeilAlgebra", name: str, a: Scalar) -> _Plan:
+    """Substitute a * name for the generator `name`, with a rational."""
+    bit, q = alg.gen_bit(name), Fraction(_exact(a))
+    num, den = q.numerator, q.denominator
+    return _Plan(alg, lambda m: (m, num) if m & bit else (m, den), den)
+
+
+@lru_cache(maxsize=None)
+def _convert_plan(source: "WeilAlgebra", target: "WeilAlgebra") -> _Plan:
+    """Each monomial found by generator names in `target`, where it must
+    survive."""
+
+    def rule(m):
+        mask = target.mask(source.mono_names(m))
+        if mask in target.killed:
+            raise AlgebraMismatch(f"{source.mono_names(m)} is killed in {target!r}")
+        return mask, 1
+
+    return _Plan(target, rule)
 
 
 def _build(alg: WeilAlgebra, table: dict[int, int], den: int) -> "WeilElement":
@@ -296,7 +366,29 @@ def _build(alg: WeilAlgebra, table: dict[int, int], den: int) -> "WeilElement":
     return WeilElement(alg, table, den)
 
 
-class WeilElement:
+class _Transforms:
+    """The transforms that elements and matrices share, each one plan
+    applied to the table through the class's `_apply`."""
+
+    __slots__ = ()
+
+    def coefficient(self, names: Iterable[str]):
+        """Cofactor of the given monomial: sum over keys containing it of
+        coeff * (key minus monomial).  `coefficient(())` is the identity."""
+        return self._apply(_coefficient_plan(self.algebra, self.algebra.mask(names)))
+
+    def drop(self, names: Iterable[str]):
+        """Evaluate the listed generators at zero."""
+        return self._apply(_drop_plan(self.algebra, self.algebra.mask(names)))
+
+    def convert(self, target: WeilAlgebra):
+        """Re-express in another algebra containing the same generator names.
+
+        Every monomial in the support must exist (and survive) there."""
+        return self._apply(_convert_plan(self.algebra, target))
+
+
+class WeilElement(_Transforms):
     """An element of a `WeilAlgebra`; immutable after construction."""
 
     __slots__ = ("algebra", "_c", "_den")
@@ -322,64 +414,14 @@ class WeilElement:
     def is_zero(self) -> bool:
         return not self._c
 
-    def coefficient(self, names: Iterable[str]) -> "WeilElement":
-        """Cofactor of the given monomial: sum over keys containing it of
-        coeff * (key minus monomial).  `coefficient(())` returns self."""
-        return self._coefficient(self.algebra.mask(names))
-
-    def _coefficient(self, mask: int) -> "WeilElement":
-        out = {m & ~mask: v for m, v in self._c.items() if m & mask == mask}
-        return _build(self.algebra, out, self._den)
-
-    def drop(self, names: Iterable[str]) -> "WeilElement":
-        """Evaluate the listed generators at zero (a fast substitution)."""
-        return self._drop(self.algebra.mask(names))
-
-    def _drop(self, mask: int) -> "WeilElement":
-        out = {m: v for m, v in self._c.items() if not m & mask}
-        if len(out) == len(self._c):
-            return self
-        return _build(self.algebra, out, self._den)
-
-    def rename(self, mapping: Mapping[str, str]) -> "WeilElement":
-        """Simultaneous generator renaming (a bijective substitution).
-
-        Keys that would repeat a generator after renaming are rejected;
-        images must survive in the algebra."""
-        alg = self.algebra
-        bits = {alg.gen_bit(old): alg.gen_bit(new) for old, new in mapping.items()}
-        moved = 0
-        for b in bits:
-            moved |= b
+    def _apply(self, plan: _Plan) -> "WeilElement":
+        """The image under a mask plan."""
         out: dict[int, int] = {}
+        get = out.get
         for m, v in self._c.items():
-            new = m & ~moved
-            for old_bit, new_bit in bits.items():
-                if m & old_bit:
-                    if new & new_bit:
-                        raise SubstitutionError("renaming collides inside a monomial")
-                    new |= new_bit
-            if new in alg.killed:
-                continue
-            if new in out:
-                out[new] = out[new] + v
-            else:
-                out[new] = v
-        return _build(alg, out, self._den)
-
-    def scale_gen(self, name: str, a: Scalar) -> "WeilElement":
-        """Substitute one generator by a rational multiple of itself."""
-        bit = self.algebra.gen_bit(name)
-        if a == 1:
-            return self
-        if a == 0:
-            return self.drop((name,))
-        q = Fraction(a)
-        out = {
-            m: (v * q.numerator if m & bit else v * q.denominator)
-            for m, v in self._c.items()
-        }
-        return _build(self.algebra, out, self._den * q.denominator)
+            if (hit := plan[m]) is not None:
+                out[hit[0]] = get(hit[0], 0) + v * hit[1]
+        return _build(plan.target, out, self._den * plan.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -511,66 +553,6 @@ class WeilElement:
             power = power * u
             subtract = not subtract
         return inv * (Fraction(1) / c0)
-
-    # -- quotients and substitution ------------------------------------------
-
-    def restrict(self, kill: Iterable[Iterable[str]]) -> "WeilElement":
-        """Image in the quotient by the extra killed monomials."""
-        target = self.algebra.kill(kill)
-        if target is self.algebra:
-            return self
-        out = {m: v for m, v in self._c.items() if m not in target.killed}
-        return _build(target, out, self._den)
-
-    def convert(self, target: WeilAlgebra) -> "WeilElement":
-        """Re-express in another algebra containing the same generator names.
-
-        Every monomial in the support must exist (and survive) there."""
-        if target is self.algebra or target == self.algebra:
-            return WeilElement(target, dict(self._c), self._den)
-        source = self.algebra
-        out = {_convert_mask(source, target, m): v for m, v in self._c.items()}
-        return WeilElement(target, out, self._den)
-
-    def subs(
-        self,
-        mapping: Mapping[str, "WeilElement | Scalar"],
-        into: WeilAlgebra | None = None,
-    ) -> "WeilElement":
-        """Ring homomorphism determined by generator images.
-
-        Each image must be 0 or a WeilElement of the target algebra whose
-        square is exactly zero; unmapped generators keep their names."""
-        target = into if into is not None else self.algebra
-        images: dict[int, WeilElement] = {}
-        for name, img in mapping.items():
-            i = self.algebra._index[name]
-            if isinstance(img, (int, Fraction)):
-                if img != 0:
-                    raise SubstitutionError(
-                        f"constant image {img} for {name} is not square-zero"
-                    )
-                images[i] = target.zero
-                continue
-            if img.algebra != target:
-                raise AlgebraMismatch(
-                    f"image of {name} lives in {img.algebra!r}, not the target"
-                )
-            if not (img * img).is_zero():
-                raise SubstitutionError(f"image of {name} is not square-zero")
-            images[i] = img
-        out = target.zero
-        for m, v in self._c.items():
-            term = target.scalar(Fraction(v, self._den))
-            for i, g in enumerate(self.algebra.names):
-                if not (m >> i & 1):
-                    continue
-                img = images.get(i)
-                term = term * (target.gen(g) if img is None else img)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
 
     # -- comparison and display ----------------------------------------------
 

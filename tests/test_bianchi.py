@@ -18,7 +18,7 @@ from nilgeo.bianchi import (
 )
 from nilgeo.connection import curvature
 from nilgeo.forms import curvature_form, d_nabla
-from nilgeo.microcalc import arrow_map, include_tangent, slice_cube
+from nilgeo.microcalc import arrow_drop, include_tangent, slice_cube
 from nilgeo.models import build_model, all_models, compose, compose_all, invert
 from nilgeo.sampling import (
     preset_connection,
@@ -107,9 +107,7 @@ def test_dropping_the_third_generator_collapses_top_onto_bottom():
             (("F", "G"), ("B", "D")),
         ):
             assert collapse[top_a] == bot_a and collapse[top_b] == bot_b
-            dropped = arrow_map(
-                labeling.edge_arrow(top_a, top_b), lambda w: w.drop(("d3",))
-            )
+            dropped = arrow_drop(labeling.edge_arrow(top_a, top_b), ("d3",))
             assert dropped == labeling.edge_arrow(bot_a, bot_b)
 
 
@@ -125,7 +123,7 @@ def test_edge_vanishes_when_its_own_generator_is_dropped():
             ("D", "G"): "d3", ("E", "G"): "d2", ("F", "G"): "d1",
         }
         for pair, g in gen_of.items():
-            dropped = arrow_map(labeling.edge_arrow(*pair), lambda w: w.drop((g,)))
+            dropped = arrow_drop(labeling.edge_arrow(*pair), (g,))
             assert dropped.body.is_identity()
             assert dropped.source == dropped.target == labeling.points[pair[0]]
 

@@ -13,7 +13,6 @@ from nilgeo.forms import (
     gauge_one_form,
     splitting_one_form,
     validate_form,
-    zero_form,
 )
 from nilgeo.matrices import Matrix
 from nilgeo.microcalc import Microcube, TangentData, make_microcube, permute, scale_arg
@@ -31,6 +30,23 @@ from nilgeo.weil import AlgebraMismatch, WeilAlgebra, algebra
 
 HEIS = build_model("heisenberg")
 SCALAR = build_model("trivial_gauge", "scalar")
+
+
+def zero_form(model, degree):
+    """The form whose every value is the zero kernel tangent."""
+
+    def fn(cube):
+        alg = cube.algebra
+        size = model.spec("L").size
+        return TangentData(
+            model,
+            "L",
+            cube.anchor,
+            tuple(alg.zero for _ in cube.anchor),
+            Matrix.zero(size, alg),
+        )
+
+    return Form(model, degree, fn)
 
 
 def sample_squares(rng, model, count, alg=None):
@@ -87,7 +103,7 @@ def test_lopsided_evaluator_fails_alternation():
     def fn(cube):
         alg = cube.algebra
         d1 = cube.args[0]
-        coeff = cube.arrow.body.coefficient((d1,)).map(lambda w: w.drop(cube.args[1:]))
+        coeff = cube.arrow.body.coefficient((d1,)).drop(cube.args[1:])
         vert = Matrix(
             (
                 (alg.zero, alg.zero, coeff[0, 1]),

@@ -9,7 +9,16 @@ from nilgeo.microcalc import TangentData
 from nilgeo.models import build_model
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.sampling import sample_point, sample_vert
-from nilgeo.weil import AlgebraMismatch, algebra
+from nilgeo.weil import (
+    AlgebraMismatch,
+    _coefficient_plan,
+    _convert_plan,
+    _drop_plan,
+    _rename_plan,
+    _restrict_plan,
+    _scale_plan,
+    algebra,
+)
 
 
 def _trace(m):
@@ -164,7 +173,7 @@ def test_poly_matrix_roundtrip():
     alg = algebra([])
     m = pm((alg.scalar(4), alg.scalar(0)))
     assert m[0, 1] == alg.scalar(4)
-    assert pm.partial(0).rows[0][1] == Poly.const(2, 1)
+    assert pm.partial(0).rows[0][1] == Poly(2, {(0, 0): 1})
 
 
 def _random_entry(rng, alg):
@@ -219,15 +228,7 @@ def test_product_across_algebras_raises():
             make(2, d1) * make(2, d2)
     m = Matrix.from_rational([[1, 2], [3, 4]], d1)
     with pytest.raises(AlgebraMismatch):
-        m * m.map(lambda w: w.convert(d2))
-
-
-def test_map_rejects_results_over_mixed_algebras():
-    d1, d2 = algebra(["d1"]), algebra(["d1", "d2"])
-    m = Matrix.from_rational([[1, 2], [3, 4]], d1)
-    with pytest.raises(AlgebraMismatch):
-        m.map(lambda w: w.convert(d2) if w.constant_term() == 1 else w)
-    assert m.map(lambda w: w.convert(d2)).algebra == d2
+        m * m.convert(d2)
 
 
 class EntryMatrix:
@@ -413,6 +414,7 @@ def test_equal_values_from_different_paths_agree():
     slope = Matrix.from_rational([[half, 0], [0, Fraction(1, 3)]], alg)
     d12 = alg.term(5, ("d1", "d2"))
     other = algebra(["d1"])
+    swap = _rename_plan(alg, (("d1", "d2"), ("d2", "d1")))
     paths = [
         Matrix(want_rows),
         pm(x),
@@ -420,10 +422,8 @@ def test_equal_values_from_different_paths_agree():
         Matrix(want_rows) * ident,
         constant + slope * d1,
         (constant + slope * d1 + ident * d12).drop(("d2",)),
-        Matrix(want_rows).map(lambda w: w),
-        Matrix([[w.convert(other) for w in r] for r in want_rows]).map(
-            lambda w: w.convert(alg)
-        ),
+        Matrix(want_rows).gather((((0, 0), (0, 1)), ((1, 0), (1, 1)))),
+        Matrix(want_rows)._apply(swap)._apply(swap),
         Matrix([[w.convert(other) for w in r] for r in want_rows]).convert(alg),
     ]
     for m in paths:
@@ -471,7 +471,6 @@ def test_convert_matches_entrywise_convert():
     for _ in range(10):
         a, ea = _random_pair(rng, src)
         assert_same(a.convert(dst), ea._entrywise(lambda w: w.convert(dst)))
-        assert a.convert(dst) == a.map(lambda w: w.convert(dst))
         for i in range(a.size):
             for j in range(a.size):
                 got = {frozenset(k): v for k, v in a.convert(dst)[i, j].coeffs.items()}
@@ -490,3 +489,51 @@ def test_entry_access_indexes_like_rows():
         m[2, 0]
     with pytest.raises(IndexError):
         m[0, -3]
+
+
+def _subsets(names):
+    return [
+        tuple(g for k, g in enumerate(names) if m >> k & 1)
+        for m in range(1 << len(names))
+    ]
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_plans_match_per_entry_oracle(alg):
+    rng = random.Random(80 + len(alg.names) + len(alg.killed))
+    dead = [alg.mono_names(m) for m in alg.killed]
+    wide = algebra(("e",) + tuple(reversed(alg.names)), killed=dead)
+    for _ in range(10):
+        a, ea = _random_pair(rng, alg)
+        for names in _subsets(alg.names):
+            mask = alg.mask(names)
+            plans = [
+                _drop_plan(alg, mask),
+                _coefficient_plan(alg, mask),
+                _rename_plan(alg, tuple(zip(names, names[1:] + names[:1]))),
+                _restrict_plan(alg.kill([names])),
+                _convert_plan(alg, wide),
+            ] + [
+                _scale_plan(alg, g, Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+                for g in names
+            ]
+            for plan in plans:
+                assert_same(a._apply(plan), ea._entrywise(lambda w: w._apply(plan)))
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_support_and_gather_match_entry_reads(alg):
+    rng = random.Random(90 + len(alg.names) + len(alg.killed))
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        a, _ = _random_pair(rng, alg, n)
+        positions = [(i, j) for i in range(n) for j in range(n)]
+        assert a.support() == {p for p in positions if not a[p].is_zero()}
+        k = rng.randint(1, 3)
+        cells = [[rng.choice([None, *positions]) for _ in range(k)] for _ in range(k)]
+        want = Matrix([[alg.zero if c is None else a[c] for c in r] for r in cells])
+        assert_same(a.gather(cells), EntryMatrix(want.rows))
+    with pytest.raises(ValueError):
+        a.gather(())
+    with pytest.raises(IndexError):
+        a.gather([[(0, n)]])

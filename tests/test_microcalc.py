@@ -10,8 +10,8 @@ from nilgeo.microcalc import (
     DifferenceError,
     PolySection,
     TangentData,
+    _transform,
     arrow_drop,
-    arrow_map,
     bisection_product,
     bracket,
     bracket_sections,
@@ -32,9 +32,34 @@ from nilgeo.microcalc import (
 from nilgeo.models import Arrow, all_models, build_model
 from nilgeo.polynomials import Poly
 from nilgeo.sampling import perturbed_square, sample_microcube
-from nilgeo.weil import WeilAlgebra, algebra
+from nilgeo.weil import (
+    WeilAlgebra,
+    _coefficient_plan,
+    _convert_plan,
+    _drop_plan,
+    _rename_plan,
+    _restrict_plan,
+    _scale_plan,
+    algebra,
+)
 
 HEIS = build_model("heisenberg")
+
+
+def entrywise(m, fn):
+    """Oracle: `fn` on every entry, rebuilt through the public constructor."""
+    return Matrix([[fn(w) for w in r] for r in m.rows])
+
+
+def arrow_map(a, fn):
+    """Oracle: `fn` on every coordinate and every body entry."""
+    return Arrow(
+        a.model,
+        a.grp,
+        tuple(fn(c) for c in a.source),
+        tuple(fn(c) for c in a.target),
+        entrywise(a.body, fn),
+    )
 
 
 def e01(alg, c=1):
@@ -96,7 +121,7 @@ def test_double_slice_at_zero_keeps_the_remaining_edge():
     cube = sample_microcube(rng, HEIS, "G", ("d1", "d2", "d3"), alg, x=())
     got = slice_multi(cube, {1: 0, 2: 0})
     assert got.args == ("d3",)
-    want = cube.arrow.body.map(lambda w: w.drop(("d1", "d2")))
+    want = entrywise(cube.arrow.body, lambda w: w.drop(("d1", "d2")))
     assert got.arrow.body == want
 
 
@@ -116,10 +141,36 @@ def test_drop_and_coefficient_match_entrywise_results():
             a = cube.arrow
             for names in _subsets(alg.names):
                 assert arrow_drop(a, names) == arrow_map(a, lambda w: w.drop(names))
-                assert a.body.drop(names) == a.body.map(lambda w: w.drop(names))
-                assert a.body.coefficient(names) == a.body.map(
-                    lambda w: w.coefficient(names)
+                assert a.body.drop(names) == entrywise(a.body, lambda w: w.drop(names))
+                assert a.body.coefficient(names) == entrywise(
+                    a.body, lambda w: w.coefficient(names)
                 )
+
+
+def test_every_arrow_plan_matches_the_entrywise_oracle():
+    rng = random.Random(14)
+    names3 = ["d1", "d2", "d3"]
+    for alg in (algebra(names3), algebra(names3, killed=[("d1", "d3")])):
+        dead = [alg.mono_names(m) for m in alg.killed]
+        foreign = algebra(["e", "d3", "d2", "d1"], killed=dead)
+        wide = algebra(["d2", "d1", "f", "d3", "e"], killed=dead)
+        for model in all_models():
+            a = sample_microcube(rng, model, "H", alg.names, alg).arrow
+            # target coordinates over an algebra that orders its names differently
+            a = Arrow(model, "H", a.source, tuple(c.convert(foreign) for c in a.target), a.body)
+            for names in _subsets(alg.names):
+                cycle = dict(zip(names, names[1:] + names[:1]))
+                q = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                plan_ofs = [
+                    lambda b: _drop_plan(b, b.mask(names)),
+                    lambda b: _coefficient_plan(b, b.mask(names)),
+                    lambda b: _rename_plan(b, tuple(cycle.items())),
+                    lambda b: _restrict_plan(b.kill([names])),
+                    lambda b: _convert_plan(b, wide),
+                ] + [lambda b, g=g: _scale_plan(b, g, q) for g in names]
+                for plan_of in plan_ofs:
+                    want = arrow_map(a, lambda w: w._apply(plan_of(w.algebra)))
+                    assert _transform(a, plan_of) == want
 
 
 def test_arrow_drop_computes_one_mask_per_arrow(monkeypatch):
@@ -277,7 +328,7 @@ def test_bracket_matches_word_expansion_oracle():
         t1 = TangentData(HEIS, "H", (), (), a.coefficient(()))
         t2 = TangentData(HEIS, "H", (), (), b.coefficient(()))
         got = bracket(t1, t2)
-        assert got.vert.map(lambda w: w.convert(alg)) == expected
+        assert got.vert.convert(alg) == expected
 
 
 def test_bracket_alternating_and_abelian():
@@ -426,7 +477,7 @@ def test_bisection_product_with_zero_section():
 def test_bisection_product_coordinate_sections_pair_groupoid():
     model = build_model("trivial_gauge", "scalar")
     alg = algebra(["d1", "d2"])
-    one, zero = Poly.const(2, 1), Poly(2, {})
+    one, zero = Poly(2, {(0, 0): 1}), Poly(2, {})
     x_sec = PolySection(model, "G", (one, zero))
     y_sec = PolySection(model, "G", (zero, one))
     x = (alg.scalar(3), alg.scalar(-1))
@@ -438,7 +489,7 @@ def test_bisection_product_coordinate_sections_pair_groupoid():
 def test_bracket_of_coordinate_fields_vanishes():
     model = build_model("trivial_gauge", "scalar")
     alg = algebra([])
-    one, zero = Poly.const(2, 1), Poly(2, {})
+    one, zero = Poly(2, {(0, 0): 1}), Poly(2, {})
     x_sec = PolySection(model, "G", (one, zero))
     y_sec = PolySection(model, "G", (zero, one))
     x = (alg.scalar(0), alg.scalar(2))

@@ -3,24 +3,95 @@ from fractions import Fraction
 
 import pytest
 
-from nilgeo.matrices import Matrix
+from nilgeo.matrices import Matrix, _det
 from nilgeo.models import (
     Arrow,
+    BlockDiagonal,
     CompositionError,
+    FixedIdentity,
+    GeneralLinear,
+    PatternGroup,
+    UnitDeterminant,
     all_models,
     build_model,
     compose,
     invert,
 )
-from nilgeo.sampling import sample_arrow, sample_point, sample_vert
+from nilgeo.sampling import sample_point, sample_rational, sample_vert, sample_weil
 from nilgeo.weil import algebra
 
 
 ALG2 = algebra(["d1", "d2"])
 
 
+def _constant_member(rng, spec, bound):
+    """Random rational matrix satisfying the spec, built by closure."""
+    n = spec.size
+    if isinstance(spec, FixedIdentity):
+        return tuple(
+            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
+            for i in range(n)
+        )
+    if isinstance(spec, PatternGroup):
+        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        for i, j in spec.free:
+            rows[i][j] = sample_rational(rng, bound)
+        return tuple(tuple(r) for r in rows)
+    if isinstance(spec, GeneralLinear):
+        while True:
+            rows = tuple(
+                tuple(sample_rational(rng, bound) for _ in range(n)) for _ in range(n)
+            )
+            if _det(rows) != 0:
+                return rows
+    if isinstance(spec, UnitDeterminant):
+        # product of shears keeps the determinant pinned at one
+        a, b, c = (sample_rational(rng, bound) for _ in range(3))
+        return (
+            (1 + a * b, a + c + a * b * c),
+            (b, 1 + b * c),
+        )
+    if isinstance(spec, BlockDiagonal):
+        first = _constant_member(rng, spec.first, bound)
+        second = _constant_member(rng, spec.second, bound)
+        k = spec.first.size
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(k):
+            for j in range(k):
+                rows[i][j] = first[i][j]
+        for i in range(n - k):
+            for j in range(n - k):
+                rows[k + i][k + j] = second[i][j]
+        return tuple(tuple(r) for r in rows)
+    raise TypeError(f"no sampler for spec {spec!r}")
+
+
+def sample_body(rng, model, grp, alg, bound=Fraction(2)):
+    """Random group member over the full ambient algebra: a random constant
+    member times one perturbation per ambient monomial."""
+    spec = model.spec(grp)
+    body = Matrix.from_rational(_constant_member(rng, spec, bound), alg)
+    size = spec.size
+    if model.lie_basis(grp):
+        for mask in range(1, 1 << len(alg.names)):
+            if mask in alg.killed:
+                continue
+            mono = alg.term(1, alg.mono_names(mask))
+            body = body * (
+                Matrix.identity(size, alg)
+                + sample_vert(rng, model, grp, alg, bound) * mono
+            )
+    return body
+
+
 def random_arrow(rng, model, grp, alg, x=None):
-    return sample_arrow(rng, model, grp, alg, x=x)
+    """Random checked arrow; endpoints may be any Weil-valued points."""
+    if x is None:
+        x = tuple(sample_weil(rng, alg) for _ in range(model.base_dim))
+    y = tuple(sample_weil(rng, alg) for _ in range(model.base_dim))
+    if grp == "L":
+        y = x
+    return model.check(Arrow(model, grp, x, y, sample_body(rng, model, grp, alg)))
 
 
 def test_identity_laws_every_model():
@@ -207,3 +278,96 @@ def test_registry_rejects_unknown_names():
         with pytest.raises(KeyError, match="registry has: heisenberg, direct_product"):
             build_model(name, group)
     assert len(all_models()) == 5
+
+
+# -- table reads against per-entry oracles ----------------------------------------
+
+
+def entry_contains(spec, m):
+    """Oracle: the group tests read entry by entry."""
+    alg, n = m.algebra, m.size
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if n != spec.size:
+        return False
+    if isinstance(spec, PatternGroup):
+        return all(
+            m[i, j] == (alg.one if i == j else alg.zero)
+            for i, j in cells
+            if (i, j) not in spec.free
+        )
+    if isinstance(spec, BlockDiagonal):
+        k = spec.first.size
+        if any(not m[i, j].is_zero() for i, j in cells if (i < k) != (j < k)):
+            return False
+        a = Matrix([[m[i, j] for j in range(k)] for i in range(k)])
+        b = Matrix([[m[i, j] for j in range(k, n)] for i in range(k, n)])
+        return entry_contains(spec.first, a) and entry_contains(spec.second, b)
+    if isinstance(spec, GeneralLinear):
+        return m.det().constant_term() != 0
+    if isinstance(spec, UnitDeterminant):
+        return m.det() == alg.one
+    assert isinstance(spec, FixedIdentity)
+    return m == Matrix.identity(n, alg)
+
+
+def entry_project_vert(model, w):
+    """Oracle: the downstairs part of an H-matrix, rebuilt entry by entry."""
+    z = w.algebra.zero
+    if model.family == "heisenberg":
+        return Matrix(((z, w[0, 1], w[1, 2]), (z, z, z), (z, z, z)))
+    if model.family == "direct_product":
+        return Matrix(((w[0, 0], w[0, 1]), (w[1, 0], w[1, 1])))
+    return Matrix(((z,),))
+
+
+def entry_project(model, h):
+    body = entry_project_vert(model, h.body)
+    if model.family != "direct_product":  # the identity plus the kept part
+        body = Matrix.identity(body.size, h.algebra) + body
+    return Arrow(model, "G", h.source, h.target, body)
+
+
+def _unit(n, i, j, alg):
+    return Matrix.from_rational(
+        [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)], alg
+    )
+
+
+def test_table_reads_match_entry_oracles_on_every_spec():
+    rng = random.Random(11)
+    alg = algebra(["d1", "d2", "d3"])
+    top = alg.term(Fraction(-1, 3), ("d1", "d2", "d3"))
+    for model in all_models():
+        for grp in ("G", "H", "L"):
+            spec = model.spec(grp)
+            n = spec.size
+            for _ in range(3):
+                m = sample_body(rng, model, grp, alg)
+                assert spec.contains(m) and entry_contains(spec, m)
+                # moved at one position, by a constant or by the top monomial
+                for i in range(n):
+                    for j in range(n):
+                        for c in (alg.scalar(2), top):
+                            off = m + _unit(n, i, j, alg) * c
+                            assert spec.contains(off) == entry_contains(spec, off)
+        for _ in range(5):
+            h = random_arrow(rng, model, "H", alg)
+            assert model.project(h) == entry_project(model, h)
+            assert model.project_vert(h.body) == entry_project_vert(model, h.body)
+
+
+def test_members_off_only_at_a_nilpotent_monomial_are_rejected():
+    alg = algebra(["d1", "d2"])
+    d12 = alg.term(1, ("d1", "d2"))
+    for name, group, n, (i, j) in (
+        ("heisenberg", None, 3, (1, 0)),  # off the unipotent3 pattern
+        ("direct_product", None, 3, (0, 2)),  # off the GL2 x GL1 blocks
+        ("trivial_gauge", "sl2", 2, (0, 0)),  # det = 1 + d1 d2
+    ):
+        spec = build_model(name, group).spec("H")
+        bad = Matrix.identity(n, alg) + _unit(n, i, j, alg) * d12
+        assert not spec.contains(bad) and not entry_contains(spec, bad)
+        assert spec.contains(bad.drop(("d2",)))
+    bump = Matrix.identity(2, alg) + _unit(2, 0, 0, alg) * d12
+    assert bump.det() == alg.one + d12
+    assert GeneralLinear(2).contains(bump)

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from nilgeo.matrices import _combination
+from nilgeo.matrices import Matrix, _combination
+from nilgeo.microcalc import make_microcube, scale_arg
+from nilgeo.models import Arrow, build_model
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.weil import WeilAlgebra, WeilElement, algebra
 
@@ -148,6 +150,13 @@ def test_floats_are_rejected_as_coefficients():
     with pytest.raises(TypeError):
         algebra(["d1"]).scalar(0.1)
     alg = algebra(["d1"])
+    with pytest.raises(TypeError):
+        alg.term(0.1, ("d1",))
+    model = build_model("heisenberg")
+    cube = make_microcube(Arrow(model, "G", (), (), Matrix.identity(3, alg)), ("d1",))
+    with pytest.raises(TypeError):
+        scale_arg(cube, 1, 0.5)
+    assert alg.term(Fraction(1, 10), ("d1",)).coeffs == {("d1",): Fraction(1, 10)}
     assert alg.scalar(Fraction(1, 10)).constant_term() == Fraction(1, 10)
     assert Poly(1, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
 
@@ -168,3 +177,11 @@ def test_adding_a_non_polynomial_raises_type_error():
         p + 1
     with pytest.raises(TypeError):
         p - 1
+
+
+def test_poly_matrix_rejects_empty_and_mixed_arity():
+    with pytest.raises(ValueError):
+        PolyMatrix(())
+    with pytest.raises(ValueError):
+        PolyMatrix([[Poly.var(1, 0), Poly(2, {})], [Poly(1, {}), Poly(1, {})]])
+    assert PolyMatrix([[Poly.var(2, 1)]]).trace_is_zero() is False

@@ -7,8 +7,50 @@ from nilgeo.weil import (
     AlgebraMismatch,
     NotInvertible,
     SubstitutionError,
+    _rename_plan,
+    _restrict_plan,
+    _scale_plan,
     algebra,
 )
+
+
+def subs(x, mapping, into=None):
+    """Oracle: the ring homomorphism determined by generator images.
+
+    Each image must be 0 or an element of the target algebra whose square
+    is exactly zero; unmapped generators keep their names."""
+    target = into if into is not None else x.algebra
+    images = {}
+    for name, img in mapping.items():
+        x.algebra.gen_bit(name)  # the generator must exist
+        if isinstance(img, (int, Fraction)):
+            if img != 0:
+                raise SubstitutionError(f"constant image {img} for {name} is not square-zero")
+            img = target.zero
+        elif img.algebra != target:
+            raise AlgebraMismatch(f"image of {name} lives in {img.algebra!r}, not the target")
+        elif not (img * img).is_zero():
+            raise SubstitutionError(f"image of {name} is not square-zero")
+        images[name] = img
+    out = target.zero
+    for names, c in x.coeffs.items():
+        term = target.scalar(c)
+        for g in names:
+            term = term * (images[g] if g in images else target.gen(g))
+        out = out + term
+    return out
+
+
+def rename(x, mapping):
+    return x._apply(_rename_plan(x.algebra, tuple(mapping.items())))
+
+
+def scale_gen(x, name, a):
+    return x._apply(_scale_plan(x.algebra, name, a))
+
+
+def restrict(x, kill):
+    return x._apply(_restrict_plan(x.algebra.kill(kill)))
 
 
 def D(n):
@@ -104,14 +146,14 @@ def test_powers_and_division():
 def test_restrict_deletes_killed_coefficients():
     a = D(2)
     x = a.one + a.gen("d1") + 5 * a.term(1, ("d1", "d2"))
-    y = x.restrict([("d1", "d2")])
+    y = restrict(x, [("d1", "d2")])
     assert y == y.algebra.one + y.algebra.gen("d1")
 
 
 def test_restrict_nothing_is_identity():
     a = D(2)
     x = a.one + a.gen("d1")
-    assert x.restrict([]) is x
+    assert restrict(x, []) == x
 
 
 def test_restrict_to_wedge_quotient():
@@ -119,7 +161,7 @@ def test_restrict_to_wedge_quotient():
     x = big.one + big.gen("d1") + big.term(1, ("d1", "e")) + big.term(
         2, ("d1", "d2", "e")
     )
-    y = x.restrict([("d1", "e"), ("d2", "e")])
+    y = restrict(x, [("d1", "e"), ("d2", "e")])
     wedge = algebra(["d1", "d2", "e"], killed=[("d1", "e"), ("d2", "e")])
     assert y.algebra == wedge
     assert y == wedge.one + wedge.gen("d1")
@@ -134,7 +176,7 @@ def test_substitute_monomial_target():
     src = algebra(["e"])
     tgt = D(2)
     x = src.one + src.gen("e")
-    assert x.subs({"e": tgt.term(1, ("d1", "d2"))}, into=tgt) == tgt.one + tgt.term(
+    assert subs(x, {"e": tgt.term(1, ("d1", "d2"))}, into=tgt) == tgt.one + tgt.term(
         1, ("d1", "d2")
     )
 
@@ -142,13 +184,13 @@ def test_substitute_monomial_target():
 def test_substitute_zero_evaluates():
     a = D(2)
     x = a.one + a.gen("d1") + a.term(1, ("d1", "d2"))
-    assert x.subs({"d2": 0}) == a.one + a.gen("d1")
+    assert subs(x, {"d2": 0}) == a.one + a.gen("d1")
 
 
 def test_substitute_scaled_generator():
     a = D(2)
     x = a.one + a.gen("d1") + 3 * a.term(1, ("d1", "d2"))
-    got = x.subs({"d1": 2 * a.gen("d1")})
+    got = subs(x, {"d1": 2 * a.gen("d1")})
     assert got == a.one + 2 * a.gen("d1") + 6 * a.term(1, ("d1", "d2"))
 
 
@@ -157,7 +199,7 @@ def test_substitute_rejects_non_square_zero_target():
     tgt = D(2)
     bad = tgt.gen("d1") + tgt.gen("d2")  # square is 2*d1*d2, nonzero
     with pytest.raises(SubstitutionError):
-        (src.one + src.gen("e")).subs({"e": bad}, into=tgt)
+        subs(src.one + src.gen("e"), {"e": bad}, into=tgt)
 
 
 def test_substitute_sum_allowed_once_product_killed():
@@ -165,7 +207,7 @@ def test_substitute_sum_allowed_once_product_killed():
     tgt = D2()
     img = tgt.gen("d1") + tgt.gen("d2")
     t = src.one + 5 * src.gen("d")
-    assert t.subs({"d": img}, into=tgt) == tgt.one + 5 * img
+    assert subs(t, {"d": img}, into=tgt) == tgt.one + 5 * img
 
 
 def test_rename_matches_general_substitution():
@@ -174,15 +216,15 @@ def test_rename_matches_general_substitution():
     for _ in range(30):
         x = random_element(rng, a)
         mapping = {"d1": "d2", "d2": "d1"}
-        want = x.subs({k: a.gen(v) for k, v in mapping.items()})
-        assert x.rename(mapping) == want
+        want = subs(x, {k: a.gen(v) for k, v in mapping.items()})
+        assert rename(x, mapping) == want
 
 
 def test_rename_collision_is_rejected():
     a = D(2)
     x = a.term(1, ("d1", "d2"))
     with pytest.raises(SubstitutionError):
-        x.rename({"d1": "d2"})
+        rename(x, {"d1": "d2"})
 
 
 def test_scale_gen_matches_general_substitution():
@@ -191,7 +233,7 @@ def test_scale_gen_matches_general_substitution():
     for _ in range(30):
         x = random_element(rng, a)
         q = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-        assert x.scale_gen("d2", q) == x.subs({"d2": a.gen("d2") * q})
+        assert scale_gen(x, "d2", q) == subs(x, {"d2": a.gen("d2") * q})
 
 
 def test_permutation_substitutions_compose():
@@ -208,7 +250,7 @@ def test_permutation_substitutions_compose():
         s2 = {g: a.gen(h) for g, h in zip(names, p2)}
         two = dict(zip(names, p2))
         combined = {g: a.gen(two[p1[i]]) for i, g in enumerate(names)}
-        assert x.subs(s1).subs(s2) == x.subs(combined)
+        assert subs(subs(x, s1), s2) == subs(x, combined)
 
 
 # -- ring laws ----------------------------------------------------------------
@@ -247,7 +289,7 @@ def test_restrict_is_algebra_map():
     for _ in range(60):
         a = random_element(rng, alg)
         b = random_element(rng, alg)
-        assert (a * b).restrict(kill) == a.restrict(kill) * b.restrict(kill)
+        assert restrict(a * b, kill) == restrict(a, kill) * restrict(b, kill)
 
 
 # -- misc ---------------------------------------------------------------------
@@ -325,3 +367,53 @@ def test_sparse_product_matches_pair_loop():
         a = random_element(rng, alg)
         b = alg.scalar(rng.randint(-3, 3)) + rng.randint(-3, 3) * alg.gen("d2")
         assert (a * b).coeffs == pair_loop_product(a, b)
+
+
+# -- mask plans -----------------------------------------------------------------
+
+
+def _subsets(names):
+    return [
+        tuple(g for k, g in enumerate(names) if m >> k & 1)
+        for m in range(1 << len(names))
+    ]
+
+
+def _rebuild(target, terms):
+    """Oracle: the sum of target.term(c, names) over the (names, c) terms."""
+    return sum((target.term(c, names) for names, c in terms), target.zero)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [D(3), algebra(["d1", "d2", "d3"], killed=[("d1", "d3")])],
+    ids=["d1d2d3", "d1d3-killed"],
+)
+def test_every_plan_matches_its_oracle_on_every_subset(alg):
+    rng = random.Random(40 + len(alg.killed))
+    dead = [alg.mono_names(m) for m in alg.killed]
+    wide = algebra(["d3", "e", "d2", "d1"], killed=dead)  # reordered, one more name
+    for _ in range(10):
+        x = random_element(rng, alg)
+        terms = list(x.coeffs.items())
+        for names in _subsets(alg.names):
+            gone = set(names)
+            assert x.drop(names) == _rebuild(
+                alg, [(k, c) for k, c in terms if not gone & set(k)]
+            )
+            assert x.coefficient(names) == _rebuild(
+                alg,
+                [(tuple(g for g in k if g not in gone), c) for k, c in terms if gone <= set(k)],
+            )
+            assert restrict(x, [names]) == _rebuild(alg.kill([names]), terms)
+            cycle = dict(zip(names, names[1:] + names[:1]))
+            assert rename(x, cycle) == subs(x, {g: alg.gen(h) for g, h in cycle.items()})
+            for g in names:
+                q = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                assert scale_gen(x, g, q) == subs(x, {g: q * alg.gen(g)})
+        assert x.convert(wide) == _rebuild(wide, terms)
+        assert x.convert(wide).convert(alg) == x
+        if x.coefficient(("d1", "d2")).is_zero():
+            continue
+        with pytest.raises(AlgebraMismatch):
+            x.convert(algebra(alg.names, killed=dead + [("d1", "d2")]))
