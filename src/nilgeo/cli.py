@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .models import all_models, build_model
@@ -45,18 +45,7 @@ class RunConfig:
     mutation: bool = False
 
 
-_KEYS = {
-    "model",
-    "structure_group",
-    "base_dim",
-    "connection",
-    "coeff_bound",
-    "poly_degree",
-    "seed",
-    "trials",
-    "suite",
-    "mutation",
-}
+_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_rational(text: str, lineno: int) -> Fraction:
@@ -169,7 +158,7 @@ def run_suite(cfg: RunConfig) -> tuple[int, list[str]]:
             results.extend(nonzero_curvature_witnesses(model.name))
         if suite_name == "bianchi" and cfg.mutation:
             rng = random.Random(f"{cfg.seed}:{model.name}:mutation")
-            results.append(check_bianchi_mutation(model, rng, params))
+            results.extend(check_bianchi_mutation(model, rng, 1, params))
     lines = [f"1..{len(results)}"]
     passed = 0
     trial_index: dict[str, int] = {}

@@ -37,7 +37,7 @@ from .models import (
     invert,
 )
 from .polynomials import PolyMatrix
-from .weil import WeilAlgebra, algebra
+from .weil import WeilAlgebra, _exact, algebra
 
 
 class ConnectionError_(ValueError):
@@ -55,7 +55,7 @@ class SplittingConnection:
     def __init__(self, model: GroupoidModel, images: Sequence):
         self.model = model
         self.images = tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in img) for img in images
+            tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
         )
         basis = model.lie_basis("G")
         if len(self.images) != len(basis):
@@ -102,6 +102,8 @@ class GaugeConnection:
         for pm in coeffs:
             if pm.size != size:
                 raise ConnectionError_("coefficient size must match the structure group")
+            if pm.nvars != model.base_dim:
+                raise ConnectionError_("coefficients must take one variable per base axis")
             if model.structure == "sl2" and not pm.trace_is_zero():
                 raise ConnectionError_("sl2 coefficients must be traceless")
         self.model = model

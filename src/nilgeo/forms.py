@@ -42,6 +42,7 @@ from .microcalc import (
 )
 from .models import GroupoidModel, compose, compose_all, invert
 from .polynomials import PolyMatrix
+from .weil import _exact
 
 
 class FormError(ValueError):
@@ -75,6 +76,8 @@ def gauge_one_form(model: GroupoidModel, coeffs: Sequence[PolyMatrix]) -> Form:
     """One-form on a coordinate base from per-axis coefficient matrices."""
     if len(coeffs) != model.base_dim:
         raise FormError("one coefficient matrix per base axis")
+    if any(pm.nvars != model.base_dim for pm in coeffs):
+        raise FormError("coefficients must take one variable per base axis")
 
     def fn(t: Microcube) -> TangentData:
         td = from_tangent(t)
@@ -97,7 +100,7 @@ def splitting_one_form(model: GroupoidModel, images: Sequence) -> Form:
     coordinates into the kernel's coefficient matrices."""
 
     imgs = tuple(
-        tuple(tuple(Fraction(v) for v in row) for row in img) for img in images
+        tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
     )
 
     def fn(t: Microcube) -> TangentData:

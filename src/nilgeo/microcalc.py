@@ -32,8 +32,8 @@ from .models import (
 )
 from .polynomials import Poly, PolyMatrix
 from .weil import (
-    Scalar, WeilAlgebra, WeilElement, _Plan, _drop_plan, _rename_plan, _restrict_plan,
-    _scale_plan,
+    Scalar, WeilAlgebra, WeilElement, _Plan, _drop_plan, _exact, _rename_plan,
+    _restrict_plan, _scale_plan,
 )
 
 
@@ -419,7 +419,7 @@ class ConstantSection(Section):
     def __init__(self, model: GroupoidModel, grp: str, vert_rows):
         self.model = model
         self.grp = grp
-        self.vert_rows = tuple(tuple(Fraction(v) for v in r) for r in vert_rows)
+        self.vert_rows = tuple(tuple(Fraction(_exact(v)) for v in r) for r in vert_rows)
 
     def at(self, x: Point, alg: WeilAlgebra) -> TangentData:
         return TangentData(

@@ -146,8 +146,12 @@ class PolyMatrix:
     def size(self) -> int:
         return len(self.rows)
 
+    @property
+    def nvars(self) -> int:
+        return self.rows[0][0].nvars
+
     def __call__(self, coords: Sequence[WeilElement]) -> Matrix:
-        if len(coords) != self.rows[0][0].nvars:
+        if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
         entries = [p for r in self.rows for p in r]
         mono = _monomials(coords, (e for p in entries for e in p.terms))
@@ -161,7 +165,7 @@ class PolyMatrix:
         return PolyMatrix(tuple(tuple(p.partial(i) for p in r) for r in self.rows))
 
     def trace_is_zero(self) -> bool:
-        acc = Poly(self.rows[0][0].nvars, {})
+        acc = Poly(self.nvars, {})
         for i in range(self.size):
             acc = acc + self.rows[i][i]
         return not acc.terms

@@ -1,12 +1,18 @@
 """Property suites: every verified identity as a seeded, repeatable check.
 
-Each check function takes a model, a `random.Random`, a trial count and the
-run parameters, and returns one `TrialResult` per trial.  The CLI prints
-them in the line protocol; the acceptance tests call them directly.
+Each check is written as one trial: given a model, a `random.Random` and
+the run parameters, it returns `ok` or `(ok, note)`.  `_trials` registers
+it under its property id and builds the check that the CLI and the
+acceptance tests call, `check(model, rng, trials, params)`, which returns
+one `TrialResult` per trial.  That loop is the one place that repeats,
+labels and isolates trials: a trial that raises becomes a failed result
+noted `error: <Type>: <msg>`, and the next trial goes on with the same
+generator.  The CLI prints the results in the line protocol.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +24,6 @@ from .bianchi import (
     verify_classical_bianchi,
 )
 from .connection import (
-    CurvatureError,
     LiftedSection,
     curvature,
     curvature_via_strong_diff,
@@ -26,7 +31,6 @@ from .connection import (
     structure_equation,
 )
 from .forms import (
-    FormError,
     curvature_form,
     d_nabla,
     gauge_one_form,
@@ -80,121 +84,140 @@ class SuiteParams:
     degree: int = 2
 
 
+def _trials(prop_id: str):
+    """Register one trial as the check `check(model, rng, trials, params)`.
+
+    The check keeps the trial's name, which seeds its generator, and labels
+    every result `prop_id`."""
+
+    def register(trial):
+        @functools.wraps(trial)
+        def check(model, rng, trials, params) -> list[TrialResult]:
+            out = []
+            for _ in range(trials):
+                try:
+                    got = trial(model, rng, params)
+                except Exception as exc:
+                    got = False, f"error: {type(exc).__name__}: {exc}"
+                ok, note = got if isinstance(got, tuple) else (got, "")
+                out.append(TrialResult(prop_id, ok, note))
+            return out
+
+        return check
+
+    return register
+
+
 def _connection(model, rng, params: SuiteParams):
     if params.connection.startswith("preset:"):
         return preset_connection(model, params.connection.split(":", 1)[1])
     return sample_connection(rng, model, bound=params.bound, degree=params.degree)
 
 
+ALG0 = algebra([])
 ALG1 = algebra(["d1"])
 ALG2 = algebra(["d1", "d2"])
 ALG3 = algebra(["d1", "d2", "d3"])
 PAIRED = algebra(["d1", "d2"], killed=[("d1", "d2")])
 
 
+def _square(rng, model, params):
+    return sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
+
+
+def _cube(rng, model, params):
+    return sample_microcube(rng, model, "G", ("d1", "d2", "d3"), ALG3, bound=params.bound)
+
+
 # ---------------------------------------------------------------------------
 # algebra suite
 
+RING_ALGEBRAS = tuple(algebra([f"d{i}" for i in range(1, n + 1)]) for n in (1, 2, 3, 4))
 
-def check_weil_ring(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    algebras = [algebra([f"d{i}" for i in range(1, n + 1)]) for n in (1, 2, 3, 4)]
-    for t in range(trials):
-        ok = True
-        for alg in algebras:
-            a = sample_weil(rng, alg, params.bound)
-            b = sample_weil(rng, alg, params.bound)
-            c = sample_weil(rng, alg, params.bound)
-            if (a * b) * c != a * (b * c) or a * b != b * a:
-                ok = False
-            if a * (b + c) != a * b + a * c:
-                ok = False
-            if a.constant_term() == 0:
-                a = a + 1
-            inv = a.invert()
-            if a * inv != alg.one or inv * a != alg.one:
-                ok = False
-        out.append(TrialResult("weil-ring", ok))
-    return out
+
+@_trials("weil-ring")
+def check_weil_ring(model, rng, params):
+    ok = True
+    for alg in RING_ALGEBRAS:
+        a = sample_weil(rng, alg, params.bound)
+        b = sample_weil(rng, alg, params.bound)
+        c = sample_weil(rng, alg, params.bound)
+        if (a * b) * c != a * (b * c) or a * b != b * a:
+            ok = False
+        if a * (b + c) != a * b + a * c:
+            ok = False
+        if a.constant_term() == 0:
+            a = a + 1
+        inv = a.invert()
+        if a * inv != alg.one or inv * a != alg.one:
+            ok = False
+    return ok
 
 
 # ---------------------------------------------------------------------------
 # tangent suite
 
 
-def check_prop_1_1(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        sec = sample_section(rng, model, "G", params.degree, params.bound)
-        x = sample_point(rng, model, PAIRED, params.bound)
-        ga, gb = PAIRED.gen("d1"), PAIRED.gen("d2")
-        lhs = bisection_at(sec, ga + gb, x)
-        first = bisection_at(sec, gb, x)
-        one_way = compose(bisection_at(sec, ga, first.target), first)
-        second = bisection_at(sec, ga, x)
-        other_way = compose(bisection_at(sec, gb, second.target), second)
-        ok = lhs == one_way == other_way
-        # inverse law: walking back along -d undoes the step
-        x1 = sample_point(rng, model, ALG1, params.bound)
-        step = bisection_at(sec, ALG1.gen("d1"), x1)
-        back = compose(bisection_at(sec, -ALG1.gen("d1"), step.target), step)
-        ok = ok and back == model.identity("G", x1, ALG1)
-        if model.base_dim == 0:
-            ok = ok and bisection_at(sec, -ALG1.gen("d1"), x1) == invert(step)
-        out.append(TrialResult("prop-1.1", ok))
-    return out
+@_trials("prop-1.1")
+def check_prop_1_1(model, rng, params):
+    sec = sample_section(rng, model, "G", params.degree, params.bound)
+    x = sample_point(rng, model, PAIRED, params.bound)
+    ga, gb = PAIRED.gen("d1"), PAIRED.gen("d2")
+    lhs = bisection_at(sec, ga + gb, x)
+    first = bisection_at(sec, gb, x)
+    one_way = compose(bisection_at(sec, ga, first.target), first)
+    second = bisection_at(sec, ga, x)
+    other_way = compose(bisection_at(sec, gb, second.target), second)
+    ok = lhs == one_way == other_way
+    # inverse law: walking back along -d undoes the step
+    x1 = sample_point(rng, model, ALG1, params.bound)
+    step = bisection_at(sec, ALG1.gen("d1"), x1)
+    back = compose(bisection_at(sec, -ALG1.gen("d1"), step.target), step)
+    ok = ok and back == model.identity("G", x1, ALG1)
+    if model.base_dim == 0:
+        ok = ok and bisection_at(sec, -ALG1.gen("d1"), x1) == invert(step)
+    return ok
 
 
-def check_prop_1_2(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        xs = sample_section(rng, model, "G", params.degree, params.bound)
-        ys = sample_section(rng, model, "G", params.degree, params.bound)
-        x = sample_point(rng, model, ALG1, params.bound)
-        d = ALG1.gen("d1")
-        lhs = bisection_at(xs + ys, d, x)
-        a1 = bisection_at(xs, d, x)
-        path1 = compose(bisection_at(ys, d, a1.target), a1)
-        b1 = bisection_at(ys, d, x)
-        path2 = compose(bisection_at(xs, d, b1.target), b1)
-        ok = lhs == path1 == path2
-        # scaled parameters in shared directions still commute
-        x3 = sample_point(rng, model, ALG3, params.bound)
-        w1 = ALG3.term(1, ("d1", "d2"))
-        w2 = ALG3.term(1, ("d1", "d3"))
-        c1 = bisection_at(xs, w1, x3)
-        c2 = bisection_at(ys, w2, c1.target)
-        e1 = bisection_at(ys, w2, x3)
-        e2 = bisection_at(xs, w1, e1.target)
-        ok = ok and compose(c2, c1) == compose(e2, e1)
-        out.append(TrialResult("prop-1.2", ok))
-    return out
+@_trials("prop-1.2")
+def check_prop_1_2(model, rng, params):
+    xs = sample_section(rng, model, "G", params.degree, params.bound)
+    ys = sample_section(rng, model, "G", params.degree, params.bound)
+    x = sample_point(rng, model, ALG1, params.bound)
+    d = ALG1.gen("d1")
+    lhs = bisection_at(xs + ys, d, x)
+    a1 = bisection_at(xs, d, x)
+    path1 = compose(bisection_at(ys, d, a1.target), a1)
+    b1 = bisection_at(ys, d, x)
+    path2 = compose(bisection_at(xs, d, b1.target), b1)
+    ok = lhs == path1 == path2
+    # scaled parameters in shared directions still commute
+    x3 = sample_point(rng, model, ALG3, params.bound)
+    w1 = ALG3.term(1, ("d1", "d2"))
+    w2 = ALG3.term(1, ("d1", "d3"))
+    c1 = bisection_at(xs, w1, x3)
+    c2 = bisection_at(ys, w2, c1.target)
+    e1 = bisection_at(ys, w2, x3)
+    e2 = bisection_at(xs, w1, e1.target)
+    return ok and compose(c2, c1) == compose(e2, e1)
 
 
-def check_prop_1_3(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        xs = sample_section(rng, model, "G", params.degree, params.bound)
-        ys = sample_section(rng, model, "G", params.degree, params.bound)
-        x = sample_point(rng, model, algebra([]), params.bound)
-        alg = algebra([])
-        try:
-            s = bracket_sections(xs, ys, x, alg)
-        except Exception as exc:  # extraction asserts are part of the claim
-            out.append(TrialResult("prop-1.3", False, str(exc)))
-            continue
-        # the bracket is the unique tangent matching the word at products
-        ext = algebra(["u", "v"])
-        xe = tuple(c.convert(ext) for c in x)
-        gu, gv = ext.gen("u"), ext.gen("v")
-        a1 = bisection_at(xs, gu, xe)
-        a2 = bisection_at(ys, gv, a1.target)
-        a3 = bisection_at(xs, -gu, a2.target)
-        a4 = bisection_at(ys, -gv, a3.target)
-        word = compose(a4, compose(a3, compose(a2, a1)))
-        ok = s.convert(ext).arrow_at(gu * gv) == word
-        out.append(TrialResult("prop-1.3", ok))
-    return out
+@_trials("prop-1.3")
+def check_prop_1_3(model, rng, params):
+    xs = sample_section(rng, model, "G", params.degree, params.bound)
+    ys = sample_section(rng, model, "G", params.degree, params.bound)
+    x = sample_point(rng, model, ALG0, params.bound)
+    s = bracket_sections(xs, ys, x, ALG0)  # extraction asserts are part of the claim
+    # the bracket is the unique tangent matching the word at products
+    ext = algebra(["u", "v"])
+    xe = tuple(c.convert(ext) for c in x)
+    gu, gv = ext.gen("u"), ext.gen("v")
+    a1 = bisection_at(xs, gu, xe)
+    a2 = bisection_at(ys, gv, a1.target)
+    a3 = bisection_at(xs, -gu, a2.target)
+    a4 = bisection_at(ys, -gv, a3.target)
+    word = compose(a4, compose(a3, compose(a2, a1)))
+    return s.convert(ext).arrow_at(gu * gv) == word
 
 
 def _group_tangent(rng, model, x, alg, bound):
@@ -202,311 +225,245 @@ def _group_tangent(rng, model, x, alg, bound):
     return TangentData(model, "H", x, zeros, sample_vert(rng, model, "H", alg, bound))
 
 
-def check_thm_1_4(model, rng, trials, params) -> list[TrialResult]:
-    scalars = (-2, -1, 0, Fraction(1, 2), 1, 3)
-    alg = algebra([])
-    out = []
-    for t in range(trials):
-        x = sample_point(rng, model, alg, params.bound)
-        t1 = _group_tangent(rng, model, x, alg, params.bound)
-        t2 = _group_tangent(rng, model, x, alg, params.bound)
-        t3 = _group_tangent(rng, model, x, alg, params.bound)
-        ok = bracket(t1, t2).same_as(-bracket(t2, t1))
-        ok = ok and bracket(t1, t1).is_zero()
-        t13, t23 = bracket(t1, t3), bracket(t2, t3)
-        t31, t32 = bracket(t3, t1), bracket(t3, t2)
-        for a in scalars:
-            lhs = bracket(t1.scale(a) + t2, t3)
-            ok = ok and lhs.same_as(t13.scale(a) + t23)
-            lhs2 = bracket(t3, t1.scale(a) + t2)
-            ok = ok and lhs2.same_as(t31.scale(a) + t32)
-        jac = (
-            bracket(t1, bracket(t2, t3))
-            + bracket(t2, bracket(t3, t1))
-            + bracket(t3, bracket(t1, t2))
-        )
-        ok = ok and jac.is_zero()
-        out.append(TrialResult("thm-1.4", ok))
-    return out
+@_trials("thm-1.4")
+def check_thm_1_4(model, rng, params):
+    x = sample_point(rng, model, ALG0, params.bound)
+    t1 = _group_tangent(rng, model, x, ALG0, params.bound)
+    t2 = _group_tangent(rng, model, x, ALG0, params.bound)
+    t3 = _group_tangent(rng, model, x, ALG0, params.bound)
+    ok = bracket(t1, t2).same_as(-bracket(t2, t1))
+    ok = ok and bracket(t1, t1).is_zero()
+    t13, t23 = bracket(t1, t3), bracket(t2, t3)
+    t31, t32 = bracket(t3, t1), bracket(t3, t2)
+    for a in (-2, -1, 0, Fraction(1, 2), 1, 3):
+        lhs = bracket(t1.scale(a) + t2, t3)
+        ok = ok and lhs.same_as(t13.scale(a) + t23)
+        lhs2 = bracket(t3, t1.scale(a) + t2)
+        ok = ok and lhs2.same_as(t31.scale(a) + t32)
+    jac = (
+        bracket(t1, bracket(t2, t3))
+        + bracket(t2, bracket(t3, t1))
+        + bracket(t3, bracket(t1, t2))
+    )
+    return ok and jac.is_zero()
 
 
-def check_prop_1_5(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        g1 = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
-        g2 = perturbed_square(rng, g1, params.bound)
-        g3 = perturbed_square(rng, g1, params.bound)
-        total = strong_diff(g2, g1) + strong_diff(g3, g2) + strong_diff(g1, g3)
-        out.append(TrialResult("prop-1.5", total.is_zero()))
-    return out
+@_trials("prop-1.5")
+def check_prop_1_5(model, rng, params):
+    g1 = _square(rng, model, params)
+    g2 = perturbed_square(rng, g1, params.bound)
+    g3 = perturbed_square(rng, g1, params.bound)
+    total = strong_diff(g2, g1) + strong_diff(g3, g2) + strong_diff(g1, g3)
+    return total.is_zero()
 
 
 # ---------------------------------------------------------------------------
 # lift suite
 
 
-def check_prop_3_1(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        cube = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
-        lifted = lift(conn, cube)
-        ok = True
-        for i in (1, 2):
-            for a in (0, 1, -1, 2, Fraction(1, 2)):
-                if lift(conn, scale_arg(cube, i, a)) != scale_arg(lifted, i, a):
-                    ok = False
-        out.append(TrialResult("prop-3.1", ok))
-    return out
+@_trials("prop-3.1")
+def check_prop_3_1(model, rng, params):
+    conn = _connection(model, rng, params)
+    cube = _square(rng, model, params)
+    lifted = lift(conn, cube)
+    ok = True
+    for i in (1, 2):
+        for a in (0, 1, -1, 2, Fraction(1, 2)):
+            if lift(conn, scale_arg(cube, i, a)) != scale_arg(lifted, i, a):
+                ok = False
+    return ok
 
 
-def check_cor_3_2(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        g1 = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
-        g2 = perturbed_square(rng, g1, params.bound)
-        ok = lift(conn, diff1(g2, g1)) == diff1(lift(conn, g2), lift(conn, g1))
-        ok = ok and lift(conn, diff2(g2, g1)) == diff2(lift(conn, g2), lift(conn, g1))
-        out.append(TrialResult("cor-3.2", ok))
-    return out
+@_trials("cor-3.2")
+def check_cor_3_2(model, rng, params):
+    conn = _connection(model, rng, params)
+    g1 = _square(rng, model, params)
+    g2 = perturbed_square(rng, g1, params.bound)
+    ok = lift(conn, diff1(g2, g1)) == diff1(lift(conn, g2), lift(conn, g1))
+    return ok and lift(conn, diff2(g2, g1)) == diff2(lift(conn, g2), lift(conn, g1))
 
 
-def check_prop_3_3(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        x = sample_point(rng, model, ALG2, params.bound)
-        direction = tuple(
-            ALG2.scalar(sample_rational(rng, params.bound))
-            for _ in range(model.base_dim)
-        )
-        td = TangentData(
-            model, "G", x, direction, sample_vert(rng, model, "G", ALG2, params.bound)
-        )
-        lhs = lift(conn, degenerate_square(td, ("d1", "d2"), ALG2))
-        rhs = degenerate_square(conn.apply(td), ("d1", "d2"), ALG2)
-        out.append(TrialResult("prop-3.3", lhs == rhs))
-    return out
+@_trials("prop-3.3")
+def check_prop_3_3(model, rng, params):
+    conn = _connection(model, rng, params)
+    x = sample_point(rng, model, ALG2, params.bound)
+    direction = tuple(
+        ALG2.scalar(sample_rational(rng, params.bound)) for _ in range(model.base_dim)
+    )
+    td = TangentData(
+        model, "G", x, direction, sample_vert(rng, model, "G", ALG2, params.bound)
+    )
+    lhs = lift(conn, degenerate_square(td, ("d1", "d2"), ALG2))
+    return lhs == degenerate_square(conn.apply(td), ("d1", "d2"), ALG2)
 
 
-def check_thm_3_4(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        g1 = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
-        g2 = perturbed_square(rng, g1, params.bound)
-        lhs = conn.apply(strong_diff(g2, g1))
-        rhs = strong_diff(lift(conn, g2), lift(conn, g1))
-        ok = lhs.same_as(rhs)
-        # the two-step difference chain reproduces the degenerate square
-        chain = diff2(diff1(g2, g1), tau(g1, 2))
-        ok = ok and chain == degenerate_square(strong_diff(g2, g1), ("d1", "d2"), ALG2)
-        out.append(TrialResult("thm-3.4", ok))
-    return out
+@_trials("thm-3.4")
+def check_thm_3_4(model, rng, params):
+    conn = _connection(model, rng, params)
+    g1 = _square(rng, model, params)
+    g2 = perturbed_square(rng, g1, params.bound)
+    lhs = conn.apply(strong_diff(g2, g1))
+    rhs = strong_diff(lift(conn, g2), lift(conn, g1))
+    ok = lhs.same_as(rhs)
+    # the two-step difference chain reproduces the degenerate square
+    chain = diff2(diff1(g2, g1), tau(g1, 2))
+    return ok and chain == degenerate_square(strong_diff(g2, g1), ("d1", "d2"), ALG2)
 
 
 # ---------------------------------------------------------------------------
 # curvature suite
 
 
-def check_prop_4_1(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        cube = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
-        try:
-            value = curvature(conn, cube)  # edge and kernel checks run inside
-            ok = all(c.is_zero() for c in value.direction)
-        except CurvatureError as exc:
-            out.append(TrialResult("prop-4.1", False, str(exc)))
-            continue
-        out.append(TrialResult("prop-4.1", ok))
-    return out
+@_trials("prop-4.1")
+def check_prop_4_1(model, rng, params):
+    conn = _connection(model, rng, params)
+    cube = _square(rng, model, params)
+    value = curvature(conn, cube)  # edge and kernel checks run inside
+    return all(c.is_zero() for c in value.direction)
 
 
-def check_prop_4_2(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        cube = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
-        problems = validate_form(curvature_form(conn), [cube])
-        out.append(TrialResult("prop-4.2", problems == [], "; ".join(problems)))
-    return out
+@_trials("prop-4.2")
+def check_prop_4_2(model, rng, params):
+    conn = _connection(model, rng, params)
+    problems = validate_form(curvature_form(conn), [_square(rng, model, params)])
+    return problems == [], "; ".join(problems)
 
 
-def check_prop_4_3(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        xs = sample_section(rng, model, "G", params.degree, params.bound)
-        ys = sample_section(rng, model, "G", params.degree, params.bound)
-        x = sample_point(rng, model, ALG2, params.bound)
-        square = bisection_product(ys, xs, x, ("d1", "d2"), ALG2)
-        lifted = lift(conn, square)
-        product = bisection_product(
-            LiftedSection(conn, ys), LiftedSection(conn, xs), x, ("d1", "d2"), ALG2
-        )
-        out.append(TrialResult("prop-4.3", lifted == product))
-    return out
+@_trials("prop-4.3")
+def check_prop_4_3(model, rng, params):
+    conn = _connection(model, rng, params)
+    xs = sample_section(rng, model, "G", params.degree, params.bound)
+    ys = sample_section(rng, model, "G", params.degree, params.bound)
+    x = sample_point(rng, model, ALG2, params.bound)
+    lifted = lift(conn, bisection_product(ys, xs, x, ("d1", "d2"), ALG2))
+    product = bisection_product(
+        LiftedSection(conn, ys), LiftedSection(conn, xs), x, ("d1", "d2"), ALG2
+    )
+    return lifted == product
 
 
-def check_prop_4_5(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        cube = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
-        a = curvature(conn, cube)
-        b = curvature_via_strong_diff(conn, cube)
-        out.append(TrialResult("prop-4.5", a.same_as(b)))
-    return out
+@_trials("prop-4.5")
+def check_prop_4_5(model, rng, params):
+    conn = _connection(model, rng, params)
+    cube = _square(rng, model, params)
+    return curvature(conn, cube).same_as(curvature_via_strong_diff(conn, cube))
 
 
-def check_thm_4_4(model, rng, trials, params) -> list[TrialResult]:
-    alg = algebra([])
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        xs = sample_section(rng, model, "G", params.degree, params.bound)
-        ys = sample_section(rng, model, "G", params.degree, params.bound)
-        x = sample_point(rng, model, alg, params.bound)
-        lhs, rhs = structure_equation(conn, xs, ys, x, alg)
-        out.append(TrialResult("thm-4.4", lhs.same_as(rhs)))
-    return out
+@_trials("thm-4.4")
+def check_thm_4_4(model, rng, params):
+    conn = _connection(model, rng, params)
+    xs = sample_section(rng, model, "G", params.degree, params.bound)
+    ys = sample_section(rng, model, "G", params.degree, params.bound)
+    x = sample_point(rng, model, ALG0, params.bound)
+    lhs, rhs = structure_equation(conn, xs, ys, x, ALG0)
+    return lhs.same_as(rhs)
+
+
+def _heisenberg_witness() -> bool:
+    heis = build_model("heisenberg")
+    conn = preset_connection(heis)
+    xs = ConstantSection(heis, "G", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    ys = ConstantSection(heis, "G", [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    omega = curvature(conn, bisection_product(ys, xs, (), ("d1", "d2"), ALG2))
+    return omega.vert == Matrix.from_rational([[0, 0, 1], [0, 0, 0], [0, 0, 0]], ALG2)
+
+
+def _abelian_gauge_witness() -> bool:
+    gauge = build_model("trivial_gauge", "scalar")
+    conn = preset_connection(gauge, "x1dx2")
+    x = (ALG2.scalar(Fraction(1, 2)), ALG2.scalar(-3))
+    target = (x[0] + ALG2.gen("d1"), x[1] + ALG2.gen("d2"))
+    square = make_microcube(
+        Arrow(gauge, "G", x, target, Matrix.identity(1, ALG2)), ("d1", "d2")
+    )
+    omega = curvature(conn, square)
+    return omega.vert == Matrix.from_rational([[1]], ALG2)
+
+
+# model name -> (builder of the pinned nonflat value, report note)
+_WITNESSES = {
+    "heisenberg": (_heisenberg_witness, "heisenberg witness"),
+    "trivial_gauge[scalar]": (_abelian_gauge_witness, "abelian gauge witness"),
+}
 
 
 def nonzero_curvature_witnesses(only_model: str | None = None) -> list[TrialResult]:
     """The shipped nonflat witnesses, pinned to their exact values."""
-    out = []
-    if only_model in (None, "heisenberg"):
-        heis = build_model("heisenberg")
-        conn = preset_connection(heis)
-        xs = ConstantSection(heis, "G", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-        ys = ConstantSection(heis, "G", [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-        square = bisection_product(ys, xs, (), ("d1", "d2"), ALG2)
-        omega = curvature(conn, square)
-        want = Matrix.from_rational([[0, 0, 1], [0, 0, 0], [0, 0, 0]], ALG2)
-        out.append(TrialResult("thm-4.4", omega.vert == want, "heisenberg witness"))
-
-    if only_model in (None, "trivial_gauge[scalar]"):
-        gauge = build_model("trivial_gauge", "scalar")
-        gconn = preset_connection(gauge, "x1dx2")
-        x = (ALG2.scalar(Fraction(1, 2)), ALG2.scalar(-3))
-        target = (x[0] + ALG2.gen("d1"), x[1] + ALG2.gen("d2"))
-        square2 = make_microcube(
-            Arrow(gauge, "G", x, target, Matrix.identity(1, ALG2)), ("d1", "d2")
-        )
-        omega2 = curvature(gconn, square2)
-        out.append(
-            TrialResult(
-                "thm-4.4",
-                omega2.vert == Matrix.from_rational([[1]], ALG2),
-                "abelian gauge witness",
-            )
-        )
-    return out
+    return [
+        TrialResult("thm-4.4", build(), note)
+        for name, (build, note) in _WITNESSES.items()
+        if only_model in (None, name)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # forms suite
 
 
-def check_dnabla_form(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        if model.base_dim == 0:
-            images = [
-                sample_lie_rows(rng, model, "L", params.bound)
-                for _ in model.lie_basis("G")
-            ]
-            omega = splitting_one_form(model, images)
-        else:
-            coeffs = [
-                sample_poly_matrix(rng, model, "L", params.degree, params.bound)
-                for _ in range(model.base_dim)
-            ]
-            omega = gauge_one_form(model, coeffs)
-        tangent_samples = [
-            sample_microcube(rng, model, "G", ("d1",), ALG1, bound=params.bound)
+@_trials("dnabla-form")
+def check_dnabla_form(model, rng, params):
+    conn = _connection(model, rng, params)
+    if model.base_dim == 0:
+        images = [
+            sample_lie_rows(rng, model, "L", params.bound) for _ in model.lie_basis("G")
         ]
-        ok = validate_form(omega, tangent_samples) == []
-        derived = d_nabla(conn, omega)
-        square = sample_microcube(rng, model, "G", ("d1", "d2"), ALG2, bound=params.bound)
-        try:
-            derived(square)  # structural asserts run inside
-            problems = validate_form(derived, [square], scalars=(0, 1, -1, 2))
-            ok = ok and problems == []
-        except FormError as exc:
-            out.append(TrialResult("dnabla-form", False, str(exc)))
-            continue
-        out.append(TrialResult("dnabla-form", ok))
-    return out
+        omega = splitting_one_form(model, images)
+    else:
+        coeffs = [
+            sample_poly_matrix(rng, model, "L", params.degree, params.bound)
+            for _ in range(model.base_dim)
+        ]
+        omega = gauge_one_form(model, coeffs)
+    tangent = sample_microcube(rng, model, "G", ("d1",), ALG1, bound=params.bound)
+    ok = validate_form(omega, [tangent]) == []
+    derived = d_nabla(conn, omega)
+    square = _square(rng, model, params)
+    derived(square)  # structural asserts run inside
+    problems = validate_form(derived, [square], scalars=(0, 1, -1, 2))
+    return ok and problems == []
 
 
 # ---------------------------------------------------------------------------
 # bianchi suite
 
 
-def check_face_curvature(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        cube = sample_microcube(
-            rng, model, "G", ("d1", "d2", "d3"), ALG3, bound=params.bound
-        )
-        checks = face_curvature_checks(build_cube(conn, cube))
-        bad = [name for name, ok in checks if not ok]
-        out.append(TrialResult("face-curvature", not bad, ",".join(bad)))
-    return out
+@_trials("face-curvature")
+def check_face_curvature(model, rng, params):
+    conn = _connection(model, rng, params)
+    checks = face_curvature_checks(build_cube(conn, _cube(rng, model, params)))
+    bad = [name for name, ok in checks if not ok]
+    return not bad, ",".join(bad)
 
 
-def check_bianchi_abstract(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        cube = sample_microcube(
-            rng, model, "G", ("d1", "d2", "d3"), ALG3, bound=params.bound
-        )
-        report = verify_abstract_bianchi(build_cube(conn, cube))
-        out.append(
-            TrialResult(
-                "bianchi-abstract", report.symbolic_empty and report.numeric_identity
-            )
-        )
-    return out
+@_trials("bianchi-abstract")
+def check_bianchi_abstract(model, rng, params):
+    conn = _connection(model, rng, params)
+    report = verify_abstract_bianchi(build_cube(conn, _cube(rng, model, params)))
+    return report.symbolic_empty and report.numeric_identity
 
 
-def check_bianchi_classical(model, rng, trials, params) -> list[TrialResult]:
-    out = []
-    for t in range(trials):
-        conn = _connection(model, rng, params)
-        cube = sample_microcube(
-            rng, model, "G", ("d1", "d2", "d3"), ALG3, bound=params.bound
-        )
-        report = verify_classical_bianchi(conn, cube)
-        bad = [name for name, ok in report.commutations if not ok]
-        note = "" if report.derivative_zero else "derivative nonzero"
-        if bad:
-            note = (note + "; " if note else "") + "commutation " + ",".join(bad)
-        out.append(TrialResult("bianchi-classical", report.ok, note))
-    return out
+@_trials("bianchi-classical")
+def check_bianchi_classical(model, rng, params):
+    conn = _connection(model, rng, params)
+    report = verify_classical_bianchi(conn, _cube(rng, model, params))
+    bad = [name for name, ok in report.commutations if not ok]
+    note = "" if report.derivative_zero else "derivative nonzero"
+    if bad:
+        note = (note + "; " if note else "") + "commutation " + ",".join(bad)
+    return report.ok, note
 
 
-def check_bianchi_mutation(model, rng, params) -> TrialResult:
+@_trials("bianchi-mutation")
+def check_bianchi_mutation(model, rng, params):
     """Corrupting one directed edge must break the numeric check only."""
     conn = _connection(model, rng, params)
-    cube = sample_microcube(rng, model, "G", ("d1", "d2", "d3"), ALG3, bound=params.bound)
-    labeling = build_cube(conn, cube)
+    labeling = build_cube(conn, _cube(rng, model, params))
     bump = sample_lie_rows(rng, model, "H", params.bound)
     while all(v == 0 for row in bump for v in row):
         bump = sample_lie_rows(rng, model, "H", params.bound)
-    broken = corrupt_edge(labeling, ("B", "D"), bump)
-    report = verify_abstract_bianchi(broken)
+    report = verify_abstract_bianchi(corrupt_edge(labeling, ("B", "D"), bump))
     ok = report.symbolic_empty and not report.numeric_identity
-    return TrialResult(
-        "bianchi-mutation", ok, "numeric check failed as designed (expected failure)"
-    )
+    return ok, "numeric check failed as designed (expected failure)"
 
 
 # ---------------------------------------------------------------------------

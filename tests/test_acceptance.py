@@ -124,7 +124,7 @@ def test_c09_abstract_bianchi():
     for model in MODELS:
         results += _run(check_bianchi_abstract, model, 9, 100)
     rng = random.Random("acceptance:9:mutation")
-    results.append(check_bianchi_mutation(build_model("heisenberg"), rng, PARAMS))
+    results += check_bianchi_mutation(build_model("heisenberg"), rng, 1, PARAMS)
     _report(9, "cube word reduces symbolically and numerically, 100 per model; mutation detected", results, started, 10)
 
 

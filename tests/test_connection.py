@@ -13,6 +13,7 @@ from nilgeo.connection import (
     lift,
     structure_equation,
 )
+from nilgeo.forms import FormError, gauge_one_form, splitting_one_form
 from nilgeo.matrices import Matrix
 from nilgeo.microcalc import (
     ConstantSection,
@@ -225,6 +226,35 @@ def test_sl2_connection_requires_traceless_coefficients():
     not_traceless = PolyMatrix(((x1, z), (z, z)))
     with pytest.raises(ConnectionError_):
         GaugeConnection(model, (not_traceless, not_traceless))
+
+
+def test_gauge_connection_rejects_coefficients_of_the_wrong_arity():
+    model = build_model("trivial_gauge", "gl2")
+    three_vars = PolyMatrix.zero(2, 3)
+    with pytest.raises(ConnectionError_, match="one variable per base axis"):
+        GaugeConnection(model, (three_vars, three_vars))
+
+
+def test_gauge_one_form_rejects_coefficients_of_the_wrong_arity():
+    model = build_model("trivial_gauge", "gl2")
+    three_vars = PolyMatrix.zero(2, 3)
+    with pytest.raises(FormError, match="one variable per base axis"):
+        gauge_one_form(model, (three_vars, three_vars))
+
+
+def test_float_entries_are_rejected_by_every_constant_constructor():
+    def images(scalar):
+        return (((0, 1, scalar), (0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 1), (0, 0, 0)))
+
+    constructors = (
+        lambda scalar: SplittingConnection(HEIS, images(scalar)),
+        lambda scalar: splitting_one_form(HEIS, images(scalar)),
+        lambda scalar: ConstantSection(HEIS, "G", images(scalar)[0]),
+    )
+    for build in constructors:
+        build(Fraction(1, 10))  # exact scalars are accepted
+        with pytest.raises(TypeError, match="float"):
+            build(0.1)
 
 
 # -- lift -----------------------------------------------------------------------
