@@ -5,9 +5,13 @@ A degree-three cube downstairs determines eight fiber points, labelled
     O at the origin, A/B/C one step along each axis, D/E/F two steps
     (D = 1+2, E = 1+3, F = 2+3) and G at the far corner.
 
-Each of the twelve cube edges lifts through the connection to an arrow
-between adjacent fiber points; the reversed letter is the inverse arrow.
-Face loops multiply four edges around a face.  The abstract identity says
+Each of the twelve cube edges is lifted by `connection.lifted_edge` from
+the corner of its first vertex to an arrow between adjacent fiber points;
+the reversed letter is the inverse arrow.  Face loops multiply four edges
+around a face.  The curvature of the face normal to axis i is read at the
+product of the other two arguments, with sign (-1)^i on the face at 0 and
+the opposite sign at d_i; the face checks and the classical identity both
+take their face values from that one rule.  The abstract identity says
 a specific 30-letter word in the edges reduces to nothing; its symbolic
 form is free cancellation, its numeric form an exact matrix identity.
 The classical identity is the vanishing of the derived curvature form,
@@ -19,16 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .connection import Connection, curvature
+from .connection import Connection, curvature, lifted_edge
 from .forms import Form, d_nabla
 from .matrices import Matrix
-from .microcalc import (
-    Microcube,
-    from_tangent,
-    include_tangent,
-    slice_cube,
-    slice_multi,
-)
+from .microcalc import Microcube, TangentData, include_tangent, slice_cube
 from .models import Arrow, Point, compose, compose_all, invert
 
 # vertex name -> set of axes (1..3) that are "switched on" at that corner
@@ -87,30 +85,22 @@ def vertex_point(cube: Microcube, vertex: str) -> Point:
 
 
 def build_cube(conn: Connection, cube: Microcube) -> CubeLabeling:
-    """Lift the twelve edges; each edge from X to Y freezes the two axes
-    not being walked (at their X-values) and lifts the remaining slice."""
+    """Lift the twelve edges; the edge from X along axis k is the lifted
+    edge from the corner of X's axes."""
     if cube.degree != 3:
         raise CubeBuildError("the cube machinery wants a degree-three cube")
-    args = cube.args
-    alg = cube.algebra
+    by_axes = {axes: v for v, axes in VERTEX_AXES.items()}
     points = {v: vertex_point(cube, v) for v in VERTICES}
     edges: dict[tuple[str, str], Arrow] = {}
     for x in VERTICES:
-        for y in VERTICES:
-            extra = VERTEX_AXES[y] - VERTEX_AXES[x]
-            if VERTEX_AXES[x] <= VERTEX_AXES[y] and len(extra) == 1:
-                (k,) = extra
-                i, j = sorted(set((1, 2, 3)) - {k})
-                e_i = args[i - 1] if i in VERTEX_AXES[x] else 0
-                e_j = args[j - 1] if j in VERTEX_AXES[x] else 0
-                t = slice_multi(cube, {i: e_i, j: e_j})
-                lifted = conn.apply(from_tangent(t))
-                arrow = lifted.arrow_at(alg.gen(args[k - 1]))
-                cube.model.check(arrow)
-                if arrow.source != points[x] or arrow.target != points[y]:
-                    raise CubeBuildError(f"edge {x}{y} endpoints disagree")
-                edges[(x, y)] = arrow
-                edges[(y, x)] = invert(arrow)
+        for k in sorted({1, 2, 3} - VERTEX_AXES[x]):
+            y = by_axes[VERTEX_AXES[x] | {k}]
+            arrow = lifted_edge(conn, cube, VERTEX_AXES[x], k)
+            cube.model.check(arrow)
+            if arrow.source != points[x] or arrow.target != points[y]:
+                raise CubeBuildError(f"edge {x}{y} endpoints disagree")
+            edges[(x, y)] = arrow
+            edges[(y, x)] = invert(arrow)
     return CubeLabeling(conn, cube, edges, points)
 
 
@@ -202,22 +192,26 @@ def corrupt_edge(
 # face curvature and the classical identity
 
 
+def _face_value(cube: Microcube, omega: TangentData, i: int, e) -> Arrow:
+    """The curvature `omega` of the face normal to axis i at e (0 or d_i),
+    read at the product of the other two arguments: with sign (-1)^i at 0
+    and the opposite sign at d_i."""
+    others = tuple(g for k, g in enumerate(cube.args, 1) if k != i)
+    sign = (-1) ** i if e == 0 else -((-1) ** i)
+    return include_tangent(omega).arrow_at(cube.algebra.term(sign, others))
+
+
 def face_curvature_checks(labeling: CubeLabeling) -> list[tuple[str, bool]]:
     """The three base-face loops against the curvature of the matching
     frozen slices, with the orientation signs the loop word forces."""
     conn, cube = labeling.conn, labeling.cube
-    alg = cube.algebra
-    d1, d2, d3 = cube.args
     checks = []
-    for name, cycle, axis, mono, sign in (
-        ("OADB", ("O", "A", "D", "B"), 3, (d1, d2), -1),
-        ("OBFC", ("O", "B", "F", "C"), 1, (d2, d3), -1),
-        ("OCEA", ("O", "C", "E", "A"), 2, (d1, d3), 1),
-    ):
-        loop = face_loop(labeling, cycle)
+    for cycle in FACES[:3]:
+        # the base face through O normal to the one axis its corners leave off
+        (axis,) = {1, 2, 3}.difference(*(VERTEX_AXES[v] for v in cycle))
         omega = curvature(conn, slice_cube(cube, axis, 0))
-        value = include_tangent(omega).arrow_at(alg.term(sign, mono))
-        checks.append((name, loop == value))
+        value = _face_value(cube, omega, axis, 0)
+        checks.append(("".join(cycle), face_loop(labeling, cycle) == value))
     return checks
 
 
@@ -242,8 +236,6 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
 
     Both halves read the same six face curvatures, each computed once; the
     derivative sees them through a form that looks its faces up."""
-    alg = cube.algebra
-    d1, d2, d3 = cube.args
     squares = {
         (i, e): slice_cube(cube, i, e)
         for i, g in enumerate(cube.args, 1)
@@ -260,16 +252,11 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
     def conj(g: Arrow, loop: Arrow) -> Arrow:
         return compose_all(invert(g), loop, g)
 
-    def face(i: int, e, sign: int, mono: tuple[str, str]) -> Arrow:
-        return include_tangent(omega[(i, e)]).arrow_at(alg.term(sign, mono))
-
-    f1 = face(1, 0, -1, (d2, d3))
-    f2 = face(2, 0, 1, (d1, d3))
-    f3 = face(3, 0, -1, (d1, d2))
-    c1 = conj(labeling.edge_arrow("O", "A"), face(1, d1, 1, (d2, d3)))
-    c2 = conj(labeling.edge_arrow("O", "B"), face(2, d2, -1, (d1, d3)))
-    c3 = conj(labeling.edge_arrow("O", "C"), face(3, d3, 1, (d1, d2)))
-    named = {"w1": f1, "c1": c1, "w2": f2, "c2": c2, "w3": f3, "c3": c3}
+    face = {(i, e): _face_value(cube, w, i, e) for (i, e), w in omega.items()}
+    named = {}
+    for (i, g), v in zip(enumerate(cube.args, 1), "ABC"):
+        named[f"w{i}"] = face[(i, 0)]
+        named[f"c{i}"] = conj(labeling.edge_arrow("O", v), face[(i, g)])
     commutations = []
     keys = list(named)
     for i, a in enumerate(keys):
@@ -277,8 +264,8 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
             commutations.append((f"{a}~{b}", _commute(named[a], named[b])))
 
     # the nested conjugation pattern: the far-face value carried back to C
-    inner = conj(invert(labeling.edge_arrow("A", "E")), face(1, d1, -1, (d2, d3)))
+    d1, _, d3 = cube.args
+    inner = conj(invert(labeling.edge_arrow("A", "E")), invert(face[(1, d1)]))
     nested = conj(labeling.edge_arrow("C", "E"), inner)
-    far = face(3, d3, 1, (d1, d2))
-    commutations.append(("nested~far", _commute(nested, far)))
+    commutations.append(("nested~far", _commute(nested, face[(3, d3)])))
     return ClassicalReport(derivative_zero, tuple(commutations))

@@ -2,16 +2,19 @@
 
 A connection is fiberwise-linear lift data: a splitting matrix on the
 downstairs tangent coordinates (one-point models) or vertical coefficient
-polynomials over the base (gauge models).  The lift of a microsquare, the
-curvature word and its strong-difference characterization all reduce to
-exact Weil-matrix words.  The named presets and the random connections of
+polynomials over the base (gauge models).  Every edge of a cube is lifted
+in one place, `lifted_edge`: one slice down to the edge, one `apply`, read
+at the edge's generator; `forms` and `bianchi` take their edges from it too.
+The lift of a microsquare is the path of two lifted edges and its curvature
+the loop of four, read off the top coefficient by
+`microcalc.kernel_loop_tangent`.  The named presets and the random connections of
 each shipped configuration live in `sampling`, next to the samplers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .matrices import Matrix
 from .microcalc import (
@@ -22,13 +25,14 @@ from .microcalc import (
     bisection_product,
     bracket_sections,
     from_tangent,
+    kernel_loop_tangent,
     make_microcube,
-    arrow_drop,
-    slice_cube,
+    slice_multi,
     strong_diff,
     transpose,
 )
 from .models import (
+    Arrow,
     GroupoidModel,
     Point,
     TrivialGaugeModel,
@@ -149,52 +153,39 @@ class LiftedSection(Section):
 
 
 # ---------------------------------------------------------------------------
-# lift to microsquares
+# lifted edges, the lift of a microsquare and its curvature
+
+
+def lifted_edge(
+    conn: Connection, cube: Microcube, corner: Collection[int], k: int
+) -> Arrow:
+    """The lift of the edge along argument k from the corner where the
+    arguments in `corner` are on and the others are 0."""
+    frozen = {i: g if i in corner else 0 for i, g in enumerate(cube.args, 1) if i != k}
+    td = conn.apply(from_tangent(slice_multi(cube, frozen)))
+    return td.arrow_at(cube.algebra.gen(cube.args[k - 1]))
 
 
 def lift(conn: Connection, cube: Microcube) -> Microcube:
-    """Lift a microsquare: the d2-edge moved to the d1-frozen fiber,
-    composed with the lift of the bottom edge."""
+    """Lift a microsquare: the path O -> A -> D of two lifted edges."""
     if cube.degree != 2:
         raise CurvatureError("lift expects a microsquare")
-    d1, d2 = cube.args
-    alg = cube.algebra
-    t1 = conn.apply(from_tangent(slice_cube(cube, 1, d1)))
-    t2 = conn.apply(from_tangent(slice_cube(cube, 2, 0)))
-    arrow = compose(t1.arrow_at(alg.gen(d2)), t2.arrow_at(alg.gen(d1)))
+    arrow = compose(lifted_edge(conn, cube, {1}, 2), lifted_edge(conn, cube, (), 1))
     return make_microcube(arrow, cube.args)
-
-
-# ---------------------------------------------------------------------------
-# curvature
 
 
 def curvature(conn: Connection, cube: Microcube) -> TangentData:
     """The kernel-valued tangent measuring the holonomy defect of the lift
-    around a microsquare; unique through the top coefficient of the word."""
+    around a microsquare: the loop O -> B -> D -> A -> O of lifted edges,
+    read off its top coefficient."""
     if cube.degree != 2:
         raise CurvatureError("curvature expects a microsquare")
-    d1, d2 = cube.args
-    alg = cube.algebra
-    g1, g2 = alg.gen(d1), alg.gen(d2)
-    a_bottom0 = conn.apply(from_tangent(slice_cube(cube, 2, 0))).arrow_at(g1)
-    a_side1 = conn.apply(from_tangent(slice_cube(cube, 1, d1))).arrow_at(g2)
-    a_bottom2 = conn.apply(from_tangent(slice_cube(cube, 2, d2))).arrow_at(g1)
-    a_side0 = conn.apply(from_tangent(slice_cube(cube, 1, 0))).arrow_at(g2)
-    word = compose_all(invert(a_bottom0), invert(a_side1), a_bottom2, a_side0)
-    for d in (d1, d2):
-        if not arrow_drop(word, (d,)).is_identity():
-            raise CurvatureError("curvature word has nonidentity edge values")
-    model = cube.model
-    if not model.kernel_test(word):
-        raise CurvatureError("curvature residue is not kernel-valued")
-    if word.source != cube.anchor or word.target != cube.anchor:
-        raise CurvatureError("curvature word is not a loop at the anchor")
-    vert = word.body.coefficient((d1, d2))
-    zero = alg.zero
-    return TangentData(
-        model, "L", cube.anchor, tuple(zero for _ in cube.anchor), vert
+    oa, ad, bd, ob = (
+        lifted_edge(conn, cube, corner, k)
+        for corner, k in (((), 1), ({1}, 2), ({2}, 1), ((), 2))
     )
+    word = compose_all(invert(oa), invert(ad), bd, ob)
+    return kernel_loop_tangent(word, cube, CurvatureError)
 
 
 def curvature_via_strong_diff(conn: Connection, cube: Microcube) -> TangentData:
@@ -215,13 +206,13 @@ def structure_equation(
     y_sec: Section,
     x: Point,
     alg: WeilAlgebra,
-    check_product_lift: bool = True,
 ):
     """Both sides of the curvature structure equation at the point x.
 
     Left: curvature of the bisection square of the two sections.
     Right: lift of the section bracket minus the bracket of the lifts.
-    Returns the pair of kernel tangents (exactly comparable)."""
+    Returns the pair of kernel tangents (exactly comparable); raises
+    `CurvatureError` unless the lift distributes over the bisection square."""
     d1 = alg.fresh_name("s1")
     ext = alg.extend(d1)
     d2 = ext.fresh_name("s2")
@@ -236,10 +227,8 @@ def structure_equation(
     rhs_h = conn.apply(xy) - bracket_sections(lift_x, lift_y, x, alg)
     rhs = as_kernel_tangent(rhs_h)
 
-    if check_product_lift:
-        # the lift distributes over the bisection square
-        lifted_square = lift(conn, square)
-        product_of_lifts = bisection_product(lift_y, lift_x, xe, (d1, d2), ext)
-        if lifted_square.arrow != product_of_lifts.arrow:
-            raise CurvatureError("lift does not distribute over the bisection square")
+    lifted_square = lift(conn, square)
+    product_of_lifts = bisection_product(lift_y, lift_x, xe, (d1, d2), ext)
+    if lifted_square.arrow != product_of_lifts.arrow:
+        raise CurvatureError("lift does not distribute over the bisection square")
     return lhs, rhs

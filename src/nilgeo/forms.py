@@ -7,11 +7,14 @@ evaluating the form once per distinct cube (scaling by 1 and the identity
 permutation give back the sample itself).
 
 The degree-raising derivative builds, for each cube argument, the value on
-the frozen slice times the conjugated, reversed value on the moved slice,
-inverts the odd-numbered factors and multiplies ascending; the result is
-read off the coefficient of the full product monomial, and the vanishing
-of every other coefficient is asserted on each evaluation.  A derived form
-evaluates its inner form once per distinct slice over its lifetime.
+the frozen slice times the reversed value on the moved slice conjugated by
+the lifted edge (`connection.lifted_edge`), inverts the odd-numbered
+factors and multiplies ascending.  The word is read off the coefficient of
+the full product monomial by `microcalc.kernel_loop_tangent`, the same read
+as curvature's, which asserts on each evaluation that the word is the
+identity wherever one argument is 0, kernel-valued and a loop at the
+anchor.  A derived form evaluates its inner form once per distinct slice
+over its lifetime.
 
 Both memos go in front of `Form.__call__`, so every first evaluation is
 still validated.  Their keys lead with the cube's algebra: cubes over
@@ -26,15 +29,14 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .connection import Connection, curvature
+from .connection import Connection, curvature, lifted_edge
 from .matrices import Matrix
 from .microcalc import (
     Microcube,
     TangentData,
-    arrow_drop,
-    edge,
     from_tangent,
     include_tangent,
+    kernel_loop_tangent,
     permute,
     perm_sign,
     scale_arg,
@@ -102,15 +104,14 @@ def splitting_one_form(model: GroupoidModel, images: Sequence) -> Form:
     imgs = tuple(
         tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
     )
+    if len(imgs) != len(model.lie_basis("G")):
+        raise FormError("one image per downstairs direction required")
 
     def fn(t: Microcube) -> TangentData:
         td = from_tangent(t)
         alg = td.algebra
-        coords = model.g_coords(td.vert)
-        if len(coords) != len(imgs):
-            raise FormError("one image per downstairs direction required")
         vert = Matrix.zero(model.spec("L").size, alg)
-        for c, img in zip(coords, imgs):
+        for c, img in zip(model.g_coords(td.vert), imgs):
             if not c.is_zero():
                 vert = vert + Matrix.from_rational(img, alg) * c
         return TangentData(model, "L", td.anchor, (), vert)
@@ -181,27 +182,18 @@ def _derivative_value(
 ) -> TangentData:
     args = cube.args
     alg = cube.algebra
-    model = cube.model
     total = None
     for i in range(1, cube.degree + 1):
         others = tuple(g for k, g in enumerate(args, 1) if k != i)
         mono = alg.term(1, others)
-        lifted_edge = conn.apply(from_tangent(edge(cube, i)))
-        gi = lifted_edge.arrow_at(alg.gen(args[i - 1]))
+        gi = lifted_edge(conn, cube, (), i)
         v0 = include_tangent(form(slice_cube(cube, i, 0)))
         vi = include_tangent(form(slice_cube(cube, i, args[i - 1])))
         inner = compose_all(invert(gi), vi.arrow_at(-mono), gi)
-        if not model.kernel_test(inner):
+        if not cube.model.kernel_test(inner):
             raise FormError("conjugated form value left the kernel")
         factor = compose(v0.arrow_at(mono), inner)
         if i % 2 == 1:
             factor = invert(factor)
         total = factor if total is None else compose(total, factor)
-    for g in args:
-        if not arrow_drop(total, (g,)).is_identity():
-            raise FormError("derivative word has residual non-top coefficients")
-    if not model.kernel_test(total):
-        raise FormError("derivative word is not kernel-valued")
-    vert = total.body.coefficient(args)
-    zero = alg.zero
-    return TangentData(model, "L", cube.anchor, tuple(zero for _ in cube.anchor), vert)
+    return kernel_loop_tangent(total, cube, FormError)

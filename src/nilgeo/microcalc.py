@@ -8,7 +8,10 @@ connection and curvature machinery consumes.
 Two views of a tangent coexist here.  `Microcube` keeps the full arrow
 (needed for slicing, permuting and word building); `TangentData` keeps the
 linearization (anchor, boundary velocity, vertical matrix), which is the
-right shape for fiberwise-linear bookkeeping.
+right shape for fiberwise-linear bookkeeping.  A word that is the identity
+wherever one of its arguments is 0 is read off its top coefficient by
+`top_tangent`: the strong difference and the bracket read their words so,
+and `kernel_loop_tangent` reads curvature and the covariant derivative.
 
 Slicing, permuting, rescaling and restricting a cube are mask plans of
 `weil`, which `_transform` applies throughout an arrow.
@@ -330,6 +333,29 @@ def as_kernel_tangent(td: TangentData) -> TangentData:
     return out
 
 
+def top_tangent(word: Arrow, args: Sequence[str], error: type) -> tuple[Point, Matrix]:
+    """The direction and vertical part of the tangent whose value at the
+    product of `args` is `word`; raises `error` unless the word is the
+    identity wherever one of `args` is 0."""
+    for d in args:
+        if not arrow_drop(word, (d,)).is_identity():
+            raise error(f"word is not the identity at {d} = 0")
+    direction = tuple((t - s).coefficient(args) for t, s in zip(word.target, word.source))
+    return direction, word.body.coefficient(args)
+
+
+def kernel_loop_tangent(word: Arrow, cube: Microcube, error: type) -> TangentData:
+    """The kernel tangent at the cube's anchor read off a word over the
+    cube's arguments; raises `error` unless the word also lies in the
+    kernel and is a loop at the anchor."""
+    direction, vert = top_tangent(word, cube.args, error)
+    if not cube.model.kernel_test(word):
+        raise error("word is not kernel-valued")
+    if word.source != cube.anchor or word.target != cube.anchor:
+        raise error("word is not a loop at the anchor")
+    return TangentData(cube.model, "L", cube.anchor, direction, vert)
+
+
 # ---------------------------------------------------------------------------
 # squares from tangents, differences
 
@@ -382,13 +408,7 @@ def strong_diff(g2: Microcube, g1: Microcube) -> TangentData:
     if below[0] != below[1]:
         raise DifferenceError("squares disagree below the top coefficient")
     delta = compose(g2.arrow, invert(g1.arrow))  # both squares start at the anchor
-    for d in top:
-        if not arrow_drop(delta, (d,)).is_identity():
-            raise DifferenceError("difference has unexpected lower-order terms")
-    vert = delta.body.coefficient(top)
-    direction = tuple(
-        (t - s).coefficient(top) for t, s in zip(g2.arrow.target, g1.arrow.target)
-    )
+    direction, vert = top_tangent(delta, top, DifferenceError)
     # multiplying the correction from the other side must give the same data
     other = (g1.arrow.body.inverse() * g2.arrow.body).coefficient(top)
     if other != vert:
@@ -506,21 +526,14 @@ def _extract_square_tangent(
     word: Arrow, x: Point, u: str, v: str, base_alg: WeilAlgebra
 ) -> TangentData:
     """Read the unique tangent with value `word` at the product monomial."""
-    for d in (u, v):
-        if not arrow_drop(word, (d,)).is_identity():
-            raise CubeError("word has residual low-order coefficients")
-    vert = word.body.coefficient((u, v))
-    direction = tuple(
-        (t - s).coefficient((u, v)) for t, s in zip(word.target, word.source)
-    )
-    out = TangentData(
+    direction, vert = top_tangent(word, (u, v), CubeError)
+    return TangentData(
         word.model,
         word.grp,
         tuple(c.convert(base_alg) for c in x),
         tuple(c.convert(base_alg) for c in direction),
         vert.convert(base_alg),
     )
-    return out
 
 
 def bracket_sections(

@@ -6,6 +6,7 @@ import pytest
 
 from nilgeo.connection import (
     ConnectionError_,
+    CurvatureError,
     GaugeConnection,
     SplittingConnection,
     curvature,
@@ -17,6 +18,8 @@ from nilgeo.forms import FormError, gauge_one_form, splitting_one_form
 from nilgeo.matrices import Matrix
 from nilgeo.microcalc import (
     ConstantSection,
+    CubeError,
+    DifferenceError,
     TangentData,
     bisection_product,
     degenerate_square,
@@ -28,6 +31,7 @@ from nilgeo.microcalc import (
     slice_cube,
     strong_diff,
     tau,
+    top_tangent,
 )
 from nilgeo.models import Arrow, all_models, build_model
 from nilgeo.polynomials import Poly, PolyMatrix
@@ -235,6 +239,12 @@ def test_gauge_connection_rejects_coefficients_of_the_wrong_arity():
         GaugeConnection(model, (three_vars, three_vars))
 
 
+def test_splitting_one_form_rejects_a_wrong_image_count_up_front():
+    one_image = (((0, 0, 1), (0, 0, 0), (0, 0, 0)),)
+    with pytest.raises(FormError, match="one image per downstairs direction"):
+        splitting_one_form(HEIS, one_image)
+
+
 def test_gauge_one_form_rejects_coefficients_of_the_wrong_arity():
     model = build_model("trivial_gauge", "gl2")
     three_vars = PolyMatrix.zero(2, 3)
@@ -395,6 +405,45 @@ def test_both_curvature_computations_agree():
             a = curvature(conn, cube)
             b = curvature_via_strong_diff(conn, cube)
             assert a.same_as(b)
+
+
+E02 = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
+
+
+def test_curvature_rejects_a_word_that_is_not_the_identity_on_an_edge(monkeypatch):
+    # a central bump on the third lifted edge, B -> D along d1, is cancelled
+    # by no other edge: the loop is not the identity at d2 = 0
+    conn = preset_connection(HEIS)
+    original, calls = conn.apply, []
+
+    def bumped(td):
+        calls.append(None)
+        out = original(td)
+        if len(calls) == 3:
+            bump = Matrix.from_rational(E02, out.algebra)
+            out = TangentData(out.model, out.grp, out.anchor, out.direction, out.vert + bump)
+        return out
+
+    alg = algebra(["d1", "d2"])
+    x_sec = ConstantSection(HEIS, "G", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    y_sec = ConstantSection(HEIS, "G", [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    square = bisection_product(y_sec, x_sec, (), ("d1", "d2"), alg)
+    monkeypatch.setattr(conn, "apply", bumped)
+    with pytest.raises(CurvatureError, match="d2 = 0"):
+        curvature(conn, square)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("error", [CurvatureError, FormError, DifferenceError, CubeError])
+def test_the_top_coefficient_read_rejects_a_residual_coefficient(error):
+    alg = algebra(["d1", "d2"])
+    body = Matrix.identity(3, alg) + Matrix.from_rational(E02, alg) * alg.gen("d1")
+    word = Arrow(HEIS, "H", (), (), body)
+    with pytest.raises(error, match="d2 = 0"):
+        top_tangent(word, ("d1", "d2"), error)
+    clean = Arrow(HEIS, "H", (), (), Matrix.identity(3, alg))
+    direction, vert = top_tangent(clean, ("d1", "d2"), error)
+    assert direction == () and vert.is_zero()
 
 
 # -- structure equation ---------------------------------------------------------------
