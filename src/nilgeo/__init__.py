@@ -22,7 +22,6 @@ from .microcalc import (
     degenerate_square,
     diff1,
     diff2,
-    edge,
     from_tangent,
     make_microcube,
     permute,

@@ -2,7 +2,9 @@
 
 A connection is fiberwise-linear lift data: a splitting matrix on the
 downstairs tangent coordinates (one-point models) or vertical coefficient
-polynomials over the base (gauge models).  Every edge of a cube is lifted
+polynomials over the base (gauge models).  Each kind's linear map is one
+function, `_splitting_map` or `_gauge_map`, which checks the data and is
+shared with the kind's one-form in `forms`.  Every edge of a cube is lifted
 in one place, `lifted_edge`: one slice down to the edge, one `apply`, read
 at the edge's generator; `forms` and `bianchi` take their edges from it too.
 The lift of a microsquare is the path of two lifted edges and its curvature
@@ -14,9 +16,9 @@ each shipped configuration live in `sampling`, next to the samplers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
-from .matrices import Matrix
+from .matrices import Matrix, _combination
 from .microcalc import (
     Microcube,
     Section,
@@ -36,6 +38,7 @@ from .models import (
     GroupoidModel,
     Point,
     TrivialGaugeModel,
+    _unit_matrix,
     compose,
     compose_all,
     invert,
@@ -52,42 +55,94 @@ class CurvatureError(ValueError):
     """The curvature word came out structurally wrong (broken model data)."""
 
 
+def _splitting_map(
+    model: GroupoidModel, grp: str, images: Sequence, error: type
+) -> tuple[tuple, Callable[[Matrix], Matrix]]:
+    """The exact images and the map vert -> sum_k vert[cell_k] * images[k]
+    into the `grp` coefficients, cell_k the position of the unit matrix
+    `lie_basis("G")[k]`; raises `error` unless each basis element has one
+    image, in the Lie algebra of `grp`."""
+    images = tuple(
+        tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
+    )
+    basis = model.lie_basis("G")
+    if len(images) != len(basis):
+        raise error("one image per downstairs direction required")
+    size = model.spec("G").size
+    units = {_unit_matrix(size, i, j): (i, j) for i in range(size) for j in range(size)}
+    cells = [units.get(b) for b in basis]
+    if None in cells:
+        raise error("downstairs basis element is not a unit matrix")
+    spec = model.spec(grp)
+    n = spec.size
+    alg = algebra(["d"])
+    one, d = Matrix.identity(n, alg), alg.gen("d")
+    for img in images:
+        m = Matrix.from_rational(img, alg)
+        if m.size != n or not spec.contains(one + m * d):
+            raise error(f"images must lie in the Lie algebra of {grp}")
+    entries = [
+        [(i * n + j, q) for i, r in enumerate(img) for j, q in enumerate(r) if q]
+        for img in images
+    ]
+
+    def vert_map(vert: Matrix) -> Matrix:
+        coords = [vert[cell] for cell in cells]
+        terms = ((k, q, c) for c, e in zip(coords, entries) for k, q in e)
+        return _combination(vert.algebra, n, terms)
+
+    return images, vert_map
+
+
+def _gauge_map(
+    model: GroupoidModel, coeffs: Sequence[PolyMatrix], error: type
+) -> Callable[[TangentData], Matrix]:
+    """The map td -> sum_i A_i(anchor) * v_i, cached per anchor; raises
+    `error` unless the A_i are coefficients of a gauge model's group."""
+    if not isinstance(model, TrivialGaugeModel):
+        raise error("vertical coefficients need a gauge model")
+    if len(coeffs) != model.base_dim:
+        raise error("one coefficient matrix per base axis")
+    size = model.spec("H").size
+    for pm in coeffs:
+        if pm.size != size:
+            raise error("coefficient size must match the structure group")
+        if pm.nvars != model.base_dim:
+            raise error("coefficients must take one variable per base axis")
+        if model.structure == "sl2" and not pm.trace_is_zero():
+            raise error("sl2 coefficients must be traceless")
+    at: dict = {}  # anchors repeat heavily across slices of one cube
+
+    def vert_map(td: TangentData) -> Matrix:
+        mats = at.get(td.anchor)
+        if mats is None:
+            mats = at[td.anchor] = tuple(pm(td.anchor) for pm in coeffs)
+        vert = Matrix.zero(size, td.algebra)
+        for mat, v in zip(mats, td.direction):
+            if not v.is_zero():
+                vert = vert + mat * v
+        return vert
+
+    return vert_map
+
+
 class SplittingConnection:
     """One-point models: a linear right inverse of the projection on
     tangent coordinates, given by images of the coordinate directions."""
 
     def __init__(self, model: GroupoidModel, images: Sequence):
         self.model = model
-        self.images = tuple(
-            tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
-        )
-        basis = model.lie_basis("G")
-        if len(self.images) != len(basis):
-            raise ConnectionError_("one image per downstairs direction required")
+        self.images, self._vert = _splitting_map(model, "H", images, ConnectionError_)
         alg0 = algebra([])
-        for img, b in zip(self.images, basis):
+        for img, b in zip(self.images, model.lie_basis("G")):
             down = model.project_vert(Matrix.from_rational(img, alg0))
             if down != Matrix.from_rational(b, alg0):
                 raise ConnectionError_("images do not split the projection")
-        self._by_algebra: dict = {}
-
-    def _images_in(self, alg: WeilAlgebra) -> tuple[Matrix, ...]:
-        # every lift in one cube or square shares a handful of algebras
-        cached = self._by_algebra.get(alg)
-        if cached is None:
-            cached = tuple(Matrix.from_rational(img, alg) for img in self.images)
-            self._by_algebra[alg] = cached
-        return cached
 
     def apply(self, td: TangentData) -> TangentData:
         if td.grp != "G":
             raise ConnectionError_("connections lift G-tangents")
-        alg = td.algebra
-        coords = self.model.g_coords(td.vert)
-        vert = Matrix.zero(self.model.spec("H").size, alg)
-        for c, img in zip(coords, self._images_in(alg)):
-            if not c.is_zero():
-                vert = vert + img * c
+        vert = self._vert(td.vert)
         return TangentData(self.model, "H", td.anchor, td.direction, vert)
 
 
@@ -98,40 +153,14 @@ class GaugeConnection:
     classical coefficient formula dA + A^A on coordinate squares."""
 
     def __init__(self, model: TrivialGaugeModel, coeffs: Sequence[PolyMatrix]):
-        if not isinstance(model, TrivialGaugeModel):
-            raise ConnectionError_("vertical coefficients need a gauge model")
-        if len(coeffs) != model.base_dim:
-            raise ConnectionError_("one coefficient matrix per base axis")
-        size = model.spec("H").size
-        for pm in coeffs:
-            if pm.size != size:
-                raise ConnectionError_("coefficient size must match the structure group")
-            if pm.nvars != model.base_dim:
-                raise ConnectionError_("coefficients must take one variable per base axis")
-            if model.structure == "sl2" and not pm.trace_is_zero():
-                raise ConnectionError_("sl2 coefficients must be traceless")
         self.model = model
         self.coeffs = tuple(coeffs)
-        self._at: dict = {}
-
-    def _coefficients_at(self, x):
-        # anchors repeat heavily across slices of one cube
-        cached = self._at.get(x)
-        if cached is None:
-            cached = tuple(pm(x) for pm in self.coeffs)
-            self._at[x] = cached
-        return cached
+        self._vert = _gauge_map(model, self.coeffs, ConnectionError_)
 
     def apply(self, td: TangentData) -> TangentData:
         if td.grp != "G":
             raise ConnectionError_("connections lift G-tangents")
-        alg = td.algebra
-        size = self.model.spec("H").size
-        vert = Matrix.zero(size, alg)
-        for mat, v in zip(self._coefficients_at(td.anchor), td.direction):
-            if not v.is_zero():
-                vert = vert - mat * v
-        return TangentData(self.model, "H", td.anchor, td.direction, vert)
+        return TangentData(self.model, "H", td.anchor, td.direction, -self._vert(td))
 
 
 Connection = SplittingConnection | GaugeConnection

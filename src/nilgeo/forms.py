@@ -1,10 +1,11 @@
 """Kernel-valued differential forms and the covariant exterior derivative.
 
 A form of degree n eats micro-n-cubes of the downstairs groupoid and
-returns kernel tangents at the same anchor.  Validation checks the
-homogeneity and alternation laws pointwise-exactly on supplied samples,
-evaluating the form once per distinct cube (scaling by 1 and the identity
-permutation give back the sample itself).
+returns kernel tangents at the same anchor.  A one-form is a connection
+kind's linear map into L (`connection._splitting_map`, `_gauge_map`).
+Validation checks the homogeneity and alternation laws pointwise-exactly
+on supplied samples, evaluating the form once per distinct cube (scaling
+by 1 and the identity permutation give back the sample itself).
 
 The degree-raising derivative builds, for each cube argument, the value on
 the frozen slice times the reversed value on the moved slice conjugated by
@@ -29,8 +30,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .connection import Connection, curvature, lifted_edge
-from .matrices import Matrix
+from .connection import Connection, _gauge_map, _splitting_map, curvature, lifted_edge
 from .microcalc import (
     Microcube,
     TangentData,
@@ -44,7 +44,6 @@ from .microcalc import (
 )
 from .models import GroupoidModel, compose, compose_all, invert
 from .polynomials import PolyMatrix
-from .weil import _exact
 
 
 class FormError(ValueError):
@@ -75,24 +74,14 @@ def curvature_form(conn: Connection) -> Form:
 
 
 def gauge_one_form(model: GroupoidModel, coeffs: Sequence[PolyMatrix]) -> Form:
-    """One-form on a coordinate base from per-axis coefficient matrices."""
-    if len(coeffs) != model.base_dim:
-        raise FormError("one coefficient matrix per base axis")
-    if any(pm.nvars != model.base_dim for pm in coeffs):
-        raise FormError("coefficients must take one variable per base axis")
+    """One-form on a coordinate base from per-axis coefficient matrices:
+    the gauge connection's map, unnegated."""
+    vert_of = _gauge_map(model, coeffs, FormError)
 
     def fn(t: Microcube) -> TangentData:
         td = from_tangent(t)
-        alg = td.algebra
-        size = model.spec("L").size
-        vert = Matrix.zero(size, alg)
-        for pm, v in zip(coeffs, td.direction):
-            if not v.is_zero():
-                vert = vert + pm(td.anchor) * v
-        zero = alg.zero
-        return TangentData(
-            model, "L", td.anchor, tuple(zero for _ in td.anchor), vert
-        )
+        zero = tuple(td.algebra.zero for _ in td.anchor)
+        return TangentData(model, "L", td.anchor, zero, vert_of(td))
 
     return Form(model, 1, fn)
 
@@ -100,21 +89,11 @@ def gauge_one_form(model: GroupoidModel, coeffs: Sequence[PolyMatrix]) -> Form:
 def splitting_one_form(model: GroupoidModel, images: Sequence) -> Form:
     """One-form on a one-point model: a linear map from downstairs tangent
     coordinates into the kernel's coefficient matrices."""
-
-    imgs = tuple(
-        tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
-    )
-    if len(imgs) != len(model.lie_basis("G")):
-        raise FormError("one image per downstairs direction required")
+    _, vert_of = _splitting_map(model, "L", images, FormError)
 
     def fn(t: Microcube) -> TangentData:
         td = from_tangent(t)
-        alg = td.algebra
-        vert = Matrix.zero(model.spec("L").size, alg)
-        for c, img in zip(model.g_coords(td.vert), imgs):
-            if not c.is_zero():
-                vert = vert + Matrix.from_rational(img, alg) * c
-        return TangentData(model, "L", td.anchor, (), vert)
+        return TangentData(model, "L", td.anchor, (), vert_of(td.vert))
 
     return Form(model, 1, fn)
 

@@ -158,14 +158,6 @@ def slice_multi(cube: Microcube, frozen: dict[int, object]) -> Microcube:
     return make_microcube(compose(a, invert(corr)), remaining)
 
 
-def edge(cube: Microcube, i: int) -> Microcube:
-    """The degree-one cube along argument i (all other arguments at zero)."""
-    if not 1 <= i <= cube.degree:
-        raise CubeError(f"edge index {i} out of range")
-    others = [g for k, g in enumerate(cube.args, 1) if k != i]
-    return make_microcube(arrow_drop(cube.arrow, others), (cube.args[i - 1],))
-
-
 def permute(cube: Microcube, theta: Sequence[int]) -> Microcube:
     """Precompose with the coordinate permutation theta (1-based images)."""
     args = cube.args

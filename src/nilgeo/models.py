@@ -22,8 +22,11 @@ coordinate tuples of Weil elements (empty over a one-point base).
 Composition follows function order: ``compose(g, h)`` applies h first and
 needs the source of g to equal the target of h exactly.
 
-Group tests and projections read a body's table by position
-(`Matrix.support`, `Matrix.gather`) and build no entries.
+A model class declares only its groups H, G and L, `base_dim` and
+`_down`, the H-positions the G-coefficients are read from; `GroupoidModel`
+holds the one projection, of arrows (`project`) and of coefficient
+matrices (`project_vert`).  Group tests and projections read a body's
+table by position (`Matrix.support`, `Matrix.gather`) and build no entries.
 """
 
 from __future__ import annotations
@@ -220,11 +223,13 @@ def invert(g: Arrow) -> Arrow:
 
 
 class GroupoidModel:
-    """Shared behaviour; concrete models fix the exact-sequence data."""
+    """Shared behaviour; concrete models declare the exact-sequence data."""
 
     family: str  # the `model` a configuration names
     structure: str | None = None  # its `structure_group`, if it takes one
     base_dim: int
+    # G-body - I is H-body - I read at these H-positions (0 where None)
+    _down: tuple[tuple[tuple[int, int] | None, ...], ...]
 
     @property
     def name(self) -> str:
@@ -262,7 +267,18 @@ class GroupoidModel:
     def lie_basis(self, grp: str):
         return self.spec(grp).lie_basis()
 
-    # subclasses: project, project_vert, g_coords
+    def project(self, h: Arrow) -> Arrow:
+        """The G-arrow under an H-arrow: I plus the `_down` cells of body - I."""
+        if h.grp != "H":
+            raise CompositionError("project expects an H-arrow")
+        alg = h.algebra
+        up = h.body - Matrix.identity(h.body.size, alg)
+        body = Matrix.identity(len(self._down), alg) + self.project_vert(up)
+        return Arrow(self, "G", h.source, h.target, body)
+
+    def project_vert(self, w: Matrix) -> Matrix:
+        """The G-coefficient matrix under an H-coefficient matrix."""
+        return w.gather(self._down)
 
 
 class HeisenbergModel(GroupoidModel):
@@ -270,26 +286,13 @@ class HeisenbergModel(GroupoidModel):
 
     family = "heisenberg"
     base_dim = 0
-
-    # the G-coordinates of an H-body: (0, 1) stays, (1, 2) moves to (0, 2)
+    # (0, 1) stays, (1, 2) moves to (0, 2)
     _down = ((None, (0, 1), (1, 2)), (None,) * 3, (None,) * 3)
 
     def __init__(self):
         self._h = PatternGroup("unipotent3", 3, ((0, 1), (1, 2), (0, 2)))
         self._g = PatternGroup("two-param-abelian", 3, ((0, 1), (0, 2)))
         self._l = PatternGroup("centre", 3, ((0, 2),))
-
-    def project(self, h: Arrow) -> Arrow:
-        if h.grp != "H":
-            raise CompositionError("project expects an H-arrow")
-        body = Matrix.identity(3, h.algebra) + h.body.gather(self._down)
-        return Arrow(self, "G", h.source, h.target, body)
-
-    def project_vert(self, w: Matrix) -> Matrix:
-        return w.gather(self._down)
-
-    def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
-        return (vert[0, 1], vert[0, 2])
 
 
 class DirectProductModel(GroupoidModel):
@@ -305,17 +308,6 @@ class DirectProductModel(GroupoidModel):
         self._g = GeneralLinear(2)
         self._l = BlockDiagonal(FixedIdentity(2), GeneralLinear(1))
 
-    def project(self, h: Arrow) -> Arrow:
-        if h.grp != "H":
-            raise CompositionError("project expects an H-arrow")
-        return Arrow(self, "G", h.source, h.target, h.body.gather(self._down))
-
-    def project_vert(self, w: Matrix) -> Matrix:
-        return w.gather(self._down)
-
-    def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
-        return (vert[0, 0], vert[0, 1], vert[1, 0], vert[1, 1])
-
 
 class TrivialGaugeModel(GroupoidModel):
     """Gauge groupoid M x K x M over a coordinate base M of dimension 2;
@@ -323,23 +315,13 @@ class TrivialGaugeModel(GroupoidModel):
 
     family = "trivial_gauge"
     base_dim = 2
+    _down = ((None,),)  # G is the pair groupoid: every body projects to I
 
     def __init__(self, structure: str, group):
         self.structure = structure
         self._h = group
         self._g = FixedIdentity(1)
         self._l = group
-
-    def project(self, h: Arrow) -> Arrow:
-        if h.grp != "H":
-            raise CompositionError("project expects an H-arrow")
-        return Arrow(self, "G", h.source, h.target, Matrix.identity(1, h.algebra))
-
-    def project_vert(self, w: Matrix) -> Matrix:
-        return Matrix.zero(1, w.algebra)
-
-    def g_coords(self, vert: Matrix) -> tuple[WeilElement, ...]:
-        return ()
 
 
 # ---------------------------------------------------------------------------

@@ -148,17 +148,19 @@ def test_splitting_apply_keeps_each_algebra_apart():
     rng = random.Random(24)
     plain = algebra(["d"])
     paired = algebra(["d", "e"], killed=[("d", "e")])
+    # the G-coordinate cells of each model, one per downstairs direction
+    cells = {HEIS: ((0, 1), (0, 2)), FLAT: ((0, 0), (0, 1), (1, 0), (1, 1))}
     for model in (HEIS, FLAT):
         conn = sample_connection(rng, model)
-        # back to the first algebra after the second, so each is read cached
+        # back to the first algebra after the second
         for alg in (plain, paired, plain, paired):
             t = _random_g_tangent(rng, model, sample_point(rng, model, alg), alg)
             t = TangentData(model, "G", t.anchor, t.direction, t.vert * alg.gen("d"))
             got = conn.apply(t)
             assert got.algebra is alg
             want = Matrix.zero(model.spec("H").size, alg)
-            for c, img in zip(model.g_coords(t.vert), conn.images):
-                want = want + Matrix.from_rational(img, alg) * c
+            for cell, img in zip(cells[model], conn.images):
+                want = want + Matrix.from_rational(img, alg) * t.vert[cell]
             assert got.vert == want
 
 
@@ -245,20 +247,49 @@ def test_splitting_one_form_rejects_a_wrong_image_count_up_front():
         splitting_one_form(HEIS, one_image)
 
 
+def _unit(n, *cells):
+    return tuple(tuple(int((i, j) in cells) for j in range(n)) for i in range(n))
+
+
+def test_splitting_connection_rejects_images_outside_h():
+    # each image splits the projection, but has an entry H does not allow
+    heisenberg = (_unit(3, (0, 1), (1, 0)), _unit(3, (1, 2)))
+    direct_product = tuple(_unit(3, (i, j), (0, 2)) for i in range(2) for j in range(2))
+    for model, images in ((HEIS, heisenberg), (FLAT, direct_product)):
+        with pytest.raises(ConnectionError_, match="Lie algebra of H"):
+            SplittingConnection(model, images)
+
+
+def test_splitting_one_form_rejects_images_outside_the_kernel():
+    for model, outside in ((HEIS, _unit(3, (0, 1))), (FLAT, _unit(3, (0, 0)))):
+        images = (outside,) * len(model.lie_basis("G"))
+        with pytest.raises(FormError, match="Lie algebra of L"):
+            splitting_one_form(model, images)
+
+
 def test_gauge_one_form_rejects_coefficients_of_the_wrong_arity():
-    model = build_model("trivial_gauge", "gl2")
-    three_vars = PolyMatrix.zero(2, 3)
-    with pytest.raises(FormError, match="one variable per base axis"):
-        gauge_one_form(model, (three_vars, three_vars))
+    z, x1 = Poly(2, {}), Poly.var(2, 0)
+    cases = (
+        ("gl2", PolyMatrix.zero(2, 3), "one variable per base axis"),
+        ("gl2", PolyMatrix.zero(3, 2), "size must match the structure group"),
+        ("sl2", PolyMatrix(((x1, z), (z, z))), "traceless"),
+    )
+    for group, coeff, message in cases:
+        model = build_model("trivial_gauge", group)
+        with pytest.raises(FormError, match=message):
+            gauge_one_form(model, (coeff, coeff))
 
 
 def test_float_entries_are_rejected_by_every_constant_constructor():
     def images(scalar):
         return (((0, 1, scalar), (0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 1), (0, 0, 0)))
 
+    def central_images(scalar):
+        return (((0, 0, scalar), (0, 0, 0), (0, 0, 0)),) * 2
+
     constructors = (
         lambda scalar: SplittingConnection(HEIS, images(scalar)),
-        lambda scalar: splitting_one_form(HEIS, images(scalar)),
+        lambda scalar: splitting_one_form(HEIS, central_images(scalar)),
         lambda scalar: ConstantSection(HEIS, "G", images(scalar)[0]),
     )
     for build in constructors:

@@ -18,7 +18,6 @@ from nilgeo.microcalc import (
     degenerate_square,
     diff1,
     diff2,
-    edge,
     from_tangent,
     make_microcube,
     perm_sign,
@@ -212,6 +211,12 @@ def test_slice_rejects_colliding_parameter():
 
 
 # -- edges, permutation, scaling ----------------------------------------------
+
+
+def edge(cube, i):
+    """The degree-one cube along argument i (all other arguments at zero)."""
+    others = [g for k, g in enumerate(cube.args, 1) if k != i]
+    return make_microcube(arrow_drop(cube.arrow, others), (cube.args[i - 1],))
 
 
 def test_edges_read_off_linear_coefficients():
