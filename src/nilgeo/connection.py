@@ -3,7 +3,8 @@
 A connection is fiberwise-linear lift data: a splitting matrix on the
 downstairs tangent coordinates (one-point models) or vertical coefficient
 polynomials over the base (gauge models).  Each kind's linear map is one
-function, `_splitting_map` or `_gauge_map`, which checks the data and is
+function, `_splitting_map` or `_gauge_map`, which checks the data against
+the Lie algebra of its target group (`MatrixGroup.lie_contains`) and is
 shared with the kind's one-form in `forms`.  Every edge of a cube is lifted
 in one place, `lifted_edge`: one slice down to the edge, one `apply`, read
 at the edge's generator; `forms` and `bianchi` take their edges from it too.
@@ -38,7 +39,6 @@ from .models import (
     GroupoidModel,
     Point,
     TrivialGaugeModel,
-    _unit_matrix,
     compose,
     compose_all,
     invert,
@@ -59,28 +59,19 @@ def _splitting_map(
     model: GroupoidModel, grp: str, images: Sequence, error: type
 ) -> tuple[tuple, Callable[[Matrix], Matrix]]:
     """The exact images and the map vert -> sum_k vert[cell_k] * images[k]
-    into the `grp` coefficients, cell_k the position of the unit matrix
-    `lie_basis("G")[k]`; raises `error` unless each basis element has one
+    into the `grp` coefficients, cell_k the k-th free cell of G
+    (`model.spec("G").free`); raises `error` unless each free cell has one
     image, in the Lie algebra of `grp`."""
     images = tuple(
         tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
     )
-    basis = model.lie_basis("G")
-    if len(images) != len(basis):
+    cells = model.spec("G").free
+    if len(images) != len(cells):
         raise error("one image per downstairs direction required")
-    size = model.spec("G").size
-    units = {_unit_matrix(size, i, j): (i, j) for i in range(size) for j in range(size)}
-    cells = [units.get(b) for b in basis]
-    if None in cells:
-        raise error("downstairs basis element is not a unit matrix")
     spec = model.spec(grp)
+    if not all(spec.lie_contains(img) for img in images):
+        raise error(f"images must lie in the Lie algebra of {grp}")
     n = spec.size
-    alg = algebra(["d"])
-    one, d = Matrix.identity(n, alg), alg.gen("d")
-    for img in images:
-        m = Matrix.from_rational(img, alg)
-        if m.size != n or not spec.contains(one + m * d):
-            raise error(f"images must lie in the Lie algebra of {grp}")
     entries = [
         [(i * n + j, q) for i, r in enumerate(img) for j, q in enumerate(r) if q]
         for img in images
@@ -95,22 +86,26 @@ def _splitting_map(
 
 
 def _gauge_map(
-    model: GroupoidModel, coeffs: Sequence[PolyMatrix], error: type
+    model: GroupoidModel, grp: str, coeffs: Sequence[PolyMatrix], error: type
 ) -> Callable[[TangentData], Matrix]:
-    """The map td -> sum_i A_i(anchor) * v_i, cached per anchor; raises
-    `error` unless the A_i are coefficients of a gauge model's group."""
+    """The map td -> sum_i A_i(anchor) * v_i into the `grp` coefficients,
+    cached per anchor; raises `error` unless the A_i are coefficients of a
+    gauge model, each of whose monomials' matrices lies in the Lie algebra
+    of `grp`."""
     if not isinstance(model, TrivialGaugeModel):
         raise error("vertical coefficients need a gauge model")
     if len(coeffs) != model.base_dim:
         raise error("one coefficient matrix per base axis")
-    size = model.spec("H").size
+    spec = model.spec(grp)
+    size = spec.size
     for pm in coeffs:
         if pm.size != size:
             raise error("coefficient size must match the structure group")
         if pm.nvars != model.base_dim:
             raise error("coefficients must take one variable per base axis")
-        if model.structure == "sl2" and not pm.trace_is_zero():
-            raise error("sl2 coefficients must be traceless")
+        for e in {e for r in pm.rows for p in r for e in p.terms}:
+            if not spec.lie_contains([[p.terms.get(e, 0) for p in r] for r in pm.rows]):
+                raise error(f"coefficients must lie in the Lie algebra of {grp}")
     at: dict = {}  # anchors repeat heavily across slices of one cube
 
     def vert_map(td: TangentData) -> Matrix:
@@ -155,7 +150,7 @@ class GaugeConnection:
     def __init__(self, model: TrivialGaugeModel, coeffs: Sequence[PolyMatrix]):
         self.model = model
         self.coeffs = tuple(coeffs)
-        self._vert = _gauge_map(model, self.coeffs, ConnectionError_)
+        self._vert = _gauge_map(model, "H", self.coeffs, ConnectionError_)
 
     def apply(self, td: TangentData) -> TangentData:
         if td.grp != "G":

@@ -76,7 +76,7 @@ def curvature_form(conn: Connection) -> Form:
 def gauge_one_form(model: GroupoidModel, coeffs: Sequence[PolyMatrix]) -> Form:
     """One-form on a coordinate base from per-axis coefficient matrices:
     the gauge connection's map, unnegated."""
-    vert_of = _gauge_map(model, coeffs, FormError)
+    vert_of = _gauge_map(model, "L", coeffs, FormError)
 
     def fn(t: Microcube) -> TangentData:
         td = from_tangent(t)

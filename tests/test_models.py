@@ -6,18 +6,19 @@ import pytest
 from nilgeo.matrices import Matrix, _det
 from nilgeo.models import (
     Arrow,
-    BlockDiagonal,
     CompositionError,
-    FixedIdentity,
-    GeneralLinear,
-    PatternGroup,
-    UnitDeterminant,
     all_models,
     build_model,
     compose,
     invert,
 )
-from nilgeo.sampling import sample_point, sample_rational, sample_vert, sample_weil
+from nilgeo.sampling import (
+    sample_lie_rows,
+    sample_point,
+    sample_rational,
+    sample_vert,
+    sample_weil,
+)
 from nilgeo.weil import algebra
 
 
@@ -25,45 +26,36 @@ ALG2 = algebra(["d1", "d2"])
 
 
 def _constant_member(rng, spec, bound):
-    """Random rational matrix satisfying the spec, built by closure."""
+    """Random rational matrix satisfying the spec, built by closure: a
+    random member of each block, then the free cells outside the blocks."""
     n = spec.size
-    if isinstance(spec, FixedIdentity):
-        return tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-    if isinstance(spec, PatternGroup):
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for i, j in spec.free:
+    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    inside = set()
+    for span, kind in spec.blocks:
+        block = _block_member(rng, len(span), kind, bound)
+        for a, i in enumerate(span):
+            for b, j in enumerate(span):
+                rows[i][j] = block[a][b]
+                inside.add((i, j))
+    for i, j in spec.free:
+        if (i, j) not in inside:
             rows[i][j] = sample_rational(rng, bound)
-        return tuple(tuple(r) for r in rows)
-    if isinstance(spec, GeneralLinear):
-        while True:
-            rows = tuple(
-                tuple(sample_rational(rng, bound) for _ in range(n)) for _ in range(n)
-            )
-            if _det(rows) != 0:
-                return rows
-    if isinstance(spec, UnitDeterminant):
+    return tuple(tuple(r) for r in rows)
+
+
+def _block_member(rng, k, kind, bound):
+    if kind == "SL":
         # product of shears keeps the determinant pinned at one
+        assert k == 2
         a, b, c = (sample_rational(rng, bound) for _ in range(3))
         return (
             (1 + a * b, a + c + a * b * c),
             (b, 1 + b * c),
         )
-    if isinstance(spec, BlockDiagonal):
-        first = _constant_member(rng, spec.first, bound)
-        second = _constant_member(rng, spec.second, bound)
-        k = spec.first.size
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(k):
-            for j in range(k):
-                rows[i][j] = first[i][j]
-        for i in range(n - k):
-            for j in range(n - k):
-                rows[k + i][k + j] = second[i][j]
-        return tuple(tuple(r) for r in rows)
-    raise TypeError(f"no sampler for spec {spec!r}")
+    while True:
+        rows = tuple(tuple(sample_rational(rng, bound) for _ in range(k)) for _ in range(k))
+        if _det(rows) != 0:
+            return rows
 
 
 def sample_body(rng, model, grp, alg, bound=Fraction(2)):
@@ -284,30 +276,22 @@ def test_registry_rejects_unknown_names():
 
 
 def entry_contains(spec, m):
-    """Oracle: the group tests read entry by entry."""
+    """Oracle: the group test read entry by entry."""
     alg, n = m.algebra, m.size
-    cells = [(i, j) for i in range(n) for j in range(n)]
     if n != spec.size:
         return False
-    if isinstance(spec, PatternGroup):
-        return all(
-            m[i, j] == (alg.one if i == j else alg.zero)
-            for i, j in cells
-            if (i, j) not in spec.free
-        )
-    if isinstance(spec, BlockDiagonal):
-        k = spec.first.size
-        if any(not m[i, j].is_zero() for i, j in cells if (i < k) != (j < k)):
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if any(
+        m[i, j] != (alg.one if i == j else alg.zero)
+        for i, j in cells
+        if (i, j) not in spec.free
+    ):
+        return False
+    for span, kind in spec.blocks:
+        det = _det([[m[i, j] for j in span] for i in span])
+        if not (det.constant_term() != 0 if kind == "GL" else det == alg.one):
             return False
-        a = Matrix([[m[i, j] for j in range(k)] for i in range(k)])
-        b = Matrix([[m[i, j] for j in range(k, n)] for i in range(k, n)])
-        return entry_contains(spec.first, a) and entry_contains(spec.second, b)
-    if isinstance(spec, GeneralLinear):
-        return m.det().constant_term() != 0
-    if isinstance(spec, UnitDeterminant):
-        return m.det() == alg.one
-    assert isinstance(spec, FixedIdentity)
-    return m == Matrix.identity(n, alg)
+    return True
 
 
 def entry_project_vert(model, w):
@@ -369,5 +353,44 @@ def test_members_off_only_at_a_nilpotent_monomial_are_rejected():
         assert not spec.contains(bad) and not entry_contains(spec, bad)
         assert spec.contains(bad.drop(("d2",)))
     bump = Matrix.identity(2, alg) + _unit(2, 0, 0, alg) * d12
-    assert bump.det() == alg.one + d12
-    assert GeneralLinear(2).contains(bump)
+    assert _det(bump.rows) == alg.one + d12
+    assert build_model("trivial_gauge", "gl2").spec("H").contains(bump)
+
+
+def _lie_contains_oracle(spec, rows):
+    """The definition: I + rows * d lies in the group over Q[d]."""
+    alg = algebra(["d"])
+    step = Matrix.from_rational(rows, alg) * alg.gen("d")
+    return spec.contains(Matrix.identity(spec.size, alg) + step)
+
+
+def test_lie_contains_matches_the_group_over_dual_numbers():
+    rng = random.Random(12)
+    for model in all_models():
+        for grp in ("G", "H", "L"):
+            spec = model.spec(grp)
+            n = spec.size
+            basis = spec.lie_basis()
+            sl_blocks = sum(kind == "SL" for _, kind in spec.blocks)
+            assert len(basis) == len(spec.free) - sl_blocks
+            assert all(spec.lie_contains(b) for b in basis)
+            for _ in range(20):
+                rows = [[sample_rational(rng, Fraction(2)) for _ in range(n)] for _ in range(n)]
+                shift = sum(rows[i][i] for i in range(n)) / n
+                traceless = [
+                    [q - shift if i == j else q for j, q in enumerate(r)]
+                    for i, r in enumerate(rows)
+                ]
+                lie = sample_lie_rows(rng, model, grp)
+                assert spec.lie_contains(lie)
+                cases = [rows, traceless, lie]
+                # moved at one cell: off the pattern, or off a traceless block
+                for i in range(n):
+                    for j in range(n):
+                        moved = [list(r) for r in lie]
+                        moved[i][j] += 1
+                        cases.append(moved)
+                for r in cases:
+                    assert spec.lie_contains(r) == _lie_contains_oracle(spec, r), (
+                        model.name, grp, r,
+                    )

@@ -184,4 +184,3 @@ def test_poly_matrix_rejects_empty_and_mixed_arity():
         PolyMatrix(())
     with pytest.raises(ValueError):
         PolyMatrix([[Poly.var(1, 0), Poly(2, {})], [Poly(1, {}), Poly(1, {})]])
-    assert PolyMatrix([[Poly.var(2, 1)]]).trace_is_zero() is False
