@@ -6,7 +6,7 @@ import pytest
 from nilgeo import matrices
 from nilgeo.matrices import Matrix, SingularMatrix, SizeMismatch
 from nilgeo.microcalc import TangentData
-from nilgeo.models import build_model
+from nilgeo.models import MatrixGroup, build_model
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.sampling import sample_point, sample_vert
 from nilgeo.weil import (
@@ -522,12 +522,19 @@ def test_plans_match_per_entry_oracle(alg):
 
 
 @pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
-def test_gather_matches_entry_reads(alg):
+def test_support_and_gather_match_entry_reads(alg):
     rng = random.Random(90 + len(alg.names) + len(alg.killed))
     for _ in range(30):
         n = rng.randint(1, 3)
         a, _ = _random_pair(rng, alg, n)
         positions = [(i, j) for i in range(n) for j in range(n)]
+        # a group with no blocks holds I + a exactly when its free cells
+        # cover the positions where an entry read of a is nonzero
+        support = [p for p in positions if not a[p].is_zero()]
+        body = Matrix.identity(n, alg) + a
+        assert MatrixGroup(n, support).contains(body)
+        for p in support:
+            assert not MatrixGroup(n, [q for q in support if q != p]).contains(body)
         k = rng.randint(1, 3)
         cells = [[rng.choice([None, *positions]) for _ in range(k)] for _ in range(k)]
         want = Matrix([[alg.zero if c is None else a[c] for c in r] for r in cells])
