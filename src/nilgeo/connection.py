@@ -8,6 +8,12 @@ the Lie algebra of its target group (`MatrixGroup.lie_contains`) and is
 shared with the kind's one-form in `forms`.  Every edge of a cube is lifted
 in one place, `lifted_edge`: one slice down to the edge, one `apply`, read
 at the edge's generator; `forms` and `bianchi` take their edges from it too.
+Each connection lifts each distinct edge once: the faces of a cube share
+their edges with the cube as equal values, so its face curvatures,
+`bianchi.build_cube` and `forms.d_nabla` cost one lift per edge.  That
+memo lives as long as the connection, which the samplers build per trial.
+`apply` must therefore be a function of its tangent; a stateful one is
+seen once per distinct edge.
 The lift of a microsquare is the path of two lifted edges and its curvature
 the loop of four, read off the top coefficient by
 `microcalc.kernel_loop_tangent`.  The named presets and the random connections of
@@ -127,6 +133,7 @@ class SplittingConnection:
 
     def __init__(self, model: GroupoidModel, images: Sequence):
         self.model = model
+        self._edges: dict = {}  # (algebra, edge) -> lifted arrow, see `lifted_edge`
         self.images, self._vert = _splitting_map(model, "H", images, ConnectionError_)
         alg0 = algebra([])
         for img, b in zip(self.images, model.lie_basis("G")):
@@ -149,6 +156,7 @@ class GaugeConnection:
 
     def __init__(self, model: TrivialGaugeModel, coeffs: Sequence[PolyMatrix]):
         self.model = model
+        self._edges: dict = {}  # (algebra, edge) -> lifted arrow, see `lifted_edge`
         self.coeffs = tuple(coeffs)
         self._vert = _gauge_map(model, "H", self.coeffs, ConnectionError_)
 
@@ -184,10 +192,19 @@ def lifted_edge(
     conn: Connection, cube: Microcube, corner: Collection[int], k: int
 ) -> Arrow:
     """The lift of the edge along argument k from the corner where the
-    arguments in `corner` are on and the others are 0."""
+    arguments in `corner` are on and the others are 0.
+
+    The slice, with its cube checks, runs on every call; the lift of an
+    edge the connection has seen before is read back from its memo, which
+    keeps every distinct edge for as long as the connection lives."""
     frozen = {i: g if i in corner else 0 for i, g in enumerate(cube.args, 1) if i != k}
-    td = conn.apply(from_tangent(slice_multi(cube, frozen)))
-    return td.arrow_at(cube.algebra.gen(cube.args[k - 1]))
+    edge = slice_multi(cube, frozen)
+    key = (edge.algebra, edge)  # equal elements over distinct algebras stay apart
+    arrow = conn._edges.get(key)
+    if arrow is None:
+        td = conn.apply(from_tangent(edge))
+        arrow = conn._edges[key] = td.arrow_at(edge.algebra.gen(edge.args[0]))
+    return arrow
 
 
 def lift(conn: Connection, cube: Microcube) -> Microcube:

@@ -167,6 +167,8 @@ class Matrix(_Transforms):
 
     def _apply(self, plan: _Plan) -> "Matrix":
         """Entrywise `WeilElement._apply`: one plan lookup per mask."""
+        if plan.keeps(self.algebra, self._t):
+            return self
         out: dict[int, tuple[int, ...]] = {}
         for m, v in self._t.items():
             if (hit := plan[m]) is not None:

@@ -84,6 +84,19 @@ class MatrixGroup:
             if kind == "GL"
         )
         self._sl = tuple(span for span, kind in self.blocks if kind == "SL")
+        # the Lie basis in the order of `free` (see `lie_basis`)
+        last = {i: span[-1] for span in self._sl for i in span}
+        basis = []
+        for i, j in self.free:
+            l = last.get(i) if i == j else None
+            if l == i:
+                continue
+            rows = [[Fraction(0)] * size for _ in range(size)]
+            rows[i][j] = Fraction(1)
+            if l is not None:
+                rows[l][l] = Fraction(-1)
+            basis.append(tuple(tuple(r) for r in rows))
+        self._basis = tuple(basis)
 
     def contains(self, m: Matrix) -> bool:
         """Exact membership, read off the table by position."""
@@ -124,20 +137,9 @@ class MatrixGroup:
 
     def lie_basis(self):
         """The unit matrices on the free cells, in order, except that in an
-        SL block each diagonal cell but the last, l, carries E_ii - E_ll."""
-        n = self.size
-        last = {i: span[-1] for span in self._sl for i in span}
-        out = []
-        for i, j in self.free:
-            l = last.get(i) if i == j else None
-            if l == i:
-                continue
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[i][j] = Fraction(1)
-            if l is not None:
-                rows[l][l] = Fraction(-1)
-            out.append(tuple(tuple(r) for r in rows))
-        return tuple(out)
+        SL block each diagonal cell but the last, l, carries E_ii - E_ll;
+        built once per group."""
+        return self._basis
 
 
 def _full(n: int, kind: str) -> MatrixGroup:

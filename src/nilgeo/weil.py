@@ -21,9 +21,12 @@ evaluation needs them, are summed there (`matrices._combination`).
 Dropping generators, taking a cofactor, renaming, restricting to a
 quotient, rescaling a generator and converting to another algebra only
 re-key the masks of a table.  Each is one *plan* here (`_Plan`), which
-elements, matrices and arrows apply alike.  Each builder but rescaling,
-whose factor is any rational, is cached: its arguments are interned
-algebras, masks and generator names.
+elements, matrices and arrows apply alike.  A drop and a rename state the
+generators they can move (`moves`); a table that meets none of them is
+handed back as it is, with no rebuild, since it is already canonical over
+the plan's target.  Each builder but rescaling, whose factor is any
+rational, is cached: its arguments are interned algebras, masks and
+generator names.
 Scalars are exact: a float raises `TypeError`.
 """
 
@@ -274,10 +277,22 @@ class _Plan(dict):
     """A mask transform into `target`: old mask -> (new mask, integer
     factor), or None where the monomial dies; results are also divided by
     `den`.  `rule` finds a mask's image on its first use, so a rule raises
-    only for a monomial that is present."""
+    only for a monomial that is present.  `moves`, where a plan states it,
+    holds the generator bits the plan can rename or kill: a table over
+    `target` none of whose masks meets them is its own image."""
 
-    def __init__(self, target: "WeilAlgebra", rule, den: int = 1):
-        self.target, self.rule, self.den = target, rule, den
+    def __init__(self, target: "WeilAlgebra", rule, den: int = 1, moves: int | None = None):
+        self.target, self.rule, self.den, self.moves = target, rule, den, moves
+
+    def keeps(self, alg: "WeilAlgebra", masks) -> bool:
+        """Whether a canonical table over `alg` with these masks is its own
+        image."""
+        moves = self.moves
+        return (
+            moves is not None
+            and self.target is alg
+            and not any([m & moves for m in masks])
+        )
 
     def __missing__(self, m: int):
         hit = self[m] = self.rule(m)
@@ -287,7 +302,7 @@ class _Plan(dict):
 @lru_cache(maxsize=None)
 def _drop_plan(alg: "WeilAlgebra", mask: int) -> _Plan:
     """Evaluate the generators of `mask` at zero."""
-    return _Plan(alg, lambda m: None if m & mask else (m, 1))
+    return _Plan(alg, lambda m: None if m & mask else (m, 1), moves=mask)
 
 
 @lru_cache(maxsize=None)
@@ -312,7 +327,7 @@ def _rename_plan(alg: "WeilAlgebra", pairs: tuple[tuple[str, str], ...]) -> _Pla
                 new |= new_bit
         return None if new in alg.killed else (new, 1)
 
-    return _Plan(alg, rule)
+    return _Plan(alg, rule, moves=moved)
 
 
 @lru_cache(maxsize=None)
@@ -416,6 +431,8 @@ class WeilElement(_Transforms):
 
     def _apply(self, plan: _Plan) -> "WeilElement":
         """The image under a mask plan."""
+        if plan.keeps(self.algebra, self._c):
+            return self
         out: dict[int, int] = {}
         get = out.get
         for m, v in self._c.items():

@@ -22,6 +22,7 @@ from nilgeo.microcalc import arrow_drop, include_tangent, slice_cube
 from nilgeo.models import build_model, all_models, compose, compose_all, invert
 from nilgeo.sampling import (
     preset_connection,
+    preset_names,
     sample_connection,
     sample_lie_rows,
     sample_microcube,
@@ -311,3 +312,45 @@ def test_classical_bianchi_operation_counts(monkeypatch):
             report = verify_classical_bianchi(conn, cube)
             assert counts == {"curvature": 6, "elimination": 0}, model.name
             assert report == _unshared_classical_report(conn, cube), model.name
+
+
+# -- one lift per distinct edge ----------------------------------------------------------
+
+
+def _preset(model):
+    return preset_connection(model, preset_names(model)[0])
+
+
+def _counted_applies(conn):
+    calls = []
+    original = conn.apply
+
+    def counted(td):
+        calls.append(None)
+        return original(td)
+
+    conn.apply = counted
+    return calls
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_each_distinct_edge_is_lifted_once_per_connection(model):
+    rng = random.Random(64)
+    cube = sample_microcube(rng, model, "G", ("d1", "d2", "d3"), ALG3)
+    square = sample_microcube(rng, model, "G", ("d1", "d2"), algebra(["d1", "d2"]))
+    conn = _preset(model)
+    calls = _counted_applies(conn)
+    report = verify_classical_bianchi(conn, cube)
+    assert 0 < len(calls) <= 12  # a cube has twelve edges
+    seen = len(calls)
+    labeling = build_cube(conn, cube)
+    assert len(calls) == seen
+    omega = curvature(conn, square)
+    assert 0 < len(calls) - seen <= 4
+    seen = len(calls)
+    assert curvature(conn, square) == omega
+    assert len(calls) == seen
+    # the memo hands back what a connection that has seen nothing computes
+    assert report == verify_classical_bianchi(_preset(model), cube)
+    assert labeling.edges == build_cube(_preset(model), cube).edges
+    assert omega == curvature(_preset(model), square)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilgeo import connection
 from nilgeo.connection import (
     ConnectionError_,
     CurvatureError,
@@ -445,24 +446,24 @@ def test_curvature_rejects_a_word_that_is_not_the_identity_on_an_edge(monkeypatc
     # a central bump on the third lifted edge, B -> D along d1, is cancelled
     # by no other edge: the loop is not the identity at d2 = 0
     conn = preset_connection(HEIS)
-    original, calls = conn.apply, []
+    original, reads = connection.lifted_edge, []
 
-    def bumped(td):
-        calls.append(None)
-        out = original(td)
-        if len(calls) == 3:
-            bump = Matrix.from_rational(E02, out.algebra)
-            out = TangentData(out.model, out.grp, out.anchor, out.direction, out.vert + bump)
+    def bumped(conn, cube, corner, k):
+        reads.append((tuple(sorted(corner)), k))
+        out = original(conn, cube, corner, k)
+        if len(reads) == 3:
+            bump = Matrix.from_rational(E02, out.algebra) * out.algebra.gen(cube.args[k - 1])
+            out = Arrow(out.model, out.grp, out.source, out.target, out.body + bump)
         return out
 
     alg = algebra(["d1", "d2"])
     x_sec = ConstantSection(HEIS, "G", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     y_sec = ConstantSection(HEIS, "G", [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     square = bisection_product(y_sec, x_sec, (), ("d1", "d2"), alg)
-    monkeypatch.setattr(conn, "apply", bumped)
+    monkeypatch.setattr(connection, "lifted_edge", bumped)
     with pytest.raises(CurvatureError, match="d2 = 0"):
         curvature(conn, square)
-    assert len(calls) == 4
+    assert reads == [((), 1), ((1,), 2), ((2,), 1), ((), 2)]
 
 
 @pytest.mark.parametrize("error", [CurvatureError, FormError, DifferenceError, CubeError])

@@ -371,6 +371,7 @@ def test_lie_contains_matches_the_group_over_dual_numbers():
             spec = model.spec(grp)
             n = spec.size
             basis = spec.lie_basis()
+            assert basis is spec.lie_basis()  # built once per group
             sl_blocks = sum(kind == "SL" for _, kind in spec.blocks)
             assert len(basis) == len(spec.free) - sl_blocks
             assert all(spec.lie_contains(b) for b in basis)
