@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .connection import Connection, curvature, lifted_edge
-from .forms import Form, d_nabla
+from .forms import curvature_form, d_nabla
 from .matrices import Matrix
 from .microcalc import Microcube, TangentData, include_tangent, slice_cube
 from .models import Arrow, Point, compose, compose_all, invert
@@ -234,18 +234,16 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
     assert the commutations of conjugated curvature values that let the
     edge word be rearranged into cancelling blocks.
 
-    Both halves read the same six face curvatures, each computed once; the
-    derivative sees them through a form that looks its faces up."""
-    squares = {
-        (i, e): slice_cube(cube, i, e)
+    Both halves read the six face curvatures through one curvature form,
+    which evaluates each distinct face once and keeps its value, so the
+    derivative of that same form reads them back."""
+    faces = curvature_form(conn)
+    omega = {
+        (i, e): faces(slice_cube(cube, i, e))
         for i, g in enumerate(cube.args, 1)
         for e in (0, g)
     }
-    omega = {key: curvature(conn, sq) for key, sq in squares.items()}
-    by_square = {squares[key]: value for key, value in omega.items()}
-    faces = Form(conn.model, 2, lambda sq: by_square[sq])
-    value = d_nabla(conn, faces)(cube)
-    derivative_zero = value.is_zero()
+    derivative_zero = d_nabla(conn, faces)(cube).is_zero()
 
     labeling = build_cube(conn, cube)
 

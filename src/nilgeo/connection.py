@@ -30,6 +30,7 @@ from .microcalc import (
     Microcube,
     Section,
     TangentData,
+    _fresh_pair,
     as_kernel_tangent,
     bisection_product,
     bracket_sections,
@@ -254,10 +255,7 @@ def structure_equation(
     Right: lift of the section bracket minus the bracket of the lifts.
     Returns the pair of kernel tangents (exactly comparable); raises
     `CurvatureError` unless the lift distributes over the bisection square."""
-    d1 = alg.fresh_name("s1")
-    ext = alg.extend(d1)
-    d2 = ext.fresh_name("s2")
-    ext = ext.extend(d2)
+    ext, d1, d2 = _fresh_pair(alg, "s1", "s2")
     xe = tuple(c.convert(ext) for c in x)
     square = bisection_product(y_sec, x_sec, xe, (d1, d2), ext)
     lhs = curvature(conn, square).convert(alg)

@@ -3,9 +3,9 @@
 A form of degree n eats micro-n-cubes of the downstairs groupoid and
 returns kernel tangents at the same anchor.  A one-form is a connection
 kind's linear map into L (`connection._splitting_map`, `_gauge_map`).
-Validation checks the homogeneity and alternation laws pointwise-exactly
-on supplied samples, evaluating the form once per distinct cube (scaling
-by 1 and the identity permutation give back the sample itself).
+A form keeps each value it computes for as long as it lives, so it is
+evaluated once per distinct cube.  Validation checks the homogeneity and
+alternation laws pointwise-exactly on supplied samples.
 
 The degree-raising derivative builds, for each cube argument, the value on
 the frozen slice times the reversed value on the moved slice conjugated by
@@ -14,18 +14,17 @@ factors and multiplies ascending.  The word is read off the coefficient of
 the full product monomial by `microcalc.kernel_loop_tangent`, the same read
 as curvature's, which asserts on each evaluation that the word is the
 identity wherever one argument is 0, kernel-valued and a loop at the
-anchor.  A derived form evaluates its inner form once per distinct slice
-over its lifetime.
+anchor.
 
-Both memos go in front of `Form.__call__`, so every first evaluation is
-still validated.  Their keys lead with the cube's algebra: cubes over
-different algebras then never reach `WeilElement.__eq__`, which refuses to
-compare across algebras.
+`Form.__call__` keeps a value only once the degree, kernel and fiber
+checks pass, so every first evaluation is validated.  Its key leads with
+the cube's algebra: cubes over different algebras then never reach
+`WeilElement.__eq__`, which refuses to compare across algebras.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
@@ -52,13 +51,20 @@ class FormError(ValueError):
 
 @dataclass(frozen=True)
 class Form:
-    """Degree-n evaluator from downstairs micro-n-cubes to kernel tangents."""
+    """Degree-n evaluator from downstairs micro-n-cubes to kernel tangents;
+    it keeps each value it computes, so its memo grows with the number of
+    distinct cubes it has seen."""
 
     model: GroupoidModel
     degree: int
     fn: Callable[[Microcube], TangentData]
+    _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, cube: Microcube) -> TangentData:
+        key = (cube.algebra, cube)
+        value = self._values.get(key)
+        if value is not None:
+            return value
         if cube.degree != self.degree:
             raise FormError(f"form of degree {self.degree} fed a {cube.degree}-cube")
         value = self.fn(cube)
@@ -66,6 +72,7 @@ class Form:
             raise FormError("form value must be a kernel tangent")
         if value.anchor != tuple(c.convert(value.algebra) for c in cube.anchor):
             raise FormError("form value sits over the wrong fiber")
+        self._values[key] = value
         return value
 
 
@@ -101,20 +108,6 @@ def splitting_one_form(model: GroupoidModel, images: Sequence) -> Form:
 DEFAULT_SCALARS = (0, 1, -1, 2, Fraction(1, 2))
 
 
-def _memoized(form: Form) -> Callable[[Microcube], TangentData]:
-    """`form`, evaluated once per distinct cube."""
-    memo: dict = {}
-
-    def value(cube: Microcube) -> TangentData:
-        key = (cube.algebra, cube)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = form(cube)
-        return got
-
-    return value
-
-
 def validate_form(
     form: Form,
     samples: Sequence[Microcube],
@@ -123,16 +116,15 @@ def validate_form(
     """Check homogeneity in every slot and full alternation on each sample;
     returns human-readable violation entries (empty means the form passed)."""
     violations: list[str] = []
-    value = _memoized(form)
     for k, cube in enumerate(samples):
-        base = value(cube)
+        base = form(cube)
         for i in range(1, form.degree + 1):
             for a in scalars:
-                got = value(scale_arg(cube, i, a))
+                got = form(scale_arg(cube, i, a))
                 if not got.same_as(base.scale(a)):
                     violations.append(f"sample {k}: homogeneity fails in slot {i} at a={a}")
         for theta in permutations(range(1, form.degree + 1)):
-            got = value(permute(cube, theta))
+            got = form(permute(cube, theta))
             if not got.same_as(base.scale(perm_sign(theta))):
                 violations.append(f"sample {k}: alternation fails for {theta}")
     return violations
@@ -142,23 +134,19 @@ def d_nabla(conn: Connection, form: Form) -> Form:
     """Covariant exterior derivative; degrees one and two are the supported
     inputs (the evaluator itself is uniform in the degree).
 
-    The derived form evaluates `form` once per distinct face and keeps
-    every such value for as long as the derived form lives, so the memo
-    grows with the number of distinct faces it has seen; derive a fresh
-    form for each batch of cubes rather than keeping one indefinitely."""
+    `form` keeps each face value it computes, and the derived form each of
+    its own, for as long as they live; derive a fresh form for each batch
+    of cubes rather than keeping one indefinitely."""
     if form.degree < 1:
         raise FormError("derivative needs a form of degree at least one")
-    inner = _memoized(form)
 
     def fn(cube: Microcube) -> TangentData:
-        return _derivative_value(conn, inner, cube)
+        return _derivative_value(conn, form, cube)
 
     return Form(form.model, form.degree + 1, fn)
 
 
-def _derivative_value(
-    conn: Connection, form: Callable[[Microcube], TangentData], cube: Microcube
-) -> TangentData:
+def _derivative_value(conn: Connection, form: Form, cube: Microcube) -> TangentData:
     args = cube.args
     alg = cube.algebra
     total = None

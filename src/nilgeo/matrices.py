@@ -323,7 +323,7 @@ def _check_shape(rows: tuple[tuple, ...]) -> int:
 
 
 def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
-    if other is not alg and other != alg:
+    if other is not alg:
         raise AlgebraMismatch(f"cannot combine {alg!r} with {other!r}")
 
 

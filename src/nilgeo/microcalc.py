@@ -227,14 +227,8 @@ class TangentData:
         body = Matrix.identity(n, self.algebra) + self.vert * w
         return Arrow(self.model, self.grp, self.anchor, target, body)
 
-    def tangent(self, arg: str, alg: WeilAlgebra | None = None) -> Microcube:
-        """Reconstruct the degree-one cube in the named generator."""
-        alg = (alg or self.algebra).extend(arg)
-        td = self.convert(alg)
-        return make_microcube(td.arrow_at(alg.gen(arg)), (arg,))
-
     def convert(self, alg: WeilAlgebra) -> "TangentData":
-        if alg == self.algebra:
+        if alg is self.algebra:
             return self
         return TangentData(
             self.model,
@@ -264,14 +258,7 @@ class TangentData:
         )
 
     def __sub__(self, other: "TangentData") -> "TangentData":
-        self._check_mate(other)
-        return TangentData(
-            self.model,
-            self.grp,
-            self.anchor,
-            tuple(a - b for a, b in zip(self.direction, other.direction)),
-            self.vert - other.vert,
-        )
+        return self + -other
 
     def scale(self, a: Scalar) -> "TangentData":
         return TangentData(
@@ -420,13 +407,13 @@ def strong_diff(g2: Microcube, g1: Microcube) -> TangentData:
 
 
 class Section:
-    """A field of tangents over the base, evaluable at Weil-valued points."""
+    """A field of tangents over the base, evaluable at Weil-valued points.
+
+    Each kind provides `at(x, alg)`: the `TangentData` of the bundle `grp`
+    of `model` anchored at the point x, whose coordinates lie in `alg`."""
 
     model: GroupoidModel
     grp: str
-
-    def at(self, x: Point, alg: WeilAlgebra) -> TangentData:
-        raise NotImplementedError
 
     def __add__(self, other: "Section") -> "Section":
         return _SumSection(self, other)
@@ -535,14 +522,20 @@ def _extract_square_tangent(
     )
 
 
+def _fresh_pair(alg: WeilAlgebra, a: str, b: str) -> tuple[WeilAlgebra, str, str]:
+    """`alg` extended by two fresh generators named after `a` and `b`,
+    with their names."""
+    u = alg.fresh_name(a)
+    ext = alg.extend(u)
+    v = ext.fresh_name(b)
+    return ext.extend(v), u, v
+
+
 def bracket_sections(
     t1: Section, t2: Section, x: Point, alg: WeilAlgebra
 ) -> TangentData:
     """Lie bracket of two sections at x via the four-letter bisection word."""
-    u = alg.fresh_name("u")
-    ext = alg.extend(u)
-    v = ext.fresh_name("v")
-    ext = ext.extend(v)
+    ext, u, v = _fresh_pair(alg, "u", "v")
     xe = tuple(c.convert(ext) for c in x)
     word = _commutator_word(
         lambda p: t1.at(p, ext), lambda p: t2.at(p, ext), xe, ext, u, v
@@ -557,10 +550,7 @@ def bracket(t1: TangentData, t2: TangentData) -> TangentData:
     base and for vertical tangents; anchored sections handle the rest."""
     t1._check_mate(t2)
     alg = t1.algebra
-    u = alg.fresh_name("u")
-    ext = alg.extend(u)
-    v = ext.fresh_name("v")
-    ext = ext.extend(v)
+    ext, u, v = _fresh_pair(alg, "u", "v")
     a, b = t1.convert(ext), t2.convert(ext)
     word = _commutator_word(lambda p: a, lambda p: b, a.anchor, ext, u, v)
     return _extract_square_tangent(word, t1.anchor, u, v, alg)

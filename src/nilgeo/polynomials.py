@@ -1,6 +1,8 @@
 """Multivariate polynomials with rational coefficients.
 
 Used for base-dependent data (sections, vertical connection coefficients).
+A polynomial is built from its terms and evaluated; there is no
+polynomial arithmetic, since nothing the checker runs needs it.
 Evaluation accepts Weil-valued coordinates, so polynomial data can be read
 off exactly at rationally-centred points with nilpotent displacements.
 
@@ -51,48 +53,6 @@ class Poly:
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return Poly(nvars, {exps: Fraction(1)})
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return Poly(self.nvars, merged)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def partial(self, i: int) -> "Poly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-            out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return Poly(self.nvars, out)
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __call__(self, coords: Sequence[WeilElement]) -> WeilElement:
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
@@ -100,13 +60,6 @@ class Poly:
         return _combination(
             coords[0].algebra, 1, ((0, c, mono[e]) for e, c in self.terms.items())
         )[0, 0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         if not self.terms:
@@ -137,11 +90,6 @@ class PolyMatrix:
         if len({p.nvars for r in self.rows for p in r}) != 1:
             raise ValueError("entries must all take the same number of variables")
 
-    @staticmethod
-    def zero(size: int, nvars: int) -> "PolyMatrix":
-        z = Poly(nvars, {})
-        return PolyMatrix(tuple(tuple(z for _ in range(size)) for _ in range(size)))
-
     @property
     def size(self) -> int:
         return len(self.rows)
@@ -160,9 +108,6 @@ class PolyMatrix:
             self.size,
             ((k, c, mono[e]) for k, p in enumerate(entries) for e, c in p.terms.items()),
         )
-
-    def partial(self, i: int) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(p.partial(i) for p in r) for r in self.rows))
 
 
 def _monomials(

@@ -290,7 +290,7 @@ def _gl2_standard(model) -> Connection:
 
 def _sl2_standard(model) -> Connection:
     z, x1, x2 = _gauge_coordinates()
-    a1 = PolyMatrix(((x2, z), (z, -1 * x2)))
+    a1 = PolyMatrix(((x2, z), (z, Poly(2, {(0, 1): -1}))))
     a2 = PolyMatrix(((z, x1), (z, z)))
     return GaugeConnection(model, (a1, a2))
 

@@ -4,7 +4,8 @@ Elements live in quotients of R[g1, ..., gn] by the relations gi^2 = 0,
 optionally together with an extra set of square-free monomials identified
 with zero.  Every element is a finite table of rational coefficients
 indexed by subsets of the generator list, so equality, substitution and
-restriction are all decidable and exact.
+restriction are all decidable and exact.  Algebras are interned by
+`algebra()`, so equality of algebras is identity.
 
 Monomials are encoded as bit masks over the algebra's generator ordering.
 Internally a single common denominator is factored out of each element and
@@ -97,7 +98,9 @@ def algebra(names: Iterable[str], killed: Iterable[Iterable[str]] = ()) -> "Weil
 
 
 class WeilAlgebra:
-    """R[g1,...,gn] / (gi^2 = 0, killed monomials).  Use `algebra()` to build."""
+    """R[g1,...,gn] / (gi^2 = 0, killed monomials).  Use `algebra()` to
+    build: it interns each algebra by its names and killed masks, so equal
+    algebras are one object and compare with `is`."""
 
     __slots__ = ("names", "killed", "_index", "_one", "_zero", "_dense_at", "_partners")
 
@@ -117,18 +120,6 @@ class WeilAlgebra:
             return f"WeilAlgebra({', '.join(self.names)})"
         dead = sorted(self.mono_names(m) for m in self.killed)
         return f"WeilAlgebra({', '.join(self.names)}; killed={dead})"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, WeilAlgebra)
-            and self.names == other.names
-            and self.killed == other.killed
-        )
-
-    def __hash__(self):
-        return hash((self.names, self.killed))
 
     # -- mask helpers ------------------------------------------------------
 
@@ -444,7 +435,7 @@ class WeilElement(_Transforms):
 
     def _coerce(self, other) -> "WeilElement | None":
         if isinstance(other, WeilElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra:
                 raise AlgebraMismatch(
                     f"cannot combine {self.algebra!r} with {other.algebra!r}"
                 )
@@ -458,7 +449,7 @@ class WeilElement(_Transforms):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        elif other.algebra is not self.algebra and other.algebra != self.algebra:
+        elif other.algebra is not self.algebra:
             raise AlgebraMismatch(
                 f"cannot combine {self.algebra!r} with {other.algebra!r}"
             )
@@ -493,12 +484,6 @@ class WeilElement(_Transforms):
                 return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if type(other) is not WeilElement:
             if type(other) is int:
@@ -518,7 +503,7 @@ class WeilElement(_Transforms):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        elif other.algebra is not self.algebra and other.algebra != self.algebra:
+        elif other.algebra is not self.algebra:
             raise AlgebraMismatch(
                 f"cannot combine {self.algebra!r} with {other.algebra!r}"
             )
@@ -529,26 +514,6 @@ class WeilElement(_Transforms):
         return _build(self.algebra, out, self._den * other._den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, WeilElement):
-            return self * other.invert()
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        out = self.algebra.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def invert(self) -> "WeilElement":
         """Exact two-sided inverse via the finite geometric series of the
@@ -578,7 +543,7 @@ class WeilElement(_Transforms):
             other = self.algebra.scalar(other)
         if not isinstance(other, WeilElement):
             return NotImplemented
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra:
             raise AlgebraMismatch(
                 f"cannot compare across {self.algebra!r} and {other.algebra!r}"
             )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nilgeo import bianchi, matrices
+from nilgeo import bianchi, forms, matrices
 from nilgeo.bianchi import (
     FACES,
     ClassicalReport,
@@ -300,18 +300,28 @@ def test_classical_bianchi_operation_counts(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(bianchi, "curvature", counted("curvature", curvature))
+    # the report reads its faces through `forms.curvature_form`
+    for module in (bianchi, forms):
+        monkeypatch.setattr(module, "curvature", counted("curvature", curvature))
     monkeypatch.setattr(
         matrices, "_rational_inverse", counted("elimination", matrices._rational_inverse)
     )
     rng = random.Random(63)
     for model in (HEIS, build_model("trivial_gauge", "gl2")):
         for _ in range(2):
+            draw = rng.getstate()
             conn, cube = random_setup(rng, model)
             counts.update(curvature=0, elimination=0)
             report = verify_classical_bianchi(conn, cube)
             assert counts == {"curvature": 6, "elimination": 0}, model.name
+            # the oracle gets a connection and cube of its own from the same
+            # draw, so it lifts every edge itself instead of reading the memo
+            fresh = random.Random()
+            fresh.setstate(draw)
+            conn, cube = random_setup(fresh, model)
+            calls = _counted_applies(conn)
             assert report == _unshared_classical_report(conn, cube), model.name
+            assert calls, model.name
 
 
 # -- one lift per distinct edge ----------------------------------------------------------

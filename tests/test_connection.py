@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import partial
 
 from nilgeo import connection
 from nilgeo.connection import (
@@ -55,7 +56,8 @@ SCALAR = build_model("trivial_gauge", "scalar")
 
 def nabla_tangent(conn, t):
     """Lift a degree-one cube fiberwise."""
-    return conn.apply(from_tangent(t)).tangent(t.args[0], t.algebra)
+    td = conn.apply(from_tangent(t)).convert(t.algebra)
+    return make_microcube(td.arrow_at(t.algebra.gen(t.args[0])), t.args)
 
 
 def project_tangent(td):
@@ -199,22 +201,49 @@ SAMPLED_CONNECTION_DIGESTS = {
 }
 
 
+def _connection_data(conn):
+    """A connection's defining data: splitting images, or the terms of each
+    gauge coefficient entry."""
+    if isinstance(conn, SplittingConnection):
+        return conn.images
+    return [
+        [[sorted(p.terms.items()) for p in row] for row in pm.rows]
+        for pm in conn.coeffs
+    ]
+
+
 def test_sampled_connections_are_pinned():
     for model in all_models():
         digest = hashlib.sha256()
         for seed in (1, 7):
             rng = random.Random(seed)
             conn = sample_connection(rng, model)
-            if isinstance(conn, SplittingConnection):
-                data = conn.images
-            else:
-                data = [
-                    [[sorted(p.terms.items()) for p in row] for row in pm.rows]
-                    for pm in conn.coeffs
-                ]
-            digest.update(repr(data).encode())
+            digest.update(repr(_connection_data(conn)).encode())
             digest.update(repr(rng.random()).encode())
         assert digest.hexdigest() == SAMPLED_CONNECTION_DIGESTS[model.name], model.name
+
+
+# SHA-256 of every preset's data, in the order `preset_names` lists them.  A
+# passing report line carries no data, so the report digests cannot see a
+# change to a preset; this pins them.
+PRESET_DIGESTS = {
+    "heisenberg": "6f500d9e7143ba92aaaf984ada6a6ec719babe5bd80e861cfca635b0d9c99bd9",
+    "direct_product": "a644625324cba314028991dae15c3f12d8603a63e637358e950a5bb86d8560fb",
+    "trivial_gauge[scalar]": "55ebf1d4c4ede55c12d7bf2bbdc6bad44b3c09d374ebb706988dbe475b26140b",
+    "trivial_gauge[gl2]": "febaa38c931f33c71bd280b4a85cda86e18f3bbf9fc9f5dd7088857528aef93b",
+    "trivial_gauge[sl2]": "fac1dbfa4788e674578c997f41007f8285e4f51e47262d4e19c7a0ae8ea8265a",
+}
+
+
+def test_presets_are_pinned():
+    got = {}
+    for model in all_models():
+        digest = hashlib.sha256()
+        for name in preset_names(model):
+            digest.update(name.encode())
+            digest.update(repr(_connection_data(preset_connection(model, name))).encode())
+        got[model.name] = digest.hexdigest()
+    assert got == PRESET_DIGESTS
 
 
 def test_splitting_connection_rejects_non_sections():
@@ -237,7 +266,8 @@ def test_sl2_connection_requires_traceless_coefficients():
 
 def test_gauge_connection_rejects_coefficients_of_the_wrong_arity():
     model = build_model("trivial_gauge", "gl2")
-    three_vars = PolyMatrix.zero(2, 3)
+    z = Poly(3, {})
+    three_vars = PolyMatrix(((z, z), (z, z)))
     with pytest.raises(ConnectionError_, match="one variable per base axis"):
         GaugeConnection(model, (three_vars, three_vars))
 
@@ -269,10 +299,10 @@ def test_splitting_one_form_rejects_images_outside_the_kernel():
 
 
 def test_gauge_one_form_rejects_coefficients_of_the_wrong_arity():
-    z, x1 = Poly(2, {}), Poly.var(2, 0)
+    z, x1, z3 = Poly(2, {}), Poly.var(2, 0), Poly(3, {})
     cases = (
-        ("gl2", PolyMatrix.zero(2, 3), "one variable per base axis"),
-        ("gl2", PolyMatrix.zero(3, 2), "size must match the structure group"),
+        ("gl2", PolyMatrix(((z3, z3), (z3, z3))), "one variable per base axis"),
+        ("gl2", PolyMatrix(((z, z, z),) * 3), "size must match the structure group"),
         ("sl2", PolyMatrix(((x1, z), (z, z))), "Lie algebra of L"),
     )
     for group, coeff, message in cases:
@@ -420,8 +450,8 @@ def test_curvature_matches_classical_coefficient_formula():
             omega = curvature(conn, square)
             a1, a2 = conn.coeffs
             f12 = (
-                a2.partial(0)(x)
-                - a1.partial(1)(x)
+                partial(a2, 0)(x)
+                - partial(a1, 1)(x)
                 + (a1(x) * a2(x) - a2(x) * a1(x))
             )
             assert omega.vert == f12

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import partial
 
 from nilgeo import forms
 from nilgeo.connection import curvature
@@ -162,7 +163,7 @@ def test_abelian_derivative_is_the_curl():
             Arrow(SCALAR, "G", x, target, Matrix.identity(1, alg)), ("d1", "d2")
         )
         got = d_nabla(conn, omega)(square)
-        want = w2.partial(0)(x) - w1.partial(1)(x)
+        want = partial(w2, 0)(x) - partial(w1, 1)(x)
         assert got.vert[0, 0] == want
 
 

@@ -164,7 +164,6 @@ def test_floats_are_rejected_as_coefficients():
 def test_poly_times_weil_element_is_not_implemented():
     p = Poly.var(1, 0)
     w = algebra(["d1"]).gen("d1")
-    assert p.__mul__(w) is NotImplemented
     with pytest.raises(TypeError):
         p * w
     with pytest.raises(TypeError):

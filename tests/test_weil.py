@@ -131,15 +131,6 @@ def test_zero_constant_term_not_invertible():
         D(1).gen("d1").invert()
 
 
-def test_powers_and_division():
-    a = D(2)
-    x = a.one + a.gen("d1") + a.gen("d2")
-    assert x**0 == a.one
-    assert x**3 == x * x * x
-    assert (x / x) == a.one
-    assert x / 2 == x * Fraction(1, 2)
-
-
 # -- restriction -------------------------------------------------------------
 
 
