@@ -110,18 +110,15 @@ def face_loop(labeling: CubeLabeling, cycle: Sequence[str]) -> Arrow:
     quad = {x, y, z, w}
     if len(quad) != 4 or not any(quad == set(f) for f in FACES):
         raise WordError(f"{cycle} does not round a face")
-    pairs = ((x, y), (y, z), (z, w), (w, x))
-    if not all(_adjacent(a, b) for a, b in pairs):
+    word = face_words(cycle)
+    if not all(_adjacent(a, b) for a, b in word):
         raise WordError(f"{cycle} does not walk edges")
-    return compose_all(
-        labeling.edge_arrow(w, x),
-        labeling.edge_arrow(z, w),
-        labeling.edge_arrow(y, z),
-        labeling.edge_arrow(x, y),
-    )
+    return compose_all(*(labeling.edge_arrow(a, b) for a, b in word))
 
 
 def face_words(cycle: Sequence[str]) -> list[tuple[str, str]]:
+    """The edge letters of the walk X -> Y -> Z -> W -> X, in `compose_all`
+    order: the last letter is walked first."""
     x, y, z, w = cycle
     return [(w, x), (z, w), (y, z), (x, y)]
 

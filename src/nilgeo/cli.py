@@ -87,13 +87,8 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: duplicate key {key!r} (first on line {seen[key]})"
             )
         seen[key] = lineno
-        if key in ("base_dim", "poly_degree", "trials"):
+        if key in ("base_dim", "poly_degree", "seed", "trials"):
             values[key] = _parse_int(value, lineno)
-        elif key == "seed":
-            seed = _parse_int(value, lineno)
-            if not 0 <= seed < 1 << 64:
-                raise ConfigError(f"line {lineno}: seed must fit in 64 bits")
-            values[key] = seed
         elif key == "coeff_bound":
             bound = _parse_rational(value, lineno)
             if bound <= 0:
@@ -121,6 +116,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(exc.args[0]) from None
     if cfg.base_dim is not None and cfg.base_dim != model.base_dim:
         raise ConfigError(f"{model.name} has base dimension {model.base_dim}")
+    if not 0 <= cfg.seed < 1 << 64:
+        raise ConfigError("seed must fit in 64 bits")
     if cfg.suite not in SUITE_NAMES:
         raise ConfigError(
             f"unknown suite {cfg.suite!r}; choices: {', '.join(SUITE_NAMES)}"
@@ -210,8 +207,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = parse_config(handle.read())
         overrides = {}
         if args.seed is not None:
-            if not 0 <= args.seed < 1 << 64:
-                raise ConfigError("seed must fit in 64 bits")
             overrides["seed"] = args.seed
         if args.suite is not None:
             overrides["suite"] = args.suite
@@ -222,10 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         if overrides:
             cfg = replace(cfg, **overrides)
             _validate_config(cfg)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status, lines = run_suite(cfg)

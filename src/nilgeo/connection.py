@@ -41,15 +41,7 @@ from .microcalc import (
     strong_diff,
     transpose,
 )
-from .models import (
-    Arrow,
-    GroupoidModel,
-    Point,
-    TrivialGaugeModel,
-    compose,
-    compose_all,
-    invert,
-)
+from .models import Arrow, GroupoidModel, Point, compose, compose_all, invert
 from .polynomials import PolyMatrix
 from .weil import WeilAlgebra, _exact, algebra
 
@@ -98,8 +90,9 @@ def _gauge_map(
     """The map td -> sum_i A_i(anchor) * v_i into the `grp` coefficients,
     cached per anchor; raises `error` unless the A_i are coefficients of a
     gauge model, each of whose monomials' matrices lies in the Lie algebra
-    of `grp`."""
-    if not isinstance(model, TrivialGaugeModel):
+    of `grp`.  The map reads only the base velocity, so it is a connection
+    only where G-tangents have no vertical part: G's Lie algebra is empty."""
+    if model.lie_basis("G"):
         raise error("vertical coefficients need a gauge model")
     if len(coeffs) != model.base_dim:
         raise error("one coefficient matrix per base axis")
@@ -155,7 +148,7 @@ class GaugeConnection:
     the parallel-transport convention that lines the curvature up with the
     classical coefficient formula dA + A^A on coordinate squares."""
 
-    def __init__(self, model: TrivialGaugeModel, coeffs: Sequence[PolyMatrix]):
+    def __init__(self, model: GroupoidModel, coeffs: Sequence[PolyMatrix]):
         self.model = model
         self._edges: dict = {}  # (algebra, edge) -> lifted arrow, see `lifted_edge`
         self.coeffs = tuple(coeffs)

@@ -20,8 +20,8 @@ table by position: its group tests directly, its projections through
 when read.
 
 Inverses exploit nilpotency: the constant part is inverted over the
-rationals by Gaussian elimination and the nilpotent remainder by a finite
-Neumann series, so everything stays exact.  When the constant part is
+rationals by Gaussian elimination and the nilpotent remainder by the
+finite series of `weil._neumann`, so everything stays exact.  When the constant part is
 already the identity, as for every square-zero step I + wV of a lifted
 edge, the elimination and both products with its result are skipped and
 the series runs on the nilpotent part directly; for a step it stops after
@@ -29,7 +29,7 @@ one square.
 
 The public constructor checks that the matrix is square, not empty and
 over one algebra.  Results of the arithmetic here are all three by
-construction and skip those checks.
+construction and skip those checks.  Every algebra test is `weil._check_algebra`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .weil import (
-    AlgebraMismatch, Scalar, WeilAlgebra, WeilElement, _build, _exact, _Plan, _Transforms,
+    Scalar, WeilAlgebra, WeilElement, _build, _check_algebra, _exact, _neumann, _Plan,
+    _Transforms,
 )
 
 Rational = Sequence[Sequence[Scalar]]
@@ -322,11 +323,6 @@ def _check_shape(rows: tuple[tuple, ...]) -> int:
     return n
 
 
-def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
-    if other is not alg:
-        raise AlgebraMismatch(f"cannot combine {alg!r} with {other!r}")
-
-
 def _check_sizes(a: Matrix, b: Matrix) -> None:
     if a.size != b.size:
         raise SizeMismatch(f"{a.size}x{a.size} against {b.size}x{b.size}")
@@ -380,17 +376,10 @@ def _has_identity_constant(m: Matrix) -> bool:
 
 
 def _unipotent_inverse(m: Matrix) -> Matrix:
-    """Inverse of I + U with U nilpotent: the finite series of (-U)^k.
-    `m` has constant part exactly I, so U is its table without mask 0."""
+    """Inverse of I + U with U nilpotent (`weil._neumann`).  `m` has
+    constant part exactly I, so U is its table without mask 0."""
     u = _normal(m.algebra, m.size, {k: v for k, v in m._t.items() if k}, m._den)
-    acc = Matrix.identity(m.size, m.algebra)
-    power = u
-    subtract = True
-    while not power.is_zero():
-        acc = acc - power if subtract else acc + power
-        power = power * u
-        subtract = not subtract
-    return acc
+    return _neumann(Matrix.identity(m.size, m.algebra), u)
 
 
 def _rational_inverse(rows: tuple[tuple[Fraction, ...], ...]):

@@ -33,7 +33,7 @@ from .models import (
     compose_all,
     invert,
 )
-from .polynomials import Poly, PolyMatrix
+from .polynomials import Poly
 from .weil import (
     Scalar, WeilAlgebra, WeilElement, _Plan, _drop_plan, _exact, _rename_plan,
     _restrict_plan, _scale_plan,
@@ -434,29 +434,18 @@ class ConstantSection(Section):
 
 
 class PolySection(Section):
-    """Coordinate base: velocity polynomials plus an optional vertical part."""
+    """Coordinate base: velocity polynomials, with zero vertical part."""
 
-    def __init__(
-        self,
-        model: GroupoidModel,
-        grp: str,
-        velocity: Sequence[Poly],
-        vertical: PolyMatrix | None = None,
-    ):
+    def __init__(self, model: GroupoidModel, grp: str, velocity: Sequence[Poly]):
         if len(velocity) != model.base_dim:
             raise ValueError("velocity arity must match the base dimension")
         self.model = model
         self.grp = grp
         self.velocity = tuple(velocity)
-        self.vertical = vertical
 
     def at(self, x: Point, alg: WeilAlgebra) -> TangentData:
         direction = tuple(p(x) for p in self.velocity)
-        size = self.model.spec(self.grp).size
-        if self.vertical is None:
-            vert = Matrix.zero(size, alg)
-        else:
-            vert = self.vertical(x)
+        vert = Matrix.zero(self.model.spec(self.grp).size, alg)
         return TangentData(self.model, self.grp, x, direction, vert)
 
 

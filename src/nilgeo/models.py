@@ -11,25 +11,25 @@ L -> H -> G that the connection calculus runs on:
                         coordinate base; G is the pair groupoid, L the
                         bundle of K-loops.  K is scalars, GL2 or SL2.
 
-The registry at the end of this module lists each shipped configuration
-once, keyed by its name: ``heisenberg``, ``direct_product`` and
-``trivial_gauge[scalar|gl2|sl2]``.  `build_model`, `all_models` and the CLI
-read it; `sampling` keeps each configuration's connection presets and
-sampler under the same name.
+One class, `GroupoidModel`, describes every configuration: family,
+structure group, `base_dim`, the groups H, G and L (each a `MatrixGroup`)
+and `down`, the H-positions the G-coefficients are read from.  It holds
+the one projection, of arrows (`project`) and of coefficient matrices
+(`project_vert`).  The registry at the end of this module has one row per
+configuration, keyed by name (``heisenberg``, ``direct_product``,
+``trivial_gauge[scalar|gl2|sl2]``; `_gauge` builds the gauge rows), read
+by `build_model` and `all_models`; `sampling` keys presets by that name.
 
 An arrow is (source point, target point, matrix body); both points are
 coordinate tuples of Weil elements (empty over a one-point base).
 Composition follows function order: ``compose(g, h)`` applies h first and
 needs the source of g to equal the target of h exactly.
 
-A model class declares only its groups H, G and L, each a `MatrixGroup`
-(free cells of body - I and GL or SL diagonal blocks), `base_dim` and
-`_down`, the H-positions the G-coefficients are read from; `GroupoidModel`
-holds the one projection, of arrows (`project`) and of coefficient
-matrices (`project_vert`).  A `MatrixGroup` also states its Lie algebra
-(`lie_contains`, `lie_basis`), which the connections check their data
-against.  Group tests and projections read a body's table by position
-(`MatrixGroup.contains`, `Matrix.gather`); only an SL block builds entries.
+A `MatrixGroup` (free cells of body - I, GL or SL diagonal blocks) also
+states its Lie algebra (`lie_contains`, `lie_basis`), which the
+connections check their data against.  Group tests and projections read
+a body's table by position (`MatrixGroup.contains`, `Matrix.gather`);
+only an SL block builds entries.
 """
 
 from __future__ import annotations
@@ -196,13 +196,19 @@ def invert(g: Arrow) -> Arrow:
 
 
 class GroupoidModel:
-    """Shared behaviour; concrete models declare the exact-sequence data."""
+    """One configuration of the exact sequence L -> H -> G: the groups H,
+    G and L, the base dimension, and `down`, the H-positions the
+    G-coefficients are read from (G-body - I is H-body - I read at these
+    positions, 0 where None)."""
 
-    family: str  # the `model` a configuration names
-    structure: str | None = None  # its `structure_group`, if it takes one
-    base_dim: int
-    # G-body - I is H-body - I read at these H-positions (0 where None)
-    _down: tuple[tuple[tuple[int, int] | None, ...], ...]
+    def __init__(
+        self, family: str, base_dim: int, down, h, g, l, structure: str | None = None
+    ):
+        self.family = family  # the `model` a configuration names
+        self.structure = structure  # its `structure_group`, if it takes one
+        self.base_dim = base_dim
+        self._down = down
+        self._specs = {"H": h, "G": g, "L": l}
 
     @property
     def name(self) -> str:
@@ -212,7 +218,7 @@ class GroupoidModel:
         return f"{self.family}[{self.structure}]"
 
     def spec(self, grp: str) -> MatrixGroup:
-        return {"H": self._h, "G": self._g, "L": self._l}[grp]
+        return self._specs[grp]
 
     def identity(self, grp: str, x: Point, alg: WeilAlgebra) -> Arrow:
         return Arrow(self, grp, x, x, Matrix.identity(self.spec(grp).size, alg))
@@ -254,62 +260,41 @@ class GroupoidModel:
         return w.gather(self._down)
 
 
-class HeisenbergModel(GroupoidModel):
-    """Central extension over a point: unipotent 3x3 upper-triangular H."""
-
-    family = "heisenberg"
-    base_dim = 0
-    # (0, 1) stays, (1, 2) moves to (0, 2)
-    _down = ((None, (0, 1), (1, 2)), (None,) * 3, (None,) * 3)
-
-    def __init__(self):
-        self._h = MatrixGroup(3, ((0, 1), (1, 2), (0, 2)))
-        self._g = MatrixGroup(3, ((0, 1), (0, 2)))
-        self._l = MatrixGroup(3, ((0, 2),))
-
-
-class DirectProductModel(GroupoidModel):
-    """H = GL2 x GL1 with first-block projection; every splitting induced
-    by a Lie morphism into the scalar factor is flat."""
-
-    family = "direct_product"
-    base_dim = 0
-    _down = (((0, 0), (0, 1)), ((1, 0), (1, 1)))  # the GL2 block
-
-    def __init__(self):
-        gl2, gl1 = _full(2, "GL"), ((2,), "GL")
-        self._h = MatrixGroup(3, gl2.free + ((2, 2),), gl2.blocks + (gl1,))
-        self._g = gl2
-        self._l = MatrixGroup(3, ((2, 2),), (gl1,))
-
-
-class TrivialGaugeModel(GroupoidModel):
-    """Gauge groupoid M x K x M over a coordinate base M of dimension 2;
-    `group` is the structure group K, named `structure`."""
-
-    family = "trivial_gauge"
-    base_dim = 2
-    _down = ((None,),)  # G is the pair groupoid: every body projects to I
-
-    def __init__(self, structure: str, group: MatrixGroup):
-        self.structure = structure
-        self._h = group
-        self._g = MatrixGroup(1)
-        self._l = group
+def _gauge(structure: str, group: MatrixGroup) -> GroupoidModel:
+    """The gauge groupoid M x K x M over a coordinate base M of dimension 2,
+    K = `group`: G is the pair groupoid, so every body projects to I, and L
+    is the bundle of K-loops."""
+    pair = MatrixGroup(1)
+    return GroupoidModel("trivial_gauge", 2, ((None,),), group, pair, group, structure)
 
 
 # ---------------------------------------------------------------------------
 # registry: each shipped configuration once, keyed by name; the first
 # configuration of a family is its default
 
+_GL2, _GL1 = _full(2, "GL"), ((2,), "GL")  # the factors of direct_product
 _REGISTRY = {
     model.name: model
     for model in (
-        HeisenbergModel(),
-        DirectProductModel(),
-        TrivialGaugeModel("scalar", _full(1, "GL")),
-        TrivialGaugeModel("gl2", _full(2, "GL")),
-        TrivialGaugeModel("sl2", _full(2, "SL")),
+        # central extension over a point: unipotent 3x3 upper-triangular H;
+        # (0, 1) stays, (1, 2) moves to (0, 2)
+        GroupoidModel(
+            "heisenberg", 0, ((None, (0, 1), (1, 2)), (None,) * 3, (None,) * 3),
+            MatrixGroup(3, ((0, 1), (1, 2), (0, 2))),
+            MatrixGroup(3, ((0, 1), (0, 2))),
+            MatrixGroup(3, ((0, 2),)),
+        ),
+        # H = GL2 x GL1 projecting to the GL2 block; every splitting induced
+        # by a Lie morphism into the scalar factor is flat
+        GroupoidModel(
+            "direct_product", 0, (((0, 0), (0, 1)), ((1, 0), (1, 1))),
+            MatrixGroup(3, _GL2.free + ((2, 2),), _GL2.blocks + (_GL1,)),
+            _GL2,
+            MatrixGroup(3, ((2, 2),), (_GL1,)),
+        ),
+        _gauge("scalar", _full(1, "GL")),
+        _gauge("gl2", _full(2, "GL")),
+        _gauge("sl2", _full(2, "SL")),
     )
 }
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .matrices import Matrix, _check_algebra, _combination
-from .weil import Scalar, WeilElement, _exact
+from .matrices import Matrix, _combination
+from .weil import Scalar, WeilElement, _check_algebra, _exact
 
 
 class Poly:

@@ -200,10 +200,7 @@ def sample_section(
     velocity = tuple(
         sample_poly(rng, model.base_dim, degree, bound) for _ in range(model.base_dim)
     )
-    vertical = None
-    if grp == "H":
-        vertical = sample_poly_matrix(rng, model, "H", degree, bound)
-    return PolySection(model, grp, velocity, vertical)
+    return PolySection(model, grp, velocity)
 
 
 def sample_connection(

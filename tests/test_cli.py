@@ -229,3 +229,30 @@ def test_main_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "seed=9" in out
     assert out.startswith("1..2")
+
+
+def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xff\nmodel = heisenberg\nseed = 1\n")
+    assert main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "override",
+    (
+        ["--seed", "-1"],
+        ["--seed", str(1 << 64)],
+        ["--trials", "0"],
+        ["--suite", "nope"],
+    ),
+)
+def test_main_rejects_bad_overrides(tmp_path, capsys, override):
+    path = tmp_path / "run.cfg"
+    path.write_text("model = heisenberg\nseed = 1\ntrials = 1\nsuite = algebra\n")
+    assert main(["--config", str(path), *override]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

@@ -311,6 +311,18 @@ def test_gauge_one_form_rejects_coefficients_of_the_wrong_arity():
             gauge_one_form(model, (coeff, coeff))
 
 
+def test_vertical_coefficients_need_a_gauge_model():
+    # checked before the arity: a one-point model refuses any coefficient list
+    z = Poly(2, {})
+    one_matrix = (PolyMatrix(((z,) * 3,) * 3),)
+    for model in (HEIS, FLAT):
+        for coeffs in ((), one_matrix):
+            with pytest.raises(ConnectionError_, match="vertical coefficients need a gauge model"):
+                GaugeConnection(model, coeffs)
+            with pytest.raises(FormError, match="vertical coefficients need a gauge model"):
+                gauge_one_form(model, coeffs)
+
+
 def test_float_entries_are_rejected_by_every_constant_constructor():
     def images(scalar):
         return (((0, 1, scalar), (0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 1), (0, 0, 0)))

@@ -105,8 +105,7 @@ def _canonical(value) -> str:
     if isinstance(value, ConstantSection):
         return f"constant{_canonical(value.vert_rows)}"
     if isinstance(value, PolySection):
-        vertical = None if value.vertical is None else _canonical(value.vertical)
-        return f"poly{_canonical(value.velocity)}/{vertical}"
+        return f"poly{_canonical(value.velocity)}/None"
     return str(value)
 
 
