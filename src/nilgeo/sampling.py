@@ -191,16 +191,16 @@ def sample_poly_matrix(
 def sample_section(
     rng: random.Random,
     model: GroupoidModel,
-    grp: str = "G",
     degree: int = 2,
     bound: Fraction = Fraction(2),
 ) -> Section:
+    """A random section of G: constant on a point base, else polynomial."""
     if model.base_dim == 0:
-        return ConstantSection(model, grp, sample_lie_rows(rng, model, grp, bound))
+        return ConstantSection(model, "G", sample_lie_rows(rng, model, "G", bound))
     velocity = tuple(
         sample_poly(rng, model.base_dim, degree, bound) for _ in range(model.base_dim)
     )
-    return PolySection(model, grp, velocity)
+    return PolySection(model, "G", velocity)
 
 
 def sample_connection(

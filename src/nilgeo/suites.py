@@ -160,7 +160,7 @@ def check_weil_ring(model, rng, params):
 
 @_trials("prop-1.1")
 def check_prop_1_1(model, rng, params):
-    sec = sample_section(rng, model, "G", params.degree, params.bound)
+    sec = sample_section(rng, model, params.degree, params.bound)
     x = sample_point(rng, model, PAIRED, params.bound)
     ga, gb = PAIRED.gen("d1"), PAIRED.gen("d2")
     lhs = bisection_at(sec, ga + gb, x)
@@ -181,8 +181,8 @@ def check_prop_1_1(model, rng, params):
 
 @_trials("prop-1.2")
 def check_prop_1_2(model, rng, params):
-    xs = sample_section(rng, model, "G", params.degree, params.bound)
-    ys = sample_section(rng, model, "G", params.degree, params.bound)
+    xs = sample_section(rng, model, params.degree, params.bound)
+    ys = sample_section(rng, model, params.degree, params.bound)
     x = sample_point(rng, model, ALG1, params.bound)
     d = ALG1.gen("d1")
     lhs = bisection_at(xs + ys, d, x)
@@ -204,8 +204,8 @@ def check_prop_1_2(model, rng, params):
 
 @_trials("prop-1.3")
 def check_prop_1_3(model, rng, params):
-    xs = sample_section(rng, model, "G", params.degree, params.bound)
-    ys = sample_section(rng, model, "G", params.degree, params.bound)
+    xs = sample_section(rng, model, params.degree, params.bound)
+    ys = sample_section(rng, model, params.degree, params.bound)
     x = sample_point(rng, model, ALG0, params.bound)
     s = bracket_sections(xs, ys, x, ALG0)  # extraction asserts are part of the claim
     # the bracket is the unique tangent matching the word at products
@@ -332,8 +332,8 @@ def check_prop_4_2(model, rng, params):
 @_trials("prop-4.3")
 def check_prop_4_3(model, rng, params):
     conn = _connection(model, rng, params)
-    xs = sample_section(rng, model, "G", params.degree, params.bound)
-    ys = sample_section(rng, model, "G", params.degree, params.bound)
+    xs = sample_section(rng, model, params.degree, params.bound)
+    ys = sample_section(rng, model, params.degree, params.bound)
     x = sample_point(rng, model, ALG2, params.bound)
     lifted = lift(conn, bisection_product(ys, xs, x, ("d1", "d2"), ALG2))
     product = bisection_product(
@@ -352,8 +352,8 @@ def check_prop_4_5(model, rng, params):
 @_trials("thm-4.4")
 def check_thm_4_4(model, rng, params):
     conn = _connection(model, rng, params)
-    xs = sample_section(rng, model, "G", params.degree, params.bound)
-    ys = sample_section(rng, model, "G", params.degree, params.bound)
+    xs = sample_section(rng, model, params.degree, params.bound)
+    ys = sample_section(rng, model, params.degree, params.bound)
     x = sample_point(rng, model, ALG0, params.bound)
     lhs, rhs = structure_equation(conn, xs, ys, x, ALG0)
     return lhs.same_as(rhs)

@@ -244,23 +244,14 @@ def _mul_into(
         return
     items2 = list(c2.items())
     killed = alg.killed
-    if killed:
-        for m1, v1 in c1.items():
-            for m2, v2 in items2:
-                if m1 & m2:
-                    continue  # repeated generator: square-zero
-                m = m1 | m2
-                if m in killed:
-                    continue
-                out[m] = get(m, 0) + v1 * v2
-    else:
-        # no killed test: one shared loop lost ring_tangent in 9 of 10 pairs
-        for m1, v1 in c1.items():
-            for m2, v2 in items2:
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                out[m] = get(m, 0) + v1 * v2
+    for m1, v1 in c1.items():
+        for m2, v2 in items2:
+            if m1 & m2:
+                continue  # repeated generator: square-zero
+            m = m1 | m2
+            if m in killed:
+                continue
+            out[m] = get(m, 0) + v1 * v2
 
 
 def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
