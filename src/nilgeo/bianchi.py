@@ -96,7 +96,6 @@ def build_cube(conn: Connection, cube: Microcube) -> CubeLabeling:
         for k in sorted({1, 2, 3} - VERTEX_AXES[x]):
             y = by_axes[VERTEX_AXES[x] | {k}]
             arrow = lifted_edge(conn, cube, VERTEX_AXES[x], k)
-            cube.model.check(arrow)
             if arrow.source != points[x] or arrow.target != points[y]:
                 raise CubeBuildError(f"edge {x}{y} endpoints disagree")
             edges[(x, y)] = arrow
@@ -106,11 +105,10 @@ def build_cube(conn: Connection, cube: Microcube) -> CubeLabeling:
 
 def face_loop(labeling: CubeLabeling, cycle: Sequence[str]) -> Arrow:
     """Walk the four-vertex cycle X -> Y -> Z -> W -> X around one face."""
-    x, y, z, w = cycle
-    quad = {x, y, z, w}
+    word = face_words(cycle)
+    quad = set(cycle)
     if len(quad) != 4 or not any(quad == set(f) for f in FACES):
         raise WordError(f"{cycle} does not round a face")
-    word = face_words(cycle)
     if not all(_adjacent(a, b) for a, b in word):
         raise WordError(f"{cycle} does not walk edges")
     return compose_all(*(labeling.edge_arrow(a, b) for a, b in word))
@@ -119,6 +117,8 @@ def face_loop(labeling: CubeLabeling, cycle: Sequence[str]) -> Arrow:
 def face_words(cycle: Sequence[str]) -> list[tuple[str, str]]:
     """The edge letters of the walk X -> Y -> Z -> W -> X, in `compose_all`
     order: the last letter is walked first."""
+    if len(cycle) != 4:
+        raise WordError(f"{cycle} is not a four-vertex cycle")
     x, y, z, w = cycle
     return [(w, x), (z, w), (y, z), (x, y)]
 

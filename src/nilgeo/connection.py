@@ -7,11 +7,14 @@ function, `_splitting_map` or `_gauge_map`, which checks the data against
 the Lie algebra of its target group (`MatrixGroup.lie_contains`) and is
 shared with the kind's one-form in `forms`.  Every edge of a cube is lifted
 in one place, `lifted_edge`: one slice down to the edge, one `apply`, read
-at the edge's generator; `forms` and `bianchi` take their edges from it too.
-Each connection lifts each distinct edge once: the faces of a cube share
-their edges with the cube as equal values, so its face curvatures,
-`bianchi.build_cube` and `forms.d_nabla` cost one lift per edge.  That
-memo lives as long as the connection, which the samplers build per trial.
+at the edge's generator and checked for membership in H; `forms` and
+`bianchi` take their edges from it too.  The slice trusts its cube (see
+`microcalc._cube`); the lifted arrow, built from `apply`, is outside data
+and is checked.  Each connection lifts and checks each distinct edge once:
+the faces of a cube share their edges with the cube as equal values, so its
+face curvatures, `bianchi.build_cube` and `forms.d_nabla` cost one lift per
+edge.  That memo lives as long as the connection, which the samplers build
+per trial.
 `apply` must therefore be a function of its tangent; a stateful one is
 seen once per distinct edge.
 The lift of a microsquare is the path of two lifted edges and its curvature
@@ -188,16 +191,19 @@ def lifted_edge(
     """The lift of the edge along argument k from the corner where the
     arguments in `corner` are on and the others are 0.
 
-    The slice, with its cube checks, runs on every call; the lift of an
-    edge the connection has seen before is read back from its memo, which
-    keeps every distinct edge for as long as the connection lives."""
+    The slice, which trusts the checked cube it starts from, runs on every
+    call.  The lift of an edge the connection has not seen is checked for
+    membership in H, since `apply` is outside data, and kept in the memo;
+    the memo keeps every distinct edge for as long as the connection lives,
+    so each is checked once."""
     frozen = {i: g if i in corner else 0 for i, g in enumerate(cube.args, 1) if i != k}
     edge = slice_multi(cube, frozen)
     key = (edge.algebra, edge)  # equal elements over distinct algebras stay apart
     arrow = conn._edges.get(key)
     if arrow is None:
         td = conn.apply(from_tangent(edge))
-        arrow = conn._edges[key] = td.arrow_at(edge.algebra.gen(edge.args[0]))
+        arrow = cube.model.check(td.arrow_at(edge.algebra.gen(edge.args[0])))
+        conn._edges[key] = arrow
     return arrow
 
 

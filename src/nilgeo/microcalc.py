@@ -15,6 +15,17 @@ and `kernel_loop_tangent` reads curvature and the covariant derivative.
 
 Slicing, permuting, rescaling and restricting a cube are mask plans of
 `weil`, which `_transform` applies throughout an arrow.
+
+The cube invariants and group membership are checked where an arrow
+enters from outside: the public `make_microcube`, which `degenerate_square`,
+`_axis_diff` (the differences) and `bisection_product` build through, as do
+`sampling.sample_microcube`, `sampling.perturbed_square` and
+`connection.lift`; each arrow a connection's `apply` returns is checked in
+`connection.lifted_edge`.  A cube derived from a checked one by
+`slice_multi`, `permute`, `scale_arg` or `tau` is a cube by group closure,
+since each reparametrizes by a map of algebras (`_relabel_plan` refuses a
+renaming that is not one), so those four wrap their arrow with the
+unchecked `_cube`.
 """
 
 from __future__ import annotations
@@ -92,6 +103,23 @@ def arrow_drop(a: Arrow, names: Sequence[str]) -> Arrow:
     return _transform(a, lambda alg: _drop_plan(alg, alg.mask(names)))
 
 
+def _relabel_plan(alg: WeilAlgebra, pairs: tuple[tuple[str, str], ...]) -> _Plan:
+    """`weil._rename_plan`, refused with `CubeError` unless the renaming sends
+    each killed monomial of `alg` to a killed one or to zero: only then is it
+    a map of algebras, so that it keeps a cube a cube."""
+    bits = [(alg.gen_bit(old), alg.gen_bit(new)) for old, new in pairs]
+    moved = sum(b for b, _ in bits)
+    for m in alg.killed:
+        image, zero = m & ~moved, False
+        for old_bit, new_bit in bits:
+            if m & old_bit:
+                zero = zero or bool(image & new_bit)
+                image |= new_bit
+        if not zero and image not in alg.killed:
+            raise CubeError(f"renaming {dict(pairs)} does not respect the killed monomials")
+    return _rename_plan(alg, pairs)
+
+
 def make_microcube(arrow: Arrow, args: Sequence[str]) -> Microcube:
     """Validate the cube invariants and wrap the arrow."""
     args = tuple(args)
@@ -107,6 +135,14 @@ def make_microcube(arrow: Arrow, args: Sequence[str]) -> Microcube:
     if at_zero.target != arrow.source or not at_zero.body.is_identity():
         raise CubeError("cube is not an identity arrow at the origin")
     arrow.model.check(arrow)
+    return Microcube(arrow, args)
+
+
+def _cube(arrow: Arrow, args: tuple[str, ...]) -> Microcube:
+    """Wrap an arrow built from a checked cube by slicing, permuting,
+    rescaling or zeroing its arguments, without re-checking it: group
+    closure keeps such an arrow a cube.  The four callers look this name
+    up at call time, so rebinding it to `make_microcube` checks them all."""
     return Microcube(arrow, args)
 
 
@@ -146,16 +182,16 @@ def slice_multi(cube: Microcube, frozen: dict[int, object]) -> Microcube:
             raise CubeError("frozen value must be 0 or a generator name")
     a = cube.arrow
     if rename:
-        a = _transform(a, lambda alg: _rename_plan(alg, tuple(rename.items())))
+        a = _transform(a, lambda alg: _relabel_plan(alg, tuple(rename.items())))
     if zeroed:
         a = arrow_drop(a, zeroed)
     if not remaining:
         raise CubeError("cannot slice away every argument")
     if all(e == 0 for e in frozen.values()):
         # frozen arrow is the identity; no correction factor needed
-        return make_microcube(a, remaining)
+        return _cube(a, remaining)
     corr = arrow_drop(a, remaining)
-    return make_microcube(compose(a, invert(corr)), remaining)
+    return _cube(compose(a, invert(corr)), remaining)
 
 
 def permute(cube: Microcube, theta: Sequence[int]) -> Microcube:
@@ -164,8 +200,8 @@ def permute(cube: Microcube, theta: Sequence[int]) -> Microcube:
     if sorted(theta) != list(range(1, len(args) + 1)):
         raise CubeError(f"not a permutation of 1..{len(args)}: {theta}")
     pairs = tuple(zip(args, (args[t - 1] for t in theta)))
-    arrow = _transform(cube.arrow, lambda alg: _rename_plan(alg, pairs))
-    return make_microcube(arrow, args)
+    arrow = _transform(cube.arrow, lambda alg: _relabel_plan(alg, pairs))
+    return _cube(arrow, args)
 
 
 def transpose(cube: Microcube) -> Microcube:
@@ -189,7 +225,7 @@ def tau(cube: Microcube, keep: int) -> Microcube:
     if not 1 <= keep <= cube.degree:
         raise CubeError(f"tau index {keep} out of range")
     others = [g for k, g in enumerate(cube.args, 1) if k != keep]
-    return make_microcube(arrow_drop(cube.arrow, others), cube.args)
+    return _cube(arrow_drop(cube.arrow, others), cube.args)
 
 
 def scale_arg(cube: Microcube, i: int, a: Scalar) -> Microcube:
@@ -197,9 +233,7 @@ def scale_arg(cube: Microcube, i: int, a: Scalar) -> Microcube:
     if not 1 <= i <= cube.degree:
         raise CubeError(f"scale index {i} out of range")
     g = cube.args[i - 1]
-    return make_microcube(
-        _transform(cube.arrow, lambda alg: _scale_plan(alg, g, a)), cube.args
-    )
+    return _cube(_transform(cube.arrow, lambda alg: _scale_plan(alg, g, a)), cube.args)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ def sample_lie_rows(
         q = sample_rational(rng, bound)
         for i, row in enumerate(b):
             for j, v in enumerate(row):
-                rows[i][j] += q * v
+                if v:
+                    rows[i][j] += q * v
     return tuple(tuple(r) for r in rows)
 
 

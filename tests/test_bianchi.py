@@ -12,6 +12,7 @@ from nilgeo.bianchi import (
     corrupt_edge,
     face_curvature_checks,
     face_loop,
+    face_words,
     reduce_word,
     verify_abstract_bianchi,
     verify_classical_bianchi,
@@ -135,6 +136,17 @@ def test_face_loop_rejects_non_faces():
     labeling = build_cube(conn, cube)
     with pytest.raises(WordError):
         face_loop(labeling, ("O", "A", "G", "B"))
+
+
+@pytest.mark.parametrize("cycle", [("O", "A", "D"), ("O", "A", "D", "B", "O"), ()])
+def test_face_walks_reject_a_cycle_of_the_wrong_length(cycle):
+    rng = random.Random(57)
+    conn, cube = random_setup(rng, HEIS)
+    labeling = build_cube(conn, cube)
+    with pytest.raises(WordError, match="four-vertex"):
+        face_loop(labeling, cycle)
+    with pytest.raises(WordError, match="four-vertex"):
+        face_words(cycle)
 
 
 def test_face_loop_reversal_is_the_inverse():

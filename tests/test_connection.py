@@ -6,6 +6,7 @@ import pytest
 from oracles import partial
 
 from nilgeo import connection
+from nilgeo.bianchi import build_cube
 from nilgeo.connection import (
     ConnectionError_,
     CurvatureError,
@@ -35,7 +36,7 @@ from nilgeo.microcalc import (
     tau,
     top_tangent,
 )
-from nilgeo.models import Arrow, all_models, build_model
+from nilgeo.models import Arrow, MembershipError, all_models, build_model
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.sampling import (
     perturbed_square,
@@ -556,3 +557,30 @@ def test_structure_equation_random_sections_every_model():
             y_sec = sample_section(rng, model)
             lhs, rhs = structure_equation(conn, x_sec, y_sec, x, alg)
             assert lhs.same_as(rhs)
+
+
+# -- where apply's output enters ------------------------------------------------------
+
+
+def test_each_lifted_edge_is_checked_for_membership():
+    # apply's output is outside data: a lift off the Lie algebra of H must
+    # raise wherever it is read, curvature included, which builds no cube
+    sl2 = build_model("trivial_gauge", "sl2")
+    rng = random.Random(36)
+    square = sample_microcube(rng, sl2, "G", ("d1", "d2"), algebra(["d1", "d2"]))
+    cube = sample_microcube(rng, sl2, "G", ("d1", "d2", "d3"), algebra(["d1", "d2", "d3"]))
+
+    def off_sl2(apply):
+        def bumped(td):
+            out = apply(td)
+            e00 = Matrix.from_rational([[1, 0], [0, 0]], out.algebra)
+            return TangentData(out.model, out.grp, out.anchor, out.direction, out.vert + e00)
+
+        return bumped
+
+    for read, arg in ((curvature, square), (lift, square), (build_cube, cube)):
+        read(preset_connection(sl2), arg)
+        bad = preset_connection(sl2)
+        bad.apply = off_sl2(bad.apply)
+        with pytest.raises(MembershipError, match="invalid H-arrow"):
+            read(bad, arg)

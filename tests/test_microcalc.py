@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from oracles import partial
 
+from nilgeo import microcalc
 from nilgeo.matrices import Matrix
 from nilgeo.microcalc import (
     ConstantSection,
@@ -22,6 +23,7 @@ from nilgeo.microcalc import (
     from_tangent,
     make_microcube,
     perm_sign,
+    permute,
     scale_arg,
     slice_cube,
     slice_multi,
@@ -29,7 +31,7 @@ from nilgeo.microcalc import (
     tau,
     transpose,
 )
-from nilgeo.models import Arrow, all_models, build_model
+from nilgeo.models import Arrow, MembershipError, all_models, build_model
 from nilgeo.polynomials import Poly
 from nilgeo.sampling import perturbed_square, sample_microcube
 from nilgeo.weil import (
@@ -522,3 +524,102 @@ def test_bracket_sections_matches_classical_vector_field_bracket():
                 acc = acc - partial(vx[k], i)((x[0], x[1])) * wx[i]((x[0], x[1]))
             want.append(acc)
         assert got.direction == tuple(want)
+
+
+# -- the trust boundary -----------------------------------------------------------
+
+ALG3 = algebra(["d1", "d2", "d3"])
+
+# each function that derives a cube from a checked one, with one call on a cube
+DERIVED = {
+    "slice_multi": lambda c: slice_multi(c, {1: 0, 3: "d3"}),
+    "slice_cube-fresh-name": lambda c: slice_cube(c, 2, "e"),
+    "slice_cube-zero": lambda c: slice_cube(c, 1, 0),
+    "permute": lambda c: permute(c, (3, 1, 2)),
+    "scale_arg": lambda c: scale_arg(c, 2, Fraction(-3, 2)),
+    "tau": lambda c: tau(c, 3),
+}
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_derived_cubes_pass_the_cube_checks(name):
+    # slicing, permuting, rescaling and zeroing wrap their arrow unchecked;
+    # on every model and bundle the result passes every check it skipped
+    rng = random.Random(77)
+    alg = ALG3.extend("e")
+    for model in all_models():
+        for grp in ("G", "H"):
+            cube = sample_microcube(rng, model, grp, ("d1", "d2", "d3"), alg)
+            got = DERIVED[name](cube)
+            assert got == make_microcube(got.arrow, got.args)
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_derived_cubes_are_wrapped_by_one_name(monkeypatch, name):
+    # the unchecked constructor is looked up at call time, so rebinding it
+    # (as the suite oracle does) reaches every derived cube
+    def refuse(arrow, args):
+        raise CubeError("rebound")
+
+    cube = sample_microcube(random.Random(78), HEIS, "G", ("d1", "d2", "d3"), ALG3.extend("e"))
+    monkeypatch.setattr(microcalc, "_cube", refuse)
+    with pytest.raises(CubeError, match="rebound"):
+        DERIVED[name](cube)
+
+
+SCALAR_GAUGE = build_model("trivial_gauge", "scalar")
+
+
+def _malformed():
+    """Each input `make_microcube` rejects, with its error and message."""
+    alg = algebra(["d1", "d2", "x"])
+    d1, d2 = alg.gen("d1"), alg.gen("d2")
+    i3, i1 = Matrix.identity(3, alg), Matrix.identity(1, alg)
+    good = Arrow(HEIS, "G", (), (), i3 + e01(alg) * d1 + e02(alg) * d2)
+    off_origin = Arrow(HEIS, "G", (), (), i3 + e01(alg) + e02(alg) * d1)
+    lower = Matrix.from_rational([[0, 0, 0], [1, 0, 0], [0, 0, 0]], alg)
+    non_member = Arrow(HEIS, "G", (), (), i3 + lower * d1)
+    x = (alg.scalar(1), alg.scalar(2))
+    moving = (x[0] + d1, x[1])
+    moving_source = Arrow(SCALAR_GAUGE, "G", moving, moving, i1)
+    off_source = Arrow(SCALAR_GAUGE, "G", x, (x[0] + 1 + d1, x[1] + d2), i1)
+    cases = {
+        "repeated-argument": (good, ("d1", "d1"), CubeError, "repeated"),
+        "foreign-generator": (good, ("d1", "y"), CubeError, "not in the ambient"),
+        "non-identity-origin": (off_origin, ("d1", "d2"), CubeError, "origin"),
+        "origin-off-its-source": (off_source, ("d1", "d2"), CubeError, "origin"),
+        "moving-source": (moving_source, ("d1", "d2"), CubeError, "source"),
+        "non-member-body": (non_member, ("d1", "d2"), MembershipError, "invalid G"),
+    }
+    return [pytest.param(*case, id=label) for label, case in cases.items()]
+
+
+@pytest.mark.parametrize("arrow, args, error, message", _malformed())
+def test_make_microcube_rejects_malformed_input(arrow, args, error, message):
+    with pytest.raises(error, match=message):
+        make_microcube(arrow, args)
+
+
+@pytest.mark.parametrize(
+    "model, grp",
+    [(HEIS, "G"), (build_model("trivial_gauge", "sl2"), "H")],
+    ids=["heisenberg-G", "sl2-H"],
+)
+def test_renaming_must_be_a_map_of_algebras(model, grp):
+    # with d1*d2 killed but d1*d3 alive, swapping d2 and d3 or renaming d1
+    # to e is no map of algebras: it would return a wrong cube unchecked
+    alg = algebra(["d1", "d2", "d3", "e"], killed=[("d1", "d2")])
+    cube = sample_microcube(random.Random(80), model, grp, ("d1", "d2", "d3"), alg)
+    for derive in (lambda c: permute(c, (1, 3, 2)), lambda c: slice_cube(c, 1, "e")):
+        with pytest.raises(CubeError, match="killed monomials"):
+            derive(cube)
+    swapped = permute(cube, (2, 1, 3))
+    assert swapped == make_microcube(swapped.arrow, swapped.args)
+    assert permute(swapped, (2, 1, 3)) == cube
+
+
+def test_sample_microcube_rejects_a_moving_source():
+    alg = algebra(["d1", "d2"])
+    x = (alg.scalar(1) + alg.gen("d1"), alg.scalar(2))
+    with pytest.raises(CubeError, match="source"):
+        sample_microcube(random.Random(79), SCALAR_GAUGE, "H", ("d1", "d2"), alg, x=x)

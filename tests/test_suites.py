@@ -7,12 +7,13 @@ import random
 
 import pytest
 
-from nilgeo import suites
-from nilgeo.cli import parse_config, run_suite
+from nilgeo import microcalc, suites
+from nilgeo.cli import RunConfig, parse_config, run_suite
 from nilgeo.connection import GaugeConnection, SplittingConnection
 from nilgeo.microcalc import ConstantSection, Microcube, PolySection
 from nilgeo.models import all_models
 from nilgeo.polynomials import Poly, PolyMatrix
+from nilgeo.sampling import preset_names
 
 FAULT = "planted on the second call"
 
@@ -133,3 +134,30 @@ def test_sampled_draws_are_pinned(monkeypatch):
             seen.append(f"{model.name} {check.__name__} next {rng.random()!r}")
     digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
     assert digest == SAMPLED_DRAWS_DIGEST
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_trusted_cubes_report_as_checked_cubes(monkeypatch, model):
+    # the oracle for `microcalc._cube`: with every derived cube checked
+    # again, the suites that slice, permute and rescale report the same
+    # lines, and nothing the trusted path let through raises
+    connections = ["random"] + [f"preset:{name}" for name in preset_names(model)]
+    cfgs = [
+        RunConfig(
+            model.family, model.structure, connection=connection,
+            seed=1, trials=2, suite=suite, mutation=True,
+        )
+        for connection in connections
+        for suite in ("lift", "curvature", "forms", "bianchi")
+    ]
+    trusted = [run_suite(cfg) for cfg in cfgs]
+    checked = []
+
+    def check(arrow, args):
+        checked.append(args)
+        return microcalc.make_microcube(arrow, args)
+
+    monkeypatch.setattr(microcalc, "_cube", check)
+    assert [run_suite(cfg) for cfg in cfgs] == trusted
+    assert all(status == 0 for status, _ in trusted)
+    assert checked
