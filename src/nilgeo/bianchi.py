@@ -7,7 +7,9 @@ A degree-three cube downstairs determines eight fiber points, labelled
 
 Each of the twelve cube edges is lifted by `connection.lifted_edge` from
 the corner of its first vertex to an arrow between adjacent fiber points;
-the reversed letter is the inverse arrow.  Face loops multiply four edges
+the reversed letter is the inverse arrow.  The edges from the far corners
+D, E and F are lifted first: every other edge is a drop of one of those
+three lifts.  Face loops multiply four edges
 around a face.  The curvature of the face normal to axis i is read at the
 product of the other two arguments, with sign (-1)^i on the face at 0 and
 the opposite sign at d_i; the face checks and the classical identity both
@@ -92,7 +94,9 @@ def build_cube(conn: Connection, cube: Microcube) -> CubeLabeling:
     by_axes = {axes: v for v, axes in VERTEX_AXES.items()}
     points = {v: vertex_point(cube, v) for v in VERTICES}
     edges: dict[tuple[str, str], Arrow] = {}
-    for x in VERTICES:
+    # the far corners D, E and F first: each of the other edges is then a
+    # drop of one of their lifts, so a fresh cube costs three applies
+    for x in sorted(VERTICES, key=lambda v: len(VERTEX_AXES[v]) != 2):
         for k in sorted({1, 2, 3} - VERTEX_AXES[x]):
             y = by_axes[VERTEX_AXES[x] | {k}]
             arrow = lifted_edge(conn, cube, VERTEX_AXES[x], k)
@@ -233,7 +237,9 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
 
     Both halves read the six face curvatures through one curvature form,
     which evaluates each distinct face once and keeps its value, so the
-    derivative of that same form reads them back."""
+    derivative of that same form reads them back.  The cube is lifted
+    first, far corners first, so the faces read its kept edge lifts."""
+    labeling = build_cube(conn, cube)
     faces = curvature_form(conn)
     omega = {
         (i, e): faces(slice_cube(cube, i, e))
@@ -241,8 +247,6 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
         for e in (0, g)
     }
     derivative_zero = d_nabla(conn, faces)(cube).is_zero()
-
-    labeling = build_cube(conn, cube)
 
     def conj(g: Arrow, loop: Arrow) -> Arrow:
         return compose_all(invert(g), loop, g)

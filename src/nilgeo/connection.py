@@ -6,21 +6,28 @@ polynomials over the base (gauge models).  Each kind's linear map is one
 function, `_splitting_map` or `_gauge_map`, which checks the data against
 the Lie algebra of its target group (`MatrixGroup.lie_contains`) and is
 shared with the kind's one-form in `forms`.  Every edge of a cube is lifted
-in one place, `lifted_edge`: one slice down to the edge, one `apply`, read
-at the edge's generator and checked for membership in H; `forms` and
-`bianchi` take their edges from it too.  The slice trusts its cube (see
-`microcalc._cube`); the lifted arrow, built from `apply`, is outside data
-and is checked.  Each connection lifts and checks each distinct edge once:
-the faces of a cube share their edges with the cube as equal values, so its
-face curvatures, `bianchi.build_cube` and `forms.d_nabla` cost one lift per
-edge.  That memo lives as long as the connection, which the samplers build
-per trial.
-`apply` must therefore be a function of its tangent; a stateful one is
-seen once per distinct edge.
-The lift of a microsquare is the path of two lifted edges and its curvature
-the loop of four, read off the top coefficient by
-`microcalc.kernel_loop_tangent`.  The named presets and the random connections of
-each shipped configuration live in `sampling`, next to the samplers.
+in one place, `lifted_edge`; `forms` and `bianchi` take their edges from it
+too.  Each axis of a cube is read once, at its far corner, where every
+other argument is on (`microcalc.Microcube.far_edge`); the edge from any
+other corner is that tangent with the off arguments dropped, by a drop plan
+of `weil`, which is a map of algebras.  Each connection keeps each distinct
+edge's lift, keyed by its value, for as long as it lives (the samplers
+build one per trial).  A lift not yet kept is the kept far-corner lift of
+its axis dropped the same way; only when that is missing too is it one
+`apply`, read at the edge's generator and checked for membership in H,
+since `apply` is outside data.  `bianchi.build_cube` lifts the far corners
+first, so a fresh cube costs three applies and three checks, and its face
+curvatures and `forms.d_nabla` read the kept lifts: the faces share their
+edges with the cube as equal values.
+`apply` must therefore be a function of its tangent (a stateful one is seen
+once per distinct edge), and it must commute with dropping generators.
+Both shipped kinds do: polynomial evaluation and a rational-linear map
+commute with maps of algebras.
+The lift of a microsquare is the path of two lifted edges, wrapped unchecked
+by `microcalc._cube` since both are checked, and its curvature the loop of
+four, read off the top coefficient by `microcalc.kernel_loop_tangent`.
+The named presets and the random connections of each shipped configuration
+live in `sampling`, next to the samplers.
 """
 
 from __future__ import annotations
@@ -28,19 +35,20 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Collection, Sequence
 
+from . import microcalc
 from .matrices import Matrix, _combination
 from .microcalc import (
     Microcube,
     Section,
     TangentData,
     _fresh_pair,
+    _origin_edge,
+    _tangent_drop,
+    arrow_drop,
     as_kernel_tangent,
     bisection_product,
     bracket_sections,
-    from_tangent,
     kernel_loop_tangent,
-    make_microcube,
-    slice_multi,
     strong_diff,
     transpose,
 )
@@ -191,28 +199,44 @@ def lifted_edge(
     """The lift of the edge along argument k from the corner where the
     arguments in `corner` are on and the others are 0.
 
-    The slice, which trusts the checked cube it starts from, runs on every
-    call.  The lift of an edge the connection has not seen is checked for
-    membership in H, since `apply` is outside data, and kept in the memo;
-    the memo keeps every distinct edge for as long as the connection lives,
-    so each is checked once."""
-    frozen = {i: g if i in corner else 0 for i, g in enumerate(cube.args, 1) if i != k}
-    edge = slice_multi(cube, frozen)
-    key = (edge.algebra, edge)  # equal elements over distinct algebras stay apart
+    Each axis is read once per cube, at its far corner
+    (`Microcube.far_edge`), and this edge's tangent is that read with the
+    off arguments dropped.  An edge from the origin is read there instead,
+    with no inverse, until the cube has read its axis at the far corner.
+    The lift of an edge the connection has not seen is the far-corner lift
+    dropped the same way when that one is already kept, since `apply`
+    commutes with dropping generators and a drop of a checked arrow stays
+    in H; otherwise it is `apply` read at the edge's generator and checked
+    for membership in H, since `apply` is outside data.  The memo keeps
+    every distinct edge for as long as the connection lives, so each is
+    applied and checked at most once."""
+    alg, g = cube.algebra, cube.args[k - 1]
+    off = [h for i, h in enumerate(cube.args, 1) if i != k and i not in corner]
+    far = cube.far_edge(k) if corner or k in cube.far_edges else None
+    if far is None:
+        td = _origin_edge(cube, k)
+    else:
+        td = _tangent_drop(far, off) if off else far
+    key = (alg, g, td)  # equal tangents over distinct algebras stay apart
     arrow = conn._edges.get(key)
     if arrow is None:
-        td = conn.apply(from_tangent(edge))
-        arrow = cube.model.check(td.arrow_at(edge.algebra.gen(edge.args[0])))
+        far_arrow = None if far is None else conn._edges.get((alg, g, far))
+        if far_arrow is not None:
+            arrow = arrow_drop(far_arrow, off)
+        else:
+            arrow = cube.model.check(conn.apply(td).arrow_at(alg.gen(g)))
         conn._edges[key] = arrow
     return arrow
 
 
 def lift(conn: Connection, cube: Microcube) -> Microcube:
-    """Lift a microsquare: the path O -> A -> D of two lifted edges."""
+    """Lift a microsquare: the path O -> A -> D of two lifted edges.  Both
+    are checked, so their composite is a cube by group closure and is
+    wrapped unchecked by `microcalc._cube`, looked up at call time."""
     if cube.degree != 2:
         raise CurvatureError("lift expects a microsquare")
     arrow = compose(lifted_edge(conn, cube, {1}, 2), lifted_edge(conn, cube, (), 1))
-    return make_microcube(arrow, cube.args)
+    return microcalc._cube(arrow, cube.args)
 
 
 def curvature(conn: Connection, cube: Microcube) -> TangentData:

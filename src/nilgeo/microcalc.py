@@ -19,19 +19,27 @@ Slicing, permuting, rescaling and restricting a cube are mask plans of
 The cube invariants and group membership are checked where an arrow
 enters from outside: the public `make_microcube`, which `degenerate_square`,
 `_axis_diff` (the differences) and `bisection_product` build through, as do
-`sampling.sample_microcube`, `sampling.perturbed_square` and
-`connection.lift`; each arrow a connection's `apply` returns is checked in
-`connection.lifted_edge`.  A cube derived from a checked one by
-`slice_multi`, `permute`, `scale_arg` or `tau` is a cube by group closure,
-since each reparametrizes by a map of algebras (`_relabel_plan` refuses a
-renaming that is not one), so those four wrap their arrow with the
-unchecked `_cube`.
+`sampling.sample_microcube` and `sampling.perturbed_square`; each arrow a
+connection's `apply` returns is checked in `connection.lifted_edge`.  A cube
+derived from a checked one by `slice_multi`, `permute`, `scale_arg` or `tau`
+is a cube by group closure, since each reparametrizes by a map of algebras
+(`_relabel_plan` refuses a renaming that is not one), so those four wrap
+their arrow with the unchecked `_cube`; so does `connection.lift`, whose
+arrow composes two checked lifted edges.
+
+Each cube reads the edge tangent of each argument once, at its far corner
+(`Microcube.far_edge`): the edge along d_k with every other argument on.
+The edge from any other corner is that tangent with the off arguments
+dropped (`_tangent_drop`), so a cube's twelve edges cost three reads, and
+an edge from the origin can be read directly (`_origin_edge`), with no
+inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .matrices import Matrix
@@ -86,21 +94,70 @@ class Microcube:
     def model(self) -> GroupoidModel:
         return self.arrow.model
 
+    @cached_property
+    def far_edges(self) -> dict[int, "TangentData"]:
+        """Argument index -> the far-corner edge tangents `far_edge` has read
+        so far on this cube."""
+        return {}
+
+    def far_edge(self, k: int) -> "TangentData":
+        """The tangent of the edge along argument k with every other
+        argument on, read once per cube: anchored at the target at d_k = 0,
+        with direction the d_k-cofactor of the target and vert the
+        d_k-cofactor of the body times the inverse of the body at d_k = 0.
+        The edge from any other corner is this tangent with the off
+        arguments dropped (`_tangent_drop`), since dropping is a map of
+        algebras."""
+        far = self.far_edges.get(k)
+        if far is None:
+            a, d = self.arrow, (self.args[k - 1],)
+            anchor = tuple(c.drop(d) for c in a.target)
+            direction = tuple(c.coefficient(d) for c in a.target)
+            vert = a.body.coefficient(d) * a.body.drop(d).inverse()
+            far = self.far_edges[k] = TangentData(a.model, a.grp, anchor, direction, vert)
+        return far
+
+
+def _image(p: Point, alg: WeilAlgebra, plan: _Plan, plan_of) -> Point:
+    """Each coordinate under `plan` if it is over `alg`, else under its
+    own algebra's `plan_of`."""
+    return tuple(w._apply(plan if w.algebra is alg else plan_of(w.algebra)) for w in p)
+
 
 def _transform(a: Arrow, plan_of: Callable[[WeilAlgebra], _Plan]) -> Arrow:
     """Apply the plan `plan_of(alg)` to the body and to every coordinate over
     its algebra `alg`; a coordinate over another algebra gets that one's."""
     alg, plan = a.algebra, plan_of(a.algebra)
-    source, target = (
-        tuple(w._apply(plan if w.algebra is alg else plan_of(w.algebra)) for w in p)
-        for p in (a.source, a.target)
-    )
+    source, target = (_image(p, alg, plan, plan_of) for p in (a.source, a.target))
     return Arrow(a.model, a.grp, source, target, a.body._apply(plan))
+
+
+def _drops(names: Sequence[str]) -> Callable[[WeilAlgebra], _Plan]:
+    """The plan over each algebra that evaluates `names` at zero."""
+    return lambda alg: _drop_plan(alg, alg.mask(names))
 
 
 def arrow_drop(a: Arrow, names: Sequence[str]) -> Arrow:
     """Evaluate the listed generators at zero throughout the arrow."""
-    return _transform(a, lambda alg: _drop_plan(alg, alg.mask(names)))
+    return _transform(a, _drops(names))
+
+
+def _origin_edge(cube: Microcube, k: int) -> "TangentData":
+    """The tangent of the edge along argument k from the origin: the cube
+    with every other argument dropped, whose body is I at d_k = 0, so the
+    read takes no inverse."""
+    d = (cube.args[k - 1],)
+    a = arrow_drop(cube.arrow, cube.args[: k - 1] + cube.args[k:])
+    direction = tuple(c.coefficient(d) for c in a.target)
+    return TangentData(a.model, a.grp, a.source, direction, a.body.coefficient(d))
+
+
+def _tangent_drop(td: "TangentData", names: Sequence[str]) -> "TangentData":
+    """`arrow_drop` for tangent data."""
+    plan_of = _drops(names)
+    alg, plan = td.algebra, plan_of(td.algebra)
+    anchor, direction = (_image(p, alg, plan, plan_of) for p in (td.anchor, td.direction))
+    return TangentData(td.model, td.grp, anchor, direction, td.vert._apply(plan))
 
 
 def _relabel_plan(alg: WeilAlgebra, pairs: tuple[tuple[str, str], ...]) -> _Plan:
@@ -120,15 +177,21 @@ def _relabel_plan(alg: WeilAlgebra, pairs: tuple[tuple[str, str], ...]) -> _Plan
     return _rename_plan(alg, pairs)
 
 
-def make_microcube(arrow: Arrow, args: Sequence[str]) -> Microcube:
-    """Validate the cube invariants and wrap the arrow."""
+def _cube_args(args: Sequence[str], alg: WeilAlgebra) -> tuple[str, ...]:
+    """The arguments as a tuple; raises `CubeError` unless they are distinct
+    generators of `alg`."""
     args = tuple(args)
     if len(set(args)) != len(args):
         raise CubeError(f"repeated cube arguments: {args}")
-    alg = arrow.algebra
     for g in args:
         if g not in alg.names:
             raise CubeError(f"argument {g} not in the ambient algebra")
+    return args
+
+
+def make_microcube(arrow: Arrow, args: Sequence[str]) -> Microcube:
+    """Validate the cube invariants and wrap the arrow."""
+    args = _cube_args(args, arrow.algebra)
     at_zero = arrow_drop(arrow, args)
     if at_zero.source != arrow.source:
         raise CubeError("source must not depend on the cube arguments")
@@ -140,9 +203,10 @@ def make_microcube(arrow: Arrow, args: Sequence[str]) -> Microcube:
 
 def _cube(arrow: Arrow, args: tuple[str, ...]) -> Microcube:
     """Wrap an arrow built from a checked cube by slicing, permuting,
-    rescaling or zeroing its arguments, without re-checking it: group
-    closure keeps such an arrow a cube.  The four callers look this name
-    up at call time, so rebinding it to `make_microcube` checks them all."""
+    rescaling or zeroing its arguments, or composed of checked lifted edges
+    (`connection.lift`), without re-checking it: group closure keeps such
+    an arrow a cube.  The five callers look this name up at call time, so
+    rebinding it to `make_microcube` checks them all."""
     return Microcube(arrow, args)
 
 

@@ -19,7 +19,14 @@ from typing import Sequence
 
 from .connection import Connection, GaugeConnection, SplittingConnection
 from .matrices import Matrix
-from .microcalc import ConstantSection, Microcube, PolySection, Section, make_microcube
+from .microcalc import (
+    ConstantSection,
+    Microcube,
+    PolySection,
+    Section,
+    _cube_args,
+    make_microcube,
+)
 from .models import Arrow, GroupoidModel, Point
 from .polynomials import Poly, PolyMatrix
 from .weil import WeilAlgebra, WeilElement, _build as weil_build
@@ -94,8 +101,9 @@ def sample_microcube(
     bound: Fraction = Fraction(2),
 ) -> Microcube:
     """Random cube built as a product of per-monomial perturbations, so
-    membership holds by group closure."""
-    args = tuple(args)
+    membership holds by group closure.  Raises `CubeError`, before any
+    draw, unless the arguments are distinct generators of `alg`."""
+    args = _cube_args(args, alg)
     if x is None:
         x = sample_point(rng, model, alg, bound)
     size = model.spec(grp).size

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from oracles import partial
@@ -15,6 +16,7 @@ from nilgeo.connection import (
     curvature,
     curvature_via_strong_diff,
     lift,
+    lifted_edge,
     structure_equation,
 )
 from nilgeo.forms import FormError, gauge_one_form, splitting_one_form
@@ -32,6 +34,7 @@ from nilgeo.microcalc import (
     make_microcube,
     scale_arg,
     slice_cube,
+    slice_multi,
     strong_diff,
     tau,
     top_tangent,
@@ -47,6 +50,7 @@ from nilgeo.sampling import (
     sample_point,
     sample_section,
     sample_vert,
+    sample_weil,
 )
 from nilgeo.weil import algebra
 
@@ -584,3 +588,114 @@ def test_each_lifted_edge_is_checked_for_membership():
         bad.apply = off_sl2(bad.apply)
         with pytest.raises(MembershipError, match="invalid H-arrow"):
             read(bad, arg)
+
+
+# -- each axis read once, at its far corner ----------------------------------------------
+
+
+def _connections(rng, model):
+    """Makers of fresh connections: a random one and each preset."""
+    draw = rng.getstate()
+
+    def sampled():
+        fresh = random.Random()
+        fresh.setstate(draw)
+        return sample_connection(fresh, model)
+
+    presets = [lambda name=name: preset_connection(model, name) for name in preset_names(model)]
+    return [sampled] + presets
+
+
+def _edges(degree):
+    """Every (corner, axis) of a cube, the far corners first."""
+    out = []
+    for k in range(1, degree + 1):
+        rest = [i for i in range(1, degree + 1) if i != k]
+        out += [(corner, k) for r in range(degree) for corner in combinations(rest, r)]
+    return sorted(out, key=lambda e: -len(e[0]))
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_each_lifted_edge_is_the_checked_apply_of_its_slice(model):
+    # the oracle lifts each edge the long way, from its own slice; the memo
+    # is read far corners first (each other edge a drop of a kept lift) and
+    # origin first (edges from the origin read there, then the far reads)
+    rng = random.Random(37)
+    makers = _connections(rng, model)
+    compared = 0
+    for names in (("d1", "d2"), ("d1", "d2", "d3")):
+        alg = algebra(names)
+        sampled = sample_microcube(rng, model, "G", names, alg)
+        for make in makers:
+            for edges in (_edges(len(names)), _edges(len(names))[::-1]):
+                conn, cube = make(), make_microcube(sampled.arrow, names)
+                for corner, k in edges:
+                    frozen = {
+                        i: g if i in corner else 0 for i, g in enumerate(names, 1) if i != k
+                    }
+                    td = conn.apply(from_tangent(slice_multi(cube, frozen)))
+                    want = model.check(td.arrow_at(alg.gen(names[k - 1])))
+                    assert lifted_edge(conn, cube, corner, k) == want, (corner, k)
+                    compared += 1
+    assert compared == len(makers) * 2 * (4 + 12)
+
+
+def _drop(td, names):
+    return TangentData(
+        td.model,
+        td.grp,
+        tuple(c.drop(names) for c in td.anchor),
+        tuple(c.drop(names) for c in td.direction),
+        td.vert.drop(names),
+    )
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_apply_commutes_with_dropping_generators(model):
+    # the far-corner reads rest on this: a drop plan is a map of algebras,
+    # and both kinds of `apply` are natural in the Weil algebra
+    rng = random.Random(38)
+    alg = algebra(["d", "e1", "e2"])
+    size = model.spec("G").size
+    for make in _connections(rng, model):
+        conn = make()
+        for _ in range(3):
+            anchor = tuple(sample_weil(rng, alg) for _ in range(model.base_dim))
+            direction = tuple(sample_weil(rng, alg) for _ in range(model.base_dim))
+            vert = Matrix.zero(size, alg)
+            for b in model.lie_basis("G"):
+                vert = vert + Matrix.from_rational(b, alg) * sample_weil(rng, alg)
+            td = TangentData(model, "G", anchor, direction, vert)
+            lifted = conn.apply(td)
+            assert not lifted.is_zero()
+            for names in (("e1",), ("e2",), ("e1", "e2"), ("d", "e2")):
+                assert conn.apply(_drop(td, names)) == _drop(lifted, names), names
+
+
+def _count_applies(conn):
+    calls = []
+    original = conn.apply
+
+    def counted(td):
+        calls.append(td)
+        return original(td)
+
+    conn.apply = counted
+    return calls
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_a_fresh_cube_costs_three_applies(model):
+    # three far-corner lifts; every other edge is a drop of one of them
+    rng = random.Random(39)
+    for make in _connections(rng, model):
+        cube = sample_microcube(rng, model, "G", ("d1", "d2", "d3"), algebra(["d1", "d2", "d3"]))
+        square = sample_microcube(rng, model, "G", ("d1", "d2"), algebra(["d1", "d2"]))
+        conn = make()
+        calls = _count_applies(conn)
+        build_cube(conn, cube)
+        assert len(calls) == 3
+        conn = make()
+        calls = _count_applies(conn)
+        curvature(conn, square)
+        assert 0 < len(calls) <= 3

@@ -623,3 +623,19 @@ def test_sample_microcube_rejects_a_moving_source():
     x = (alg.scalar(1) + alg.gen("d1"), alg.scalar(2))
     with pytest.raises(CubeError, match="source"):
         sample_microcube(random.Random(79), SCALAR_GAUGE, "H", ("d1", "d2"), alg, x=x)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(("d1", "d1"), "repeated"), (("d1", "x"), "not in the ambient")],
+    ids=["repeated-argument", "foreign-generator"],
+)
+def test_sample_microcube_names_malformed_arguments_before_drawing(args, message):
+    # the arguments are checked before the first draw: the generator's
+    # state is untouched
+    rng = random.Random(81)
+    state = rng.getstate()
+    sl2 = build_model("trivial_gauge", "sl2")
+    with pytest.raises(CubeError, match=message):
+        sample_microcube(rng, sl2, "G", args, algebra(["d1", "d2"]))
+    assert rng.getstate() == state
