@@ -38,6 +38,7 @@ from typing import Callable, Collection, Sequence
 from . import microcalc
 from .matrices import Matrix, _combination
 from .microcalc import (
+    CubeError,
     Microcube,
     Section,
     TangentData,
@@ -138,7 +139,8 @@ class SplittingConnection:
 
     def __init__(self, model: GroupoidModel, images: Sequence):
         self.model = model
-        self._edges: dict = {}  # (algebra, edge) -> lifted arrow, see `lifted_edge`
+        # (algebra, generator, tangent) -> lifted arrow, see `lifted_edge`
+        self._edges: dict = {}
         self.images, self._vert = _splitting_map(model, "H", images, ConnectionError_)
         alg0 = algebra([])
         for img, b in zip(self.images, model.lie_basis("G")):
@@ -161,7 +163,8 @@ class GaugeConnection:
 
     def __init__(self, model: GroupoidModel, coeffs: Sequence[PolyMatrix]):
         self.model = model
-        self._edges: dict = {}  # (algebra, edge) -> lifted arrow, see `lifted_edge`
+        # (algebra, generator, tangent) -> lifted arrow, see `lifted_edge`
+        self._edges: dict = {}
         self.coeffs = tuple(coeffs)
         self._vert = _gauge_map(model, "H", self.coeffs, ConnectionError_)
 
@@ -210,6 +213,8 @@ def lifted_edge(
     for membership in H, since `apply` is outside data.  The memo keeps
     every distinct edge for as long as the connection lives, so each is
     applied and checked at most once."""
+    if not 1 <= k <= cube.degree:
+        raise CubeError(f"edge index {k} out of range")
     alg, g = cube.algebra, cube.args[k - 1]
     off = [h for i, h in enumerate(cube.args, 1) if i != k and i not in corner]
     far = cube.far_edge(k) if corner or k in cube.far_edges else None

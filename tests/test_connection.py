@@ -699,3 +699,12 @@ def test_a_fresh_cube_costs_three_applies(model):
         calls = _count_applies(conn)
         curvature(conn, square)
         assert 0 < len(calls) <= 3
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_lifted_edge_refuses_an_axis_out_of_range(k):
+    rng = random.Random(40)
+    model = all_models()[0]
+    square = sample_microcube(rng, model, "G", ("d1", "d2"), algebra(["d1", "d2"]))
+    with pytest.raises(CubeError):
+        lifted_edge(sample_connection(rng, model), square, (), k)
