@@ -5,7 +5,11 @@ downstairs tangent coordinates (one-point models) or vertical coefficient
 polynomials over the base (gauge models).  Each kind's linear map is one
 function, `_splitting_map` or `_gauge_map`, which checks the data against
 the Lie algebra of its target group (`MatrixGroup.lie_contains`) and is
-shared with the kind's one-form in `forms`.  Every edge of a cube is lifted
+shared with the kind's one-form in `forms`.  Both work on integer tables:
+the splitting map reads the free cells of a tangent's table by position,
+and the gauge map checks each monomial's coefficient matrix of a
+`PolyMatrix` and evaluates a connection's coefficients at one anchor from
+one shared monomial table.  Every edge of a cube is lifted
 in one place, `lifted_edge`; `forms` and `bianchi` take their edges from it
 too.  Each axis of a cube is read once, at its far corner, where every
 other argument is on (`microcalc.Microcube.far_edge`); the edge from any
@@ -15,10 +19,13 @@ edge's lift, keyed by its value, for as long as it lives (the samplers
 build one per trial).  A lift not yet kept is the kept far-corner lift of
 its axis dropped the same way; only when that is missing too is it one
 `apply`, read at the edge's generator and checked for membership in H,
-since `apply` is outside data.  `bianchi.build_cube` lifts the far corners
-first, so a fresh cube costs three applies and three checks, and its face
-curvatures and `forms.d_nabla` read the kept lifts: the faces share their
-edges with the cube as equal values.
+since `apply` is outside data.  `curvature` reads a square's two
+far-corner edges first, so a fresh square costs two applies, and
+`bianchi.build_cube` lifts the far corners first, so a fresh cube costs
+three applies and three checks.  Its face curvatures and `forms.d_nabla`
+read the kept lifts: the faces share their edges with the cube as equal
+values, and a face sliced without renaming inherits the cube's far reads
+(`microcalc.slice_multi`).
 `apply` must therefore be a function of its tangent (a stateful one is seen
 once per distinct edge), and it must commute with dropping generators.
 Both shipped kinds do: polynomial evaluation and a rational-linear map
@@ -33,10 +40,11 @@ live in `sampling`, next to the samplers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Collection, Sequence
 
 from . import microcalc
-from .matrices import Matrix, _combination
+from .matrices import Matrix, _normal
 from .microcalc import (
     CubeError,
     Microcube,
@@ -72,7 +80,9 @@ def _splitting_map(
     """The exact images and the map vert -> sum_k vert[cell_k] * images[k]
     into the `grp` coefficients, cell_k the k-th free cell of G
     (`model.spec("G").free`); raises `error` unless each free cell has one
-    image, in the Lie algebra of `grp`."""
+    image, in the Lie algebra of `grp`.  The map reads the free cells off
+    vert's table by position and writes the images' integer tables over
+    one common denominator straight into the result's."""
     images = tuple(
         tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
     )
@@ -83,15 +93,31 @@ def _splitting_map(
     if not all(spec.lie_contains(img) for img in images):
         raise error(f"images must lie in the Lie algebra of {grp}")
     n = spec.size
-    entries = [
-        [(i * n + j, q) for i, r in enumerate(img) for j, q in enumerate(r) if q]
-        for img in images
-    ]
+    den = lcm(*(q.denominator for img in images for row in img for q in row))
+    g = model.spec("G").size
+    # (flat position of the free cell in G, the image's nonzero flat entries)
+    reads = []
+    for (i, j), img in zip(cells, images):
+        flat = [q for row in img for q in row]
+        entries = tuple(
+            (k, q.numerator * (den // q.denominator)) for k, q in enumerate(flat) if q
+        )
+        reads.append((i * g + j, entries))
 
     def vert_map(vert: Matrix) -> Matrix:
-        coords = [vert[cell] for cell in cells]
-        terms = ((k, q, c) for c, e in zip(coords, entries) for k, q in e)
-        return _combination(vert.algebra, n, terms)
+        out: dict[int, tuple[int, ...]] = {}
+        for m, v in vert._t.items():
+            acc = None
+            for cell, entries in reads:
+                c = v[cell]
+                if c:
+                    if acc is None:
+                        acc = [0] * (n * n)
+                    for k, a in entries:
+                        acc[k] += c * a
+            if acc is not None:
+                out[m] = tuple(acc)
+        return _normal(vert.algebra, n, out, vert._den * den)
 
     return images, vert_map
 
@@ -100,10 +126,11 @@ def _gauge_map(
     model: GroupoidModel, grp: str, coeffs: Sequence[PolyMatrix], error: type
 ) -> Callable[[TangentData], Matrix]:
     """The map td -> sum_i A_i(anchor) * v_i into the `grp` coefficients,
-    cached per anchor; raises `error` unless the A_i are coefficients of a
-    gauge model, each of whose monomials' matrices lies in the Lie algebra
-    of `grp`.  The map reads only the base velocity, so it is a connection
-    only where G-tangents have no vertical part: G's Lie algebra is empty."""
+    cached per anchor, where the A_i share one monomial table; raises
+    `error` unless the A_i are coefficients of a gauge model, each of
+    whose monomials' matrices lies in the Lie algebra of `grp`.  The map
+    reads only the base velocity, so it is a connection only where
+    G-tangents have no vertical part: G's Lie algebra is empty."""
     if model.lie_basis("G"):
         raise error("vertical coefficients need a gauge model")
     if len(coeffs) != model.base_dim:
@@ -115,15 +142,17 @@ def _gauge_map(
             raise error("coefficient size must match the structure group")
         if pm.nvars != model.base_dim:
             raise error("coefficients must take one variable per base axis")
-        for e in {e for r in pm.rows for p in r for e in p.terms}:
-            if not spec.lie_contains([[p.terms.get(e, 0) for p in r] for r in pm.rows]):
+        # den * C_e has the support and traces of C_e
+        for flat in pm._t.values():
+            if not spec.lie_contains([flat[i * size:(i + 1) * size] for i in range(size)]):
                 raise error(f"coefficients must lie in the Lie algebra of {grp}")
     at: dict = {}  # anchors repeat heavily across slices of one cube
 
     def vert_map(td: TangentData) -> Matrix:
         mats = at.get(td.anchor)
         if mats is None:
-            mats = at[td.anchor] = tuple(pm(td.anchor) for pm in coeffs)
+            mono: dict = {}
+            mats = at[td.anchor] = tuple(pm(td.anchor, mono) for pm in coeffs)
         vert = Matrix.zero(size, td.algebra)
         for mat, v in zip(mats, td.direction):
             if not v.is_zero():
@@ -247,12 +276,14 @@ def lift(conn: Connection, cube: Microcube) -> Microcube:
 def curvature(conn: Connection, cube: Microcube) -> TangentData:
     """The kernel-valued tangent measuring the holonomy defect of the lift
     around a microsquare: the loop O -> B -> D -> A -> O of lifted edges,
-    read off its top coefficient."""
+    read off its top coefficient.  The edges A -> D and B -> D are lifted
+    first, so O -> A and O -> B are drops of their lifts and a fresh square
+    costs two applies."""
     if cube.degree != 2:
         raise CurvatureError("curvature expects a microsquare")
-    oa, ad, bd, ob = (
+    ad, bd, oa, ob = (
         lifted_edge(conn, cube, corner, k)
-        for corner, k in (((), 1), ({1}, 2), ({2}, 1), ((), 2))
+        for corner, k in (({1}, 2), ({2}, 1), ((), 1), ((), 2))
     )
     word = compose_all(invert(oa), invert(ad), bd, ob)
     return kernel_loop_tangent(word, cube, CurvatureError)

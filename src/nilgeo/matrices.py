@@ -13,11 +13,14 @@ small integer matrix product per pair, then normalizes once.  Sums and
 multiples work on the table the same way, and `drop`, `coefficient`,
 `convert` and the arrow transforms of `microcalc` apply a mask plan of
 `weil` to it (`_apply`).  `_combination` sums rational multiples of
-elements straight into a table: `PolyMatrix` evaluation writes every entry
-through it, and `Poly` evaluation reads a 1 x 1 one.  `models` reads the
-table by position: its group tests directly, its projections through
-`gather`.  Entries (`m[i, j]`, `rows`) are built as `WeilElement`s only
-when read.
+elements straight into a table: the public constructor packs its entries
+through it, and `Poly` evaluation reads a 1 x 1 one.  A `PolyMatrix` keeps
+a table of the same shape keyed by exponent tuples and sums its own
+evaluation into a matrix table; `_normal` brings both kinds of table to
+canonical form.  `models` reads the table by position: its group tests
+directly, its projections through `gather`, and the splitting connections
+read their free cells the same way.  Entries (`m[i, j]`, `rows`) are built
+as `WeilElement`s only when read.
 
 Inverses exploit nilpotency: the constant part is inverted over the
 rationals by Gaussian elimination and the nilpotent remainder by the

@@ -32,7 +32,9 @@ Each cube reads the edge tangent of each argument once, at its far corner
 The edge from any other corner is that tangent with the off arguments
 dropped (`_tangent_drop`), so a cube's twelve edges cost three reads, and
 an edge from the origin can be read directly (`_origin_edge`), with no
-inverse.
+inverse.  A slice that renames nothing inherits each far read its parent
+has kept (`_inherit_far_edges`), so the faces of a lifted cube read none
+again.
 """
 
 from __future__ import annotations
@@ -253,9 +255,30 @@ def slice_multi(cube: Microcube, frozen: dict[int, object]) -> Microcube:
         raise CubeError("cannot slice away every argument")
     if all(e == 0 for e in frozen.values()):
         # frozen arrow is the identity; no correction factor needed
-        return _cube(a, remaining)
-    corr = arrow_drop(a, remaining)
-    return _cube(compose(a, invert(corr)), remaining)
+        out = _cube(a, remaining)
+    else:
+        corr = arrow_drop(a, remaining)
+        out = _cube(compose(a, invert(corr)), remaining)
+    if not rename:
+        _inherit_far_edges(cube, out, zeroed)
+    return out
+
+
+def _inherit_far_edges(parent: Microcube, child: Microcube, zeroed: list[str]) -> None:
+    """Hand a slice of `parent` that renames nothing each far-corner read
+    the parent has kept along one of the slice's arguments.  The slice's
+    read is the parent's with the zeroed arguments dropped; the correction
+    by the frozen arrow does not change it, since that arrow is free of
+    the slice's arguments and cancels between the read's two factors."""
+    kept = parent.__dict__.get("far_edges")
+    if not kept:
+        return
+    index = {g: j for j, g in enumerate(child.args, 1)}
+    reads = child.far_edges
+    for k, far in kept.items():
+        j = index.get(parent.args[k - 1])
+        if j is not None:
+            reads[j] = _tangent_drop(far, zeroed) if zeroed else far
 
 
 def permute(cube: Microcube, theta: Sequence[int]) -> Microcube:

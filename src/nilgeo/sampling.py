@@ -4,6 +4,14 @@ Everything is drawn from an explicit `random.Random` in a fixed order, so
 a seed fully determines every sampled element, cube, section and
 connection: runs are bit-reproducible.
 
+Each random rational is one `_draw`: a numerator and a denominator taken
+from `DENOMINATORS`, so every draw is an integer over their least common
+multiple `_DEN`.  The samplers of Weil elements, matrices, polynomial
+matrices and cube targets write those integers straight into the integer
+tables that `weil` and `matrices` keep, normalize each table once (with
+`weil._build` or `matrices._normal`) and build no `Fraction` on the way;
+`sample_rational` is the one draw as a `Fraction`.
+
 The connection table at the end holds, for each shipped configuration
 (keyed by model name, as in the `models` registry), its named presets and
 its random-connection sampler.  Each splitting image layout is written once,
@@ -14,11 +22,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .connection import Connection, GaugeConnection, SplittingConnection
-from .matrices import Matrix
+from .matrices import Matrix, _eye, _normal
 from .microcalc import (
     ConstantSection,
     Microcube,
@@ -27,49 +36,80 @@ from .microcalc import (
     _cube_args,
     make_microcube,
 )
-from .models import Arrow, GroupoidModel, Point
-from .polynomials import Poly, PolyMatrix
+from .models import Arrow, GroupoidModel, MatrixGroup, Point
+from .polynomials import Poly, PolyMatrix, _wrap as poly_matrix_wrap
 from .weil import WeilAlgebra, WeilElement, _build as weil_build
 
 DENOMINATORS = (1, 1, 1, 2, 3)
+_DEN = lcm(*DENOMINATORS)  # every draw is an integer over this
+
+
+def _draw(rng: random.Random, bound: Fraction = Fraction(2)) -> tuple[int, int]:
+    """A random rational of size at most `bound`, as (numerator,
+    denominator) with the denominator drawn from `DENOMINATORS`; not
+    reduced."""
+    den = rng.choice(DENOMINATORS)
+    top = bound.numerator * den // bound.denominator
+    return rng.randint(-top, top), den
+
+
+def _numerator(rng: random.Random, bound: Fraction) -> int:
+    """`_draw` as a numerator over `_DEN`."""
+    num, den = _draw(rng, bound)
+    return num * (_DEN // den)
 
 
 def sample_rational(rng: random.Random, bound: Fraction = Fraction(2)) -> Fraction:
-    den = rng.choice(DENOMINATORS)
-    top = bound.numerator * den // bound.denominator
-    return Fraction(rng.randint(-top, top), den)
+    return Fraction(*_draw(rng, bound))
 
 
 def sample_weil(
     rng: random.Random, alg: WeilAlgebra, bound: Fraction = Fraction(2)
 ) -> WeilElement:
-    draws = {}
-    den = 1
-    for mask in range(1 << len(alg.names)):
-        if mask in alg.killed:
-            continue
-        q = sample_rational(rng, bound)
-        if q:
-            draws[mask] = q
-            den = den * q.denominator // gcd(den, q.denominator)
-    table = {m: q.numerator * (den // q.denominator) for m, q in draws.items()}
-    return weil_build(alg, table, den)
+    table = {
+        mask: _numerator(rng, bound)
+        for mask in range(1 << len(alg.names))
+        if mask not in alg.killed
+    }
+    return weil_build(alg, table, _DEN)
+
+
+@lru_cache(maxsize=None)
+def _lie_cells(spec: MatrixGroup) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each Lie basis matrix of `spec` as its (flat position, entry) pairs
+    where the entry is nonzero; the entries are 0 and +-1, so integers."""
+    n = spec.size
+    return tuple(
+        tuple(
+            (i * n + j, int(v)) for i, row in enumerate(b) for j, v in enumerate(row) if v
+        )
+        for b in spec.lie_basis()
+    )
+
+
+def _lie_table(
+    rng: random.Random, model: GroupoidModel, grp: str, bound: Fraction
+) -> list[int]:
+    """A random matrix in the layer's coefficient pattern, as a flat integer
+    matrix over `_DEN`: one draw per Lie basis matrix, in basis order."""
+    spec = model.spec(grp)
+    flat = [0] * (spec.size * spec.size)
+    for cells in _lie_cells(spec):
+        num = _numerator(rng, bound)
+        for k, v in cells:
+            flat[k] += num * v
+    return flat
 
 
 def sample_lie_rows(
     rng: random.Random, model: GroupoidModel, grp: str, bound: Fraction = Fraction(2)
 ):
     """Random rational matrix in the layer's coefficient pattern."""
-    basis = model.lie_basis(grp)
-    size = model.spec(grp).size
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for b in basis:
-        q = sample_rational(rng, bound)
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                if v:
-                    rows[i][j] += q * v
-    return tuple(tuple(r) for r in rows)
+    flat = _lie_table(rng, model, grp, bound)
+    n = model.spec(grp).size
+    return tuple(
+        tuple(Fraction(flat[i * n + j], _DEN) for j in range(n)) for i in range(n)
+    )
 
 
 def sample_vert(
@@ -79,7 +119,26 @@ def sample_vert(
     alg: WeilAlgebra,
     bound: Fraction = Fraction(2),
 ) -> Matrix:
-    return Matrix.from_rational(sample_lie_rows(rng, model, grp, bound), alg)
+    """`sample_lie_rows`' draws, as a constant matrix over `alg`."""
+    flat = _lie_table(rng, model, grp, bound)
+    return _normal(alg, model.spec(grp).size, {0: tuple(flat)}, _DEN)
+
+
+def _step(
+    rng: random.Random,
+    model: GroupoidModel,
+    grp: str,
+    alg: WeilAlgebra,
+    mask: int,
+    bound: Fraction,
+) -> Matrix | None:
+    """I + V * m for the monomial m of `alg` with mask `mask` and V drawn as
+    `sample_vert` draws it, or None where that is I."""
+    flat = tuple(_lie_table(rng, model, grp, bound))
+    if mask in alg.killed or not any(flat):
+        return None
+    n = model.spec(grp).size
+    return _normal(alg, n, {0: tuple([_DEN * v for v in _eye(n)]), mask: flat}, _DEN)
 
 
 def sample_point(
@@ -88,7 +147,8 @@ def sample_point(
     alg: WeilAlgebra,
     bound: Fraction = Fraction(2),
 ) -> Point:
-    return tuple(alg.scalar(sample_rational(rng, bound)) for _ in range(model.base_dim))
+    draws = [_draw(rng, bound) for _ in range(model.base_dim)]
+    return tuple(weil_build(alg, {0: num}, den) for num, den in draws)
 
 
 def sample_microcube(
@@ -106,21 +166,22 @@ def sample_microcube(
     args = _cube_args(args, alg)
     if x is None:
         x = sample_point(rng, model, alg, bound)
-    size = model.spec(grp).size
-    body = Matrix.identity(size, alg)
-    target = list(x)
-    masks = [m for m in range(1, 1 << len(args)) if _names(args, m)]
+    body = Matrix.identity(model.spec(grp).size, alg)
+    # the target's moves: per base axis, an integer table over `_DEN`
+    moves: list[dict[int, int]] = [{} for _ in range(model.base_dim)]
+    masks = list(range(1, 1 << len(args)))
     masks.sort(key=lambda m: (bin(m).count("1"), m))
-    has_lie = bool(model.lie_basis(grp))
     for m in masks:
-        mono = alg.term(1, _names(args, m))
-        if has_lie:
-            body = body * (
-                Matrix.identity(size, alg) + sample_vert(rng, model, grp, alg, bound) * mono
-            )
-        for k in range(model.base_dim):
-            target[k] = target[k] + mono * sample_rational(rng, bound)
-    arrow = Arrow(model, grp, x, tuple(target), body)
+        mono = alg.mask(_names(args, m))
+        step = _step(rng, model, grp, alg, mono, bound)
+        if step is not None:
+            body = body * step
+        for table in moves:
+            num = _numerator(rng, bound)
+            if mono not in alg.killed:
+                table[mono] = num
+    target = tuple(c + weil_build(alg, t, _DEN) for c, t in zip(x, moves))
+    arrow = Arrow(model, grp, x, target, body)
     return make_microcube(arrow, args)
 
 
@@ -134,18 +195,15 @@ def perturbed_square(
     """A square agreeing with `base` except in the top coefficient: the
     compatible partner for difference constructions."""
     alg = base.algebra
-    model = base.model
-    grp = base.arrow.grp
-    top = alg.term(1, base.args)
-    size = model.spec(grp).size
-    bump = Matrix.identity(size, alg)
-    if model.lie_basis(grp):
-        bump = bump + sample_vert(rng, model, grp, alg, bound) * top
-    tgt = list(base.arrow.target)
-    for k in range(model.base_dim):
-        tgt[k] = tgt[k] + top * sample_rational(rng, bound)
     old = base.arrow
-    arrow = Arrow(model, grp, old.source, tuple(tgt), bump * old.body)
+    top = alg.mask(base.args)
+    step = _step(rng, base.model, old.grp, alg, top, bound)
+    body = old.body if step is None else step * old.body
+    tgt = []
+    for c in old.target:
+        num = _numerator(rng, bound)
+        tgt.append(c if top in alg.killed else c + weil_build(alg, {top: num}, _DEN))
+    arrow = Arrow(base.model, old.grp, old.source, tuple(tgt), body)
     return make_microcube(arrow, base.args)
 
 
@@ -160,14 +218,15 @@ def sample_poly(
     return Poly(nvars, terms)
 
 
+@lru_cache(maxsize=None)
 def _exponents(nvars, degree):
     if nvars == 0:
-        return [()]
+        return ((),)
     out = []
     for head in range(degree + 1):
         for tail in _exponents(nvars - 1, degree - head):
             out.append((head,) + tail)
-    return out
+    return tuple(out)
 
 
 def sample_poly_matrix(
@@ -177,24 +236,24 @@ def sample_poly_matrix(
     degree: int,
     bound: Fraction = Fraction(2),
 ) -> PolyMatrix:
-    """Polynomial matrix valued in the layer's coefficient pattern."""
-    basis = model.lie_basis(grp)
-    size = model.spec(grp).size
-    nvars = model.base_dim
-    # each entry's terms accumulate over the basis; one `Poly` per entry
-    terms = [[{} for _ in range(size)] for _ in range(size)]
-    for b in basis:
-        p = sample_poly(rng, nvars, degree, bound)
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                if v:
-                    entry = terms[i][j]
-                    for e, c in p.terms.items():
-                        if v != 1:
-                            c = c * v
-                        prev = entry.get(e)
-                        entry[e] = c if prev is None else prev + c
-    return PolyMatrix([[Poly(nvars, t) for t in row] for row in terms])
+    """Polynomial matrix valued in the layer's coefficient pattern: one
+    `sample_poly` draw per Lie basis matrix, written straight into the
+    integer table over `_DEN` of each exponent."""
+    spec = model.spec(grp)
+    n = spec.size
+    exponents = _exponents(model.base_dim, degree)
+    table: dict[tuple[int, ...], list[int]] = {}
+    for cells in _lie_cells(spec):
+        for e in exponents:
+            num = _numerator(rng, bound)
+            if num:
+                col = table.get(e)
+                if col is None:
+                    col = table[e] = [0] * (n * n)
+                for k, v in cells:
+                    col[k] += num * v
+    table = {e: tuple(v) for e, v in table.items()}
+    return poly_matrix_wrap(n, model.base_dim, table, _DEN)
 
 
 def sample_section(

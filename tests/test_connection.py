@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from oracles import partial
+from oracles import partial, poly_rows
 
 from nilgeo import connection
 from nilgeo.bianchi import build_cube
@@ -25,6 +25,7 @@ from nilgeo.microcalc import (
     ConstantSection,
     CubeError,
     DifferenceError,
+    Microcube,
     TangentData,
     bisection_product,
     degenerate_square,
@@ -212,7 +213,7 @@ def _connection_data(conn):
     if isinstance(conn, SplittingConnection):
         return conn.images
     return [
-        [[sorted(p.terms.items()) for p in row] for row in pm.rows]
+        [[sorted(p.terms.items()) for p in row] for row in poly_rows(pm)]
         for pm in conn.coeffs
     ]
 
@@ -490,7 +491,7 @@ E02 = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
 
 
 def test_curvature_rejects_a_word_that_is_not_the_identity_on_an_edge(monkeypatch):
-    # a central bump on the third lifted edge, B -> D along d1, is cancelled
+    # a central bump on the second lifted edge, B -> D along d1, is cancelled
     # by no other edge: the loop is not the identity at d2 = 0
     conn = preset_connection(HEIS)
     original, reads = connection.lifted_edge, []
@@ -498,7 +499,7 @@ def test_curvature_rejects_a_word_that_is_not_the_identity_on_an_edge(monkeypatc
     def bumped(conn, cube, corner, k):
         reads.append((tuple(sorted(corner)), k))
         out = original(conn, cube, corner, k)
-        if len(reads) == 3:
+        if len(reads) == 2:
             bump = Matrix.from_rational(E02, out.algebra) * out.algebra.gen(cube.args[k - 1])
             out = Arrow(out.model, out.grp, out.source, out.target, out.body + bump)
         return out
@@ -510,7 +511,7 @@ def test_curvature_rejects_a_word_that_is_not_the_identity_on_an_edge(monkeypatc
     monkeypatch.setattr(connection, "lifted_edge", bumped)
     with pytest.raises(CurvatureError, match="d2 = 0"):
         curvature(conn, square)
-    assert reads == [((), 1), ((1,), 2), ((2,), 1), ((), 2)]
+    assert reads == [((1,), 2), ((2,), 1), ((), 1), ((), 2)]
 
 
 @pytest.mark.parametrize("error", [CurvatureError, FormError, DifferenceError, CubeError])
@@ -686,7 +687,8 @@ def _count_applies(conn):
 
 @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
 def test_a_fresh_cube_costs_three_applies(model):
-    # three far-corner lifts; every other edge is a drop of one of them
+    # three far-corner lifts for a cube and two for a square; every other
+    # edge is a drop of one of them
     rng = random.Random(39)
     for make in _connections(rng, model):
         cube = sample_microcube(rng, model, "G", ("d1", "d2", "d3"), algebra(["d1", "d2", "d3"]))
@@ -698,7 +700,28 @@ def test_a_fresh_cube_costs_three_applies(model):
         conn = make()
         calls = _count_applies(conn)
         curvature(conn, square)
-        assert 0 < len(calls) <= 3
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_face_slices_inherit_their_cubes_far_reads(model):
+    # a face at 0 inherits each far read with the zeroed argument dropped,
+    # a face kept at its own name the read itself; a renamed face nothing
+    rng = random.Random(41)
+    names = ("d1", "d2", "d3")
+    alg = algebra(names + ("e",))
+    for make in _connections(rng, model):
+        cube = sample_microcube(rng, model, "G", names, alg)
+        build_cube(make(), cube)
+        assert sorted(cube.far_edges) == [1, 2, 3]
+        for i, g in enumerate(names, 1):
+            for e in (0, g):
+                face = slice_cube(cube, i, e)
+                assert sorted(face.far_edges) == [1, 2], (i, e)
+                fresh = Microcube(face.arrow, face.args)
+                for k, read in face.far_edges.items():
+                    assert read == fresh.far_edge(k), (i, e, k)
+            assert not slice_cube(cube, i, "e").far_edges
 
 
 @pytest.mark.parametrize("k", [0, 3])

@@ -6,6 +6,7 @@ import hashlib
 import random
 
 import pytest
+from oracles import poly_rows
 
 from nilgeo import microcalc, suites
 from nilgeo.cli import RunConfig, parse_config, run_suite
@@ -95,7 +96,7 @@ def _canonical(value) -> str:
     if isinstance(value, Poly):
         return repr(sorted(value.terms.items()))
     if isinstance(value, PolyMatrix):
-        return _canonical(value.rows)
+        return _canonical(poly_rows(value))
     if isinstance(value, Microcube):
         a = value.arrow
         return f"cube{value.args}[{_canonical(a.source)} -> {_canonical(a.target)}: {a.body}]"
