@@ -29,7 +29,7 @@ from .connection import Connection, curvature, lifted_edge
 from .forms import curvature_form, d_nabla
 from .matrices import Matrix
 from .microcalc import Microcube, TangentData, include_tangent, slice_cube
-from .models import Arrow, Point, compose, compose_all, invert
+from .models import Arrow, MembershipError, Point, compose, compose_all, invert
 
 # vertex name -> set of axes (1..3) that are "switched on" at that corner
 VERTEX_AXES: dict[str, frozenset[int]] = {
@@ -173,16 +173,17 @@ def verify_abstract_bianchi(labeling: CubeLabeling) -> AbstractReport:
 
 
 def corrupt_edge(
-    labeling: CubeLabeling, pair: tuple[str, str], vert_rows
+    labeling: CubeLabeling, pair: tuple[str, str], vert: Matrix
 ) -> CubeLabeling:
-    """Replace one directed edge with a top-degree perturbation of itself,
-    leaving its reverse untouched: the letters still cancel symbolically,
-    but the matrices no longer do."""
+    """Replace one directed edge with its top-degree perturbation by `vert`,
+    a constant matrix over `ALG0` in the Lie algebra of H, leaving its
+    reverse untouched: the letters still cancel, the matrices do not."""
     cube = labeling.cube
     alg = cube.algebra
     top = alg.term(1, cube.args)
     old = labeling.edges[pair]
-    bump = Matrix.identity(old.body.size, alg) + Matrix.from_rational(vert_rows, alg) * top
+    vert = cube.model._lie_value("H", vert, MembershipError, "the bump")
+    bump = Matrix.identity(old.body.size, alg) + vert.convert(alg) * top
     new_edges = dict(labeling.edges)
     new_edges[pair] = Arrow(old.model, old.grp, old.source, old.target, old.body * bump)
     cube.model.check(new_edges[pair])

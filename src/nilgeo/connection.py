@@ -6,10 +6,11 @@ polynomials over the base (gauge models).  Each kind's linear map is one
 function, `_splitting_map` or `_gauge_map`, which checks the data against
 the Lie algebra of its target group (`MatrixGroup.lie_contains`) and is
 shared with the kind's one-form in `forms`.  Both work on integer tables:
-the splitting map reads the free cells of a tangent's table by position,
-and the gauge map checks each monomial's coefficient matrix of a
-`PolyMatrix` and evaluates a connection's coefficients at one anchor from
-one shared monomial table.  Every edge of a cube is lifted
+the splitting map reads the free cells of a tangent's table by position
+and its images' tables (constant matrices over `models.ALG0`) as they are;
+the gauge map checks each monomial's coefficient matrix of a `PolyMatrix`
+and evaluates a connection's coefficients at one anchor from one shared
+monomial table.  Every edge of a cube is lifted
 in one place, `lifted_edge`; `forms` and `bianchi` take their edges from it
 too.  Each axis of a cube is read once, at its far corner, where every
 other argument is on (`microcalc.Microcube.far_edge`); the edge from any
@@ -39,7 +40,6 @@ live in `sampling`, next to the samplers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Collection, Sequence
 
@@ -63,7 +63,7 @@ from .microcalc import (
 )
 from .models import Arrow, GroupoidModel, Point, compose, compose_all, invert
 from .polynomials import PolyMatrix
-from .weil import WeilAlgebra, _exact, algebra
+from .weil import WeilAlgebra
 
 
 class ConnectionError_(ValueError):
@@ -77,31 +77,25 @@ class CurvatureError(ValueError):
 def _splitting_map(
     model: GroupoidModel, grp: str, images: Sequence, error: type
 ) -> tuple[tuple, Callable[[Matrix], Matrix]]:
-    """The exact images and the map vert -> sum_k vert[cell_k] * images[k]
+    """The checked images and the map vert -> sum_k vert[cell_k] * images[k]
     into the `grp` coefficients, cell_k the k-th free cell of G
     (`model.spec("G").free`); raises `error` unless each free cell has one
-    image, in the Lie algebra of `grp`.  The map reads the free cells off
-    vert's table by position and writes the images' integer tables over
-    one common denominator straight into the result's."""
-    images = tuple(
-        tuple(tuple(Fraction(_exact(v)) for v in row) for row in img) for img in images
-    )
+    image, a constant matrix over `ALG0` in the Lie algebra of `grp`.  The
+    map reads the free cells off vert's table by position and writes the
+    images' integer tables over one common denominator straight into the
+    result's."""
     cells = model.spec("G").free
     if len(images) != len(cells):
         raise error("one image per downstairs direction required")
-    spec = model.spec(grp)
-    if not all(spec.lie_contains(img) for img in images):
-        raise error(f"images must lie in the Lie algebra of {grp}")
-    n = spec.size
-    den = lcm(*(q.denominator for img in images for row in img for q in row))
+    images = tuple(model._lie_value(grp, img, error, "each image") for img in images)
+    n = model.spec(grp).size
+    den = lcm(*(img._den for img in images))
     g = model.spec("G").size
     # (flat position of the free cell in G, the image's nonzero flat entries)
     reads = []
     for (i, j), img in zip(cells, images):
-        flat = [q for row in img for q in row]
-        entries = tuple(
-            (k, q.numerator * (den // q.denominator)) for k, q in enumerate(flat) if q
-        )
+        scale = den // img._den
+        entries = tuple((k, a * scale) for k, a in enumerate(img._t.get(0, ())) if a)
         reads.append((i * g + j, entries))
 
     def vert_map(vert: Matrix) -> Matrix:
@@ -142,10 +136,8 @@ def _gauge_map(
             raise error("coefficient size must match the structure group")
         if pm.nvars != model.base_dim:
             raise error("coefficients must take one variable per base axis")
-        # den * C_e has the support and traces of C_e
-        for flat in pm._t.values():
-            if not spec.lie_contains([flat[i * size:(i + 1) * size] for i in range(size)]):
-                raise error(f"coefficients must lie in the Lie algebra of {grp}")
+        if not spec.lie_contains(pm):
+            raise error(f"coefficients must lie in the Lie algebra of {grp}")
     at: dict = {}  # anchors repeat heavily across slices of one cube
 
     def vert_map(td: TangentData) -> Matrix:
@@ -164,17 +156,16 @@ def _gauge_map(
 
 class SplittingConnection:
     """One-point models: a linear right inverse of the projection on
-    tangent coordinates, given by images of the coordinate directions."""
+    tangent coordinates, given by images of the coordinate directions:
+    constant matrices over `ALG0`, one per free cell of G."""
 
     def __init__(self, model: GroupoidModel, images: Sequence):
         self.model = model
         # (algebra, generator, tangent) -> lifted arrow, see `lifted_edge`
         self._edges: dict = {}
         self.images, self._vert = _splitting_map(model, "H", images, ConnectionError_)
-        alg0 = algebra([])
         for img, b in zip(self.images, model.lie_basis("G")):
-            down = model.project_vert(Matrix.from_rational(img, alg0))
-            if down != Matrix.from_rational(b, alg0):
+            if model.project_vert(img) != b:
                 raise ConnectionError_("images do not split the projection")
 
     def apply(self, td: TangentData) -> TangentData:

@@ -95,7 +95,8 @@ def gauge_one_form(model: GroupoidModel, coeffs: Sequence[PolyMatrix]) -> Form:
 
 def splitting_one_form(model: GroupoidModel, images: Sequence) -> Form:
     """One-form on a one-point model: a linear map from downstairs tangent
-    coordinates into the kernel's coefficient matrices."""
+    coordinates into the kernel's coefficient matrices, given by images of
+    the coordinate directions, constant matrices over `ALG0`."""
     _, vert_of = _splitting_map(model, "L", images, FormError)
 
     def fn(t: Microcube) -> TangentData:

@@ -40,7 +40,6 @@ again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -49,6 +48,7 @@ from .models import (
     Arrow,
     CompositionError,
     GroupoidModel,
+    MembershipError,
     Point,
     compose,
     compose_all,
@@ -56,7 +56,7 @@ from .models import (
 )
 from .polynomials import Poly
 from .weil import (
-    Scalar, WeilAlgebra, WeilElement, _Plan, _drop_plan, _exact, _rename_plan,
+    Scalar, WeilAlgebra, WeilElement, _Plan, _drop_plan, _rename_plan,
     _restrict_plan, _scale_plan,
 )
 
@@ -541,17 +541,16 @@ class Section:
 
 
 class ConstantSection(Section):
-    """One-point base: the section is a single Lie-coefficient matrix."""
+    """One-point base: the section is a single element of the Lie algebra
+    of `grp`, a constant matrix over `ALG0` (else `MembershipError`)."""
 
-    def __init__(self, model: GroupoidModel, grp: str, vert_rows):
+    def __init__(self, model: GroupoidModel, grp: str, vert: Matrix):
         self.model = model
         self.grp = grp
-        self.vert_rows = tuple(tuple(Fraction(_exact(v)) for v in r) for r in vert_rows)
+        self.vert = model._lie_value(grp, vert, MembershipError, "a constant section")
 
     def at(self, x: Point, alg: WeilAlgebra) -> TangentData:
-        return TangentData(
-            self.model, self.grp, x, (), Matrix.from_rational(self.vert_rows, alg)
-        )
+        return TangentData(self.model, self.grp, x, (), self.vert.convert(alg))
 
 
 class PolySection(Section):

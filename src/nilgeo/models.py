@@ -26,21 +26,21 @@ Composition follows function order: ``compose(g, h)`` applies h first and
 needs the source of g to equal the target of h exactly.
 
 A `MatrixGroup` (free cells of body - I, GL or SL diagonal blocks) also
-states its Lie algebra (`lie_contains`, `lie_basis`), which the
-connections check their data against.  Group tests and projections read
-a body's table by position (`MatrixGroup.contains`, `Matrix.gather`);
-only an SL block builds entries.
+states its Lie algebra (`lie_contains`, `lie_basis`), whose elements are
+constant matrices over the empty algebra `ALG0` (`_lie_value` checks one).
+Group and Lie tests and projections read a table by position (`contains`,
+`lie_contains`, `Matrix.gather`); only an SL block builds entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .matrices import Matrix, _det
-from .weil import WeilAlgebra, WeilElement
+from .matrices import Matrix, _det, _normal
+from .weil import WeilAlgebra, WeilElement, algebra
 
 Point = tuple[WeilElement, ...]
+ALG0 = algebra([])  # Lie-algebra data are constant matrices over it
 
 
 class CompositionError(ValueError):
@@ -48,7 +48,7 @@ class CompositionError(ValueError):
 
 
 class MembershipError(ValueError):
-    """A matrix body does not satisfy its group's defining equations."""
+    """A matrix does not satisfy its group's or Lie algebra's equations."""
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +91,11 @@ class MatrixGroup:
             l = last.get(i) if i == j else None
             if l == i:
                 continue
-            rows = [[Fraction(0)] * size for _ in range(size)]
-            rows[i][j] = Fraction(1)
+            flat = [0] * (size * size)
+            flat[i * size + j] = 1
             if l is not None:
-                rows[l][l] = Fraction(-1)
-            basis.append(tuple(tuple(r) for r in rows))
+                flat[l * size + l] = -1
+            basis.append(_normal(ALG0, size, {0: tuple(flat)}, 1))
         self._basis = tuple(basis)
 
     def contains(self, m: Matrix) -> bool:
@@ -125,20 +125,21 @@ class MatrixGroup:
                 return False
         return True
 
-    def lie_contains(self, rows) -> bool:
-        """Whether the rational matrix `rows` lies in the Lie algebra:
-        support inside the free cells, and every SL block traceless."""
-        n = self.size
-        if len(rows) != n or any(len(r) != n for r in rows):
-            return False
-        if any(rows[k // n][k % n] for k in self._fixed):
-            return False
-        return all(sum(rows[i][i] for i in span) == 0 for span in self._sl)
+    def lie_contains(self, m) -> bool:
+        """Whether every coefficient of `m`, a `Matrix` or a `PolyMatrix`,
+        lies in the Lie algebra: support inside the free cells, and every
+        SL block traceless.  Read off the table by position."""
+        step = self.size + 1  # from one diagonal flat position to the next
+        return m.size == self.size and not any(
+            any([v[k] for k in self._fixed])
+            or any(sum(v[i * step] for i in span) for span in self._sl)
+            for v in m._t.values()
+        )
 
     def lie_basis(self):
-        """The unit matrices on the free cells, in order, except that in an
-        SL block each diagonal cell but the last, l, carries E_ii - E_ll;
-        built once per group."""
+        """Constant matrices over `ALG0`: the unit matrices on the free
+        cells, in order, except that in an SL block each diagonal cell but
+        the last, l, carries E_ii - E_ll; built once per group."""
         return self._basis
 
 
@@ -245,6 +246,16 @@ class GroupoidModel:
 
     def lie_basis(self, grp: str):
         return self.spec(grp).lie_basis()
+
+    def _lie_value(self, grp: str, m, error: type, what: str) -> Matrix:
+        """`m`, once it is checked to be a constant matrix over `ALG0` in
+        the Lie algebra of `grp`; raises `error` otherwise."""
+        n = self.spec(grp).size
+        if not (isinstance(m, Matrix) and m.algebra is ALG0 and m.size == n):
+            raise error(f"{what} must be a constant {n}x{n} matrix over ALG0")
+        if not self.spec(grp).lie_contains(m):
+            raise error(f"{what} must lie in the Lie algebra of {grp}")
+        return m
 
     def project(self, h: Arrow) -> Arrow:
         """The G-arrow under an H-arrow: I plus the `_down` cells of body - I."""

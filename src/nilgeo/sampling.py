@@ -12,10 +12,14 @@ tables that `weil` and `matrices` keep, normalize each table once (with
 `weil._build` or `matrices._normal`) and build no `Fraction` on the way;
 `sample_rational` is the one draw as a `Fraction`.
 
+A Lie-algebra element is a constant matrix over `models.ALG0`, so
+`sample_lie_rows` is `sample_vert` over that algebra.
+
 The connection table at the end holds, for each shipped configuration
-(keyed by model name, as in the `models` registry), its named presets and
-its random-connection sampler.  Each splitting image layout is written once,
-over its free scalars: a preset fixes them, the sampler draws them.
+(keyed by model name, as in the `models` registry), its random-connection
+sampler, its named presets and its pinned nonflat witness, if it has one.
+Each splitting image layout is written once, over its free scalars: a
+preset fixes them, the sampler draws them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .connection import Connection, GaugeConnection, SplittingConnection
+from .connection import Connection, GaugeConnection, SplittingConnection, curvature
 from .matrices import Matrix, _eye, _normal
 from .microcalc import (
     ConstantSection,
@@ -34,11 +38,12 @@ from .microcalc import (
     PolySection,
     Section,
     _cube_args,
+    bisection_product,
     make_microcube,
 )
-from .models import Arrow, GroupoidModel, MatrixGroup, Point
+from .models import ALG0, Arrow, GroupoidModel, MatrixGroup, Point, build_model
 from .polynomials import Poly, PolyMatrix, _wrap as poly_matrix_wrap
-from .weil import WeilAlgebra, WeilElement, _build as weil_build
+from .weil import WeilAlgebra, WeilElement, _build as weil_build, algebra
 
 DENOMINATORS = (1, 1, 1, 2, 3)
 _DEN = lcm(*DENOMINATORS)  # every draw is an integer over this
@@ -77,14 +82,8 @@ def sample_weil(
 @lru_cache(maxsize=None)
 def _lie_cells(spec: MatrixGroup) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Each Lie basis matrix of `spec` as its (flat position, entry) pairs
-    where the entry is nonzero; the entries are 0 and +-1, so integers."""
-    n = spec.size
-    return tuple(
-        tuple(
-            (i * n + j, int(v)) for i, row in enumerate(b) for j, v in enumerate(row) if v
-        )
-        for b in spec.lie_basis()
-    )
+    where the entry is nonzero; the entries are 0 and +-1, over 1."""
+    return tuple(tuple((k, v) for k, v in enumerate(b._t[0]) if v) for b in spec.lie_basis())
 
 
 def _lie_table(
@@ -103,13 +102,9 @@ def _lie_table(
 
 def sample_lie_rows(
     rng: random.Random, model: GroupoidModel, grp: str, bound: Fraction = Fraction(2)
-):
-    """Random rational matrix in the layer's coefficient pattern."""
-    flat = _lie_table(rng, model, grp, bound)
-    n = model.spec(grp).size
-    return tuple(
-        tuple(Fraction(flat[i * n + j], _DEN) for j in range(n)) for i in range(n)
-    )
+) -> Matrix:
+    """A random element of the Lie algebra of `grp`: `sample_vert` over `ALG0`."""
+    return sample_vert(rng, model, grp, ALG0, bound)
 
 
 def sample_vert(
@@ -119,7 +114,7 @@ def sample_vert(
     alg: WeilAlgebra,
     bound: Fraction = Fraction(2),
 ) -> Matrix:
-    """`sample_lie_rows`' draws, as a constant matrix over `alg`."""
+    """A random constant matrix over `alg` in the layer's coefficient pattern."""
     flat = _lie_table(rng, model, grp, bound)
     return _normal(alg, model.spec(grp).size, {0: tuple(flat)}, _DEN)
 
@@ -277,17 +272,17 @@ def sample_connection(
     bound: Fraction = Fraction(2),
     degree: int = 2,
 ) -> Connection:
-    sampler, _ = _CONNECTIONS[model.name]
+    sampler, _, _ = _CONNECTIONS[model.name]
     return sampler(rng, model, bound, degree)
 
 
 def preset_names(model: GroupoidModel) -> tuple[str, ...]:
-    _, presets = _CONNECTIONS[model.name]
+    _, presets, _ = _CONNECTIONS[model.name]
     return tuple(presets)
 
 
 def preset_connection(model: GroupoidModel, name: str = "standard") -> Connection:
-    _, presets = _CONNECTIONS[model.name]
+    _, presets, _ = _CONNECTIONS[model.name]
     if name not in presets:
         raise KeyError(f"no preset {name!r} for model {model.name}")
     builder, *fixed = presets[name]
@@ -299,13 +294,8 @@ def preset_connection(model: GroupoidModel, name: str = "standard") -> Connectio
 
 
 def _heisenberg(model, lam, mu) -> Connection:
-    return SplittingConnection(
-        model,
-        (
-            ((0, 1, lam), (0, 0, 0), (0, 0, 0)),
-            ((0, 0, mu), (0, 0, 1), (0, 0, 0)),
-        ),
-    )
+    images = (((0, 1, lam), (0, 0, 0), (0, 0, 0)), ((0, 0, mu), (0, 0, 1), (0, 0, 0)))
+    return SplittingConnection(model, [Matrix.from_rational(r, ALG0) for r in images])
 
 
 def _sample_heisenberg(rng, model, bound, degree) -> Connection:
@@ -318,10 +308,10 @@ def _direct_product(model, c) -> Connection:
     images = []
     for i in range(2):
         for j in range(2):
-            rows = [[Fraction(0)] * 3 for _ in range(3)]
-            rows[i][j] = Fraction(1)
-            rows[2][2] = c if i == j else Fraction(0)
-            images.append(tuple(tuple(r) for r in rows))
+            rows = [[0] * 3 for _ in range(3)]
+            rows[i][j] = 1
+            rows[2][2] = c if i == j else 0
+            images.append(Matrix.from_rational(rows, ALG0))
     return SplittingConnection(model, images)
 
 
@@ -360,11 +350,43 @@ def _sl2_standard(model) -> Connection:
     return GaugeConnection(model, (a1, a2))
 
 
-# model name -> (sampler, preset name -> (builder, *the scalars it fixes))
+# ---------------------------------------------------------------------------
+# pinned nonflat witnesses: each is the exact curvature of a preset
+
+
+def _heisenberg_witness() -> bool:
+    """On the square of the coordinate sections E01 then E02, the standard
+    preset's curvature is the central E02."""
+    heis, alg = build_model("heisenberg"), algebra(["d1", "d2"])
+    e01 = Matrix.from_rational(((0, 1, 0), (0, 0, 0), (0, 0, 0)), ALG0)
+    e02 = Matrix.from_rational(((0, 0, 1), (0, 0, 0), (0, 0, 0)), ALG0)
+    xs, ys = ConstantSection(heis, "G", e01), ConstantSection(heis, "G", e02)
+    omega = curvature(preset_connection(heis), bisection_product(ys, xs, (), ("d1", "d2"), alg))
+    return omega.vert == e02.convert(alg)
+
+
+def _abelian_gauge_witness() -> bool:
+    """On a coordinate square, the curvature of x1 dx2 is its curl, 1."""
+    gauge, alg = build_model("trivial_gauge", "scalar"), algebra(["d1", "d2"])
+    x = (alg.scalar(Fraction(1, 2)), alg.scalar(-3))
+    target = (x[0] + alg.gen("d1"), x[1] + alg.gen("d2"))
+    one = Matrix.identity(1, alg)
+    square = make_microcube(Arrow(gauge, "G", x, target, one), ("d1", "d2"))
+    return curvature(preset_connection(gauge, "x1dx2"), square).vert == one
+
+
+# model name -> (sampler, preset name -> (builder, *the scalars it fixes),
+# the pinned nonflat witness as (builder, report note) or None)
 _CONNECTIONS = {
-    "heisenberg": (_sample_heisenberg, {"standard": (_heisenberg, 0, 0)}),
-    "direct_product": (_sample_direct_product, {"standard": (_direct_product, 1)}),
-    "trivial_gauge[scalar]": (_sample_gauge, {"x1dx2": (_scalar_x1dx2,)}),
-    "trivial_gauge[gl2]": (_sample_gauge, {"standard": (_gl2_standard,)}),
-    "trivial_gauge[sl2]": (_sample_gauge, {"standard": (_sl2_standard,)}),
+    "heisenberg": (
+        _sample_heisenberg, {"standard": (_heisenberg, 0, 0)},
+        (_heisenberg_witness, "heisenberg witness"),
+    ),
+    "direct_product": (_sample_direct_product, {"standard": (_direct_product, 1)}, None),
+    "trivial_gauge[scalar]": (
+        _sample_gauge, {"x1dx2": (_scalar_x1dx2,)},
+        (_abelian_gauge_witness, "abelian gauge witness"),
+    ),
+    "trivial_gauge[gl2]": (_sample_gauge, {"standard": (_gl2_standard,)}, None),
+    "trivial_gauge[sl2]": (_sample_gauge, {"standard": (_sl2_standard,)}, None),
 }

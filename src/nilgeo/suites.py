@@ -37,9 +37,7 @@ from .forms import (
     splitting_one_form,
     validate_form,
 )
-from .matrices import Matrix
 from .microcalc import (
-    ConstantSection,
     TangentData,
     bisection_at,
     bisection_product,
@@ -48,13 +46,13 @@ from .microcalc import (
     degenerate_square,
     diff1,
     diff2,
-    make_microcube,
     scale_arg,
     strong_diff,
     tau,
 )
-from .models import Arrow, build_model, compose, invert
+from .models import ALG0, compose, invert
 from .sampling import (
+    _CONNECTIONS,
     perturbed_square,
     preset_connection,
     sample_connection,
@@ -114,7 +112,6 @@ def _connection(model, rng, params: SuiteParams):
     return sample_connection(rng, model, bound=params.bound, degree=params.degree)
 
 
-ALG0 = algebra([])
 ALG1 = algebra(["d1"])
 ALG2 = algebra(["d1", "d2"])
 ALG3 = algebra(["d1", "d2", "d3"])
@@ -231,7 +228,10 @@ def check_thm_1_4(model, rng, params):
     t1 = _group_tangent(rng, model, x, ALG0, params.bound)
     t2 = _group_tangent(rng, model, x, ALG0, params.bound)
     t3 = _group_tangent(rng, model, x, ALG0, params.bound)
-    ok = bracket(t1, t2).same_as(-bracket(t2, t1))
+    t12 = bracket(t1, t2)
+    ok = t12.same_as(-bracket(t2, t1))
+    # the value: minus the matrix commutator of the vertical parts
+    ok = ok and t12.vert == t2.vert * t1.vert - t1.vert * t2.vert
     ok = ok and bracket(t1, t1).is_zero()
     t13, t23 = bracket(t1, t3), bracket(t2, t3)
     t31, t32 = bracket(t3, t1), bracket(t3, t2)
@@ -359,40 +359,13 @@ def check_thm_4_4(model, rng, params):
     return lhs.same_as(rhs)
 
 
-def _heisenberg_witness() -> bool:
-    heis = build_model("heisenberg")
-    conn = preset_connection(heis)
-    xs = ConstantSection(heis, "G", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    ys = ConstantSection(heis, "G", [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    omega = curvature(conn, bisection_product(ys, xs, (), ("d1", "d2"), ALG2))
-    return omega.vert == Matrix.from_rational([[0, 0, 1], [0, 0, 0], [0, 0, 0]], ALG2)
-
-
-def _abelian_gauge_witness() -> bool:
-    gauge = build_model("trivial_gauge", "scalar")
-    conn = preset_connection(gauge, "x1dx2")
-    x = (ALG2.scalar(Fraction(1, 2)), ALG2.scalar(-3))
-    target = (x[0] + ALG2.gen("d1"), x[1] + ALG2.gen("d2"))
-    square = make_microcube(
-        Arrow(gauge, "G", x, target, Matrix.identity(1, ALG2)), ("d1", "d2")
-    )
-    omega = curvature(conn, square)
-    return omega.vert == Matrix.from_rational([[1]], ALG2)
-
-
-# model name -> (builder of the pinned nonflat value, report note)
-_WITNESSES = {
-    "heisenberg": (_heisenberg_witness, "heisenberg witness"),
-    "trivial_gauge[scalar]": (_abelian_gauge_witness, "abelian gauge witness"),
-}
-
-
 def nonzero_curvature_witnesses(only_model: str | None = None) -> list[TrialResult]:
-    """The shipped nonflat witnesses, pinned to their exact values."""
+    """The shipped nonflat witnesses, pinned to their exact values: the
+    witness of each configuration's row in the connection table."""
     return [
-        TrialResult("thm-4.4", build(), note)
-        for name, (build, note) in _WITNESSES.items()
-        if only_model in (None, name)
+        TrialResult("thm-4.4", witness[0](), witness[1])
+        for name, (_, _, witness) in _CONNECTIONS.items()
+        if witness is not None and only_model in (None, name)
     ]
 
 
@@ -459,7 +432,7 @@ def check_bianchi_mutation(model, rng, params):
     conn = _connection(model, rng, params)
     labeling = build_cube(conn, _cube(rng, model, params))
     bump = sample_lie_rows(rng, model, "H", params.bound)
-    while all(v == 0 for row in bump for v in row):
+    while bump.is_zero():
         bump = sample_lie_rows(rng, model, "H", params.bound)
     report = verify_abstract_bianchi(corrupt_edge(labeling, ("B", "D"), bump))
     ok = report.symbolic_empty and not report.numeric_identity

@@ -61,7 +61,7 @@ def fraction_lie_rows(rng, model, grp, bound=Fraction(2)):
     rows = [[Fraction(0)] * size for _ in range(size)]
     for b in model.lie_basis(grp):
         q = fraction_rational(rng, bound)
-        for i, row in enumerate(b):
+        for i, row in enumerate(b.constant_matrix()):
             for j, v in enumerate(row):
                 if v:
                     rows[i][j] += q * v
@@ -119,7 +119,7 @@ def fraction_poly_matrix(rng, model, grp, degree, bound=Fraction(2)):
     entries = [[Poly(nvars, {}) for _ in range(size)] for _ in range(size)]
     for b in model.lie_basis(grp):
         p = fraction_poly(rng, nvars, degree, bound)
-        for i, row in enumerate(b):
+        for i, row in enumerate(b.constant_matrix()):
             for j, v in enumerate(row):
                 if v:
                     terms = dict(entries[i][j].terms)

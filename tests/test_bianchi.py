@@ -228,7 +228,7 @@ def test_mutation_breaks_numerics_but_not_symbols():
     conn, cube = random_setup(rng, HEIS)
     labeling = build_cube(conn, cube)
     bump = sample_lie_rows(rng, HEIS, "H")
-    while all(all(v == 0 for v in row) for row in bump):
+    while bump.is_zero():
         bump = sample_lie_rows(rng, HEIS, "H")
     broken = corrupt_edge(labeling, ("B", "D"), bump)
     report = verify_abstract_bianchi(broken)

@@ -7,7 +7,7 @@ import pytest
 from oracles import partial, poly_rows
 
 from nilgeo import connection
-from nilgeo.bianchi import build_cube
+from nilgeo.bianchi import build_cube, corrupt_edge
 from nilgeo.connection import (
     ConnectionError_,
     CurvatureError,
@@ -40,7 +40,7 @@ from nilgeo.microcalc import (
     tau,
     top_tangent,
 )
-from nilgeo.models import Arrow, MembershipError, all_models, build_model
+from nilgeo.models import ALG0, Arrow, MembershipError, all_models, build_model
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.sampling import (
     perturbed_square,
@@ -169,7 +169,7 @@ def test_splitting_apply_keeps_each_algebra_apart():
             assert got.algebra is alg
             want = Matrix.zero(model.spec("H").size, alg)
             for cell, img in zip(cells[model], conn.images):
-                want = want + Matrix.from_rational(img, alg) * t.vert[cell]
+                want = want + img.convert(alg) * t.vert[cell]
             assert got.vert == want
 
 
@@ -211,7 +211,7 @@ def _connection_data(conn):
     """A connection's defining data: splitting images, or the terms of each
     gauge coefficient entry."""
     if isinstance(conn, SplittingConnection):
-        return conn.images
+        return tuple(img.constant_matrix() for img in conn.images)
     return [
         [[sorted(p.terms.items()) for p in row] for row in poly_rows(pm)]
         for pm in conn.coeffs
@@ -252,12 +252,17 @@ def test_presets_are_pinned():
     assert got == PRESET_DIGESTS
 
 
+def _lie(rows):
+    """Rows as a Lie-algebra value: a constant matrix over the empty algebra."""
+    return Matrix.from_rational(rows, ALG0)
+
+
 def test_splitting_connection_rejects_non_sections():
     bad = (
-        ((0, 0, 0), (0, 0, 0), (0, 0, 0)),  # kills the first direction
-        ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+        _lie(((0, 0, 0), (0, 0, 0), (0, 0, 0))),  # kills the first direction
+        _lie(((0, 0, 0), (0, 0, 1), (0, 0, 0))),
     )
-    with pytest.raises(ConnectionError_):
+    with pytest.raises(ConnectionError_, match="do not split the projection"):
         SplittingConnection(HEIS, bad)
 
 
@@ -279,13 +284,13 @@ def test_gauge_connection_rejects_coefficients_of_the_wrong_arity():
 
 
 def test_splitting_one_form_rejects_a_wrong_image_count_up_front():
-    one_image = (((0, 0, 1), (0, 0, 0), (0, 0, 0)),)
+    one_image = (_lie(((0, 0, 1), (0, 0, 0), (0, 0, 0))),)
     with pytest.raises(FormError, match="one image per downstairs direction"):
         splitting_one_form(HEIS, one_image)
 
 
 def _unit(n, *cells):
-    return tuple(tuple(int((i, j) in cells) for j in range(n)) for i in range(n))
+    return _lie(tuple(tuple(int((i, j) in cells) for j in range(n)) for i in range(n)))
 
 
 def test_splitting_connection_rejects_images_outside_h():
@@ -336,15 +341,43 @@ def test_float_entries_are_rejected_by_every_constant_constructor():
     def central_images(scalar):
         return (((0, 0, scalar), (0, 0, 0), (0, 0, 0)),) * 2
 
+    # rows enter through `Matrix.from_rational`, which refuses floats
     constructors = (
-        lambda scalar: SplittingConnection(HEIS, images(scalar)),
-        lambda scalar: splitting_one_form(HEIS, central_images(scalar)),
-        lambda scalar: ConstantSection(HEIS, "G", images(scalar)[0]),
+        lambda scalar: SplittingConnection(HEIS, [_lie(r) for r in images(scalar)]),
+        lambda scalar: splitting_one_form(HEIS, [_lie(r) for r in central_images(scalar)]),
+        lambda scalar: ConstantSection(HEIS, "G", _lie(images(scalar)[0])),
     )
     for build in constructors:
         build(Fraction(1, 10))  # exact scalars are accepted
         with pytest.raises(TypeError, match="float"):
             build(0.1)
+
+
+def test_constant_constructors_take_only_constant_matrices_of_their_size():
+    # each constructor's Lie value is valid as rows; as rows, at the wrong
+    # size, or as a matrix with a nilpotent part it is refused up front, and
+    # so is a constant matrix outside the Lie algebra
+    e01, e02 = ((0, 1, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 0), (0, 0, 0))
+    e12 = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
+    alg3 = algebra(["d1", "d2", "d3"])
+    cube = sample_microcube(random.Random(5), HEIS, "G", ("d1", "d2", "d3"), alg3)
+    labeling = build_cube(preset_connection(HEIS), cube)
+    constructors = (
+        (ConnectionError_, e01, lambda v: SplittingConnection(HEIS, (v, _lie(e12)))),
+        (FormError, e02, lambda v: splitting_one_form(HEIS, (v, _lie(e02)))),
+        (MembershipError, e01, lambda v: ConstantSection(HEIS, "G", v)),
+        (MembershipError, e12, lambda v: corrupt_edge(labeling, ("B", "D"), v)),
+    )
+    dual = algebra(["d"])
+    for error, rows, build in constructors:
+        build(_lie(rows))  # the same rows as a constant matrix are accepted
+        moving = Matrix.from_rational(rows, dual)
+        bad = (rows, _lie(((0, 1), (0, 0))), moving + moving * dual.gen("d"))
+        for value in bad:
+            with pytest.raises(error, match="constant 3x3 matrix"):
+                build(value)
+        with pytest.raises(error, match="Lie algebra of"):
+            build(_unit(3, (1, 0)))  # below the diagonal: in none of them
 
 
 # -- lift -----------------------------------------------------------------------
@@ -437,8 +470,8 @@ def test_flat_control_model_has_zero_curvature():
 def test_heisenberg_coordinate_sections_curvature():
     conn = preset_connection(HEIS)
     alg = algebra(["d1", "d2"])
-    x_sec = ConstantSection(HEIS, "G", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    y_sec = ConstantSection(HEIS, "G", [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    x_sec = ConstantSection(HEIS, "G", _lie([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    y_sec = ConstantSection(HEIS, "G", _lie([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))
     square = bisection_product(y_sec, x_sec, (), ("d1", "d2"), alg)
     omega = curvature(conn, square)
     assert omega.vert == Matrix.from_rational([[0, 0, 1], [0, 0, 0], [0, 0, 0]], alg)
@@ -505,8 +538,8 @@ def test_curvature_rejects_a_word_that_is_not_the_identity_on_an_edge(monkeypatc
         return out
 
     alg = algebra(["d1", "d2"])
-    x_sec = ConstantSection(HEIS, "G", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    y_sec = ConstantSection(HEIS, "G", [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    x_sec = ConstantSection(HEIS, "G", _lie([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    y_sec = ConstantSection(HEIS, "G", _lie([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))
     square = bisection_product(y_sec, x_sec, (), ("d1", "d2"), alg)
     monkeypatch.setattr(connection, "lifted_edge", bumped)
     with pytest.raises(CurvatureError, match="d2 = 0"):
@@ -543,8 +576,8 @@ def test_structure_equation_flat_model_vanishes():
 def test_structure_equation_heisenberg_witness():
     conn = preset_connection(HEIS)
     alg = algebra([])
-    x_sec = ConstantSection(HEIS, "G", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    y_sec = ConstantSection(HEIS, "G", [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    x_sec = ConstantSection(HEIS, "G", _lie([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    y_sec = ConstantSection(HEIS, "G", _lie([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))
     lhs, rhs = structure_equation(conn, x_sec, y_sec, (), alg)
     want = Matrix.from_rational([[0, 0, 1], [0, 0, 0], [0, 0, 0]], alg)
     assert lhs.vert == want
@@ -665,7 +698,7 @@ def test_apply_commutes_with_dropping_generators(model):
             direction = tuple(sample_weil(rng, alg) for _ in range(model.base_dim))
             vert = Matrix.zero(size, alg)
             for b in model.lie_basis("G"):
-                vert = vert + Matrix.from_rational(b, alg) * sample_weil(rng, alg)
+                vert = vert + b.convert(alg) * sample_weil(rng, alg)
             td = TangentData(model, "G", anchor, direction, vert)
             lifted = conn.apply(td)
             assert not lifted.is_zero()

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from oracles import partial
@@ -17,7 +16,7 @@ from nilgeo.forms import (
 )
 from nilgeo.matrices import Matrix
 from nilgeo.microcalc import Microcube, TangentData, make_microcube, permute, scale_arg
-from nilgeo.models import Arrow, all_models, build_model
+from nilgeo.models import ALG0, Arrow, all_models, build_model
 from nilgeo.polynomials import PolyMatrix
 from nilgeo.sampling import (
     preset_connection,
@@ -59,7 +58,7 @@ def sample_squares(rng, model, count, alg=None):
 
 def random_one_form(rng, model, degree=2):
     if model.base_dim == 0:
-        images = [_l_rows(rng, model) for _ in model.lie_basis("G")]
+        images = [_l_value(rng, model) for _ in model.lie_basis("G")]
         return splitting_one_form(model, images)
     coeffs = [
         sample_poly_matrix(rng, model, "L", degree) for _ in range(model.base_dim)
@@ -67,15 +66,11 @@ def random_one_form(rng, model, degree=2):
     return gauge_one_form(model, coeffs)
 
 
-def _l_rows(rng, model):
-    size = model.spec("L").size
-    rows = [[Fraction(0)] * size for _ in range(size)]
+def _l_value(rng, model):
+    out = Matrix.zero(model.spec("L").size, ALG0)
     for b in model.lie_basis("L"):
-        q = Fraction(rng.randint(-2, 2))
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                rows[i][j] += q * v
-    return rows
+        out = out + b * rng.randint(-2, 2)
+    return out
 
 
 def test_curvature_form_is_a_two_form():

@@ -31,7 +31,7 @@ from nilgeo.microcalc import (
     tau,
     transpose,
 )
-from nilgeo.models import Arrow, MembershipError, all_models, build_model
+from nilgeo.models import ALG0, Arrow, MembershipError, all_models, build_model
 from nilgeo.polynomials import Poly
 from nilgeo.sampling import perturbed_square, sample_microcube
 from nilgeo.weil import (
@@ -465,8 +465,8 @@ def test_bisection_product_over_a_point_is_the_matrix_square():
     alg = algebra(["d1", "d2"])
     for _ in range(10):
         a, b, _ = random_g_matrices(rng, alg)
-        x_sec = ConstantSection(HEIS, "G", a.constant_matrix())
-        y_sec = ConstantSection(HEIS, "G", b.constant_matrix())
+        x_sec = ConstantSection(HEIS, "G", Matrix.from_rational(a.constant_matrix(), ALG0))
+        y_sec = ConstantSection(HEIS, "G", Matrix.from_rational(b.constant_matrix(), ALG0))
         sq = bisection_product(y_sec, x_sec, (), ("d1", "d2"), alg)
         g1, g2 = alg.gen("d1"), alg.gen("d2")
         want = Matrix.identity(3, alg) + a * g1 + b * g2 + (b * a) * (g1 * g2)
@@ -476,8 +476,8 @@ def test_bisection_product_over_a_point_is_the_matrix_square():
 def test_bisection_product_with_zero_section():
     alg = algebra(["d1", "d2"])
     b = e02(alg, 4)
-    x_sec = ConstantSection(HEIS, "G", [[0] * 3] * 3)
-    y_sec = ConstantSection(HEIS, "G", b.constant_matrix())
+    x_sec = ConstantSection(HEIS, "G", Matrix.zero(3, ALG0))
+    y_sec = ConstantSection(HEIS, "G", Matrix.from_rational(b.constant_matrix(), ALG0))
     sq = bisection_product(y_sec, x_sec, (), ("d1", "d2"), alg)
     assert sq.arrow.body == Matrix.identity(3, alg) + b * alg.gen("d2")
 

@@ -5,6 +5,7 @@ import pytest
 
 from nilgeo.matrices import Matrix, _det
 from nilgeo.models import (
+    ALG0,
     Arrow,
     CompositionError,
     all_models,
@@ -357,10 +358,10 @@ def test_members_off_only_at_a_nilpotent_monomial_are_rejected():
     assert build_model("trivial_gauge", "gl2").spec("H").contains(bump)
 
 
-def _lie_contains_oracle(spec, rows):
-    """The definition: I + rows * d lies in the group over Q[d]."""
+def _lie_contains_oracle(spec, m):
+    """The definition: I + m * d lies in the group over Q[d]."""
     alg = algebra(["d"])
-    step = Matrix.from_rational(rows, alg) * alg.gen("d")
+    step = m.convert(alg) * alg.gen("d")
     return spec.contains(Matrix.identity(spec.size, alg) + step)
 
 
@@ -384,14 +385,15 @@ def test_lie_contains_matches_the_group_over_dual_numbers():
                 ]
                 lie = sample_lie_rows(rng, model, grp)
                 assert spec.lie_contains(lie)
-                cases = [rows, traceless, lie]
+                cases = [rows, traceless, lie.constant_matrix()]
                 # moved at one cell: off the pattern, or off a traceless block
                 for i in range(n):
                     for j in range(n):
-                        moved = [list(r) for r in lie]
+                        moved = [list(r) for r in lie.constant_matrix()]
                         moved[i][j] += 1
                         cases.append(moved)
                 for r in cases:
-                    assert spec.lie_contains(r) == _lie_contains_oracle(spec, r), (
+                    m = Matrix.from_rational(r, ALG0)
+                    assert spec.lie_contains(m) == _lie_contains_oracle(spec, m), (
                         model.name, grp, r,
                     )

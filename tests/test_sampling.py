@@ -19,7 +19,8 @@ from oracles import (
     poly_rows,
 )
 
-from nilgeo.models import all_models
+from nilgeo.matrices import Matrix
+from nilgeo.models import ALG0, all_models
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.sampling import (
     perturbed_square,
@@ -78,8 +79,8 @@ def test_matrix_draws_match_the_fraction_oracle(model, bound):
     a, b = _twins(f"matrix:{model.name}:{bound}")
     for k in range(DRAWS):
         grp = "HGL"[k % 3]
-        rows = sample_lie_rows(a, model, grp, bound)
-        assert rows == fraction_lie_rows(b, model, grp, bound)
+        lie = sample_lie_rows(a, model, grp, bound)
+        assert lie == Matrix.from_rational(fraction_lie_rows(b, model, grp, bound), ALG0)
         vert = sample_vert(a, model, grp, alg, bound)
         assert vert == fraction_vert(b, model, grp, alg, bound)
         assert sample_point(a, model, alg, bound) == fraction_point(b, model, alg, bound)

@@ -101,11 +101,11 @@ def _canonical(value) -> str:
         a = value.arrow
         return f"cube{value.args}[{_canonical(a.source)} -> {_canonical(a.target)}: {a.body}]"
     if isinstance(value, SplittingConnection):
-        return f"splitting{_canonical(value.images)}"
+        return f"splitting{_canonical(tuple(img.constant_matrix() for img in value.images))}"
     if isinstance(value, GaugeConnection):
         return f"gauge{_canonical(value.coeffs)}"
     if isinstance(value, ConstantSection):
-        return f"constant{_canonical(value.vert_rows)}"
+        return f"constant{_canonical(value.vert.constant_matrix())}"
     if isinstance(value, PolySection):
         return f"poly{_canonical(value.velocity)}/None"
     return str(value)
@@ -117,7 +117,9 @@ def test_sampled_draws_are_pinned(monkeypatch):
     def recording(name, sampler):
         def record(*args, **kwargs):
             value = sampler(*args, **kwargs)
-            seen.append(f"{name}: {_canonical(value)}")
+            # a Lie value is pinned as the rows it was drawn as
+            rows = value.constant_matrix() if name == "sample_lie_rows" else value
+            seen.append(f"{name}: {_canonical(rows)}")
             return value
 
         return record
@@ -162,3 +164,23 @@ def test_trusted_cubes_report_as_checked_cubes(monkeypatch, model):
     assert [run_suite(cfg) for cfg in cfgs] == trusted
     assert all(status == 0 for status, _ in trusted)
     assert checked
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [lambda value: -value, lambda value: value.scale(0)],
+    ids=["negated", "zeroed"],
+)
+@pytest.mark.parametrize("name", ["heisenberg", "trivial_gauge[gl2]"])
+def test_thm_1_4_pins_the_bracket_value(monkeypatch, fault, name):
+    # antisymmetry, alternation, bilinearity and Jacobi all hold for any
+    # multiple of the bracket; only its value against the matrix
+    # commutator tells a negated or zeroed bracket apart
+    model = next(m for m in all_models() if m.name == name)
+    params = suites.SuiteParams()
+    clean = suites.check_thm_1_4(model, random.Random(4), 3, params)
+    assert all(res.ok for res in clean)
+    original = suites.bracket
+    monkeypatch.setattr(suites, "bracket", lambda t1, t2: fault(original(t1, t2)))
+    faulty = suites.check_thm_1_4(model, random.Random(4), 3, params)
+    assert not any(res.ok for res in faulty)
