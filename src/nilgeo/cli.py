@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .models import all_models, build_model
-from .sampling import preset_names
+from .sampling import DENOMINATORS, preset_names
 from .suites import SUITES, SUITE_NAMES, SuiteParams, check_bianchi_mutation, nonzero_curvature_witnesses
 
 
@@ -124,6 +124,9 @@ def _validate_config(cfg: RunConfig) -> None:
         )
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
+    if cfg.coeff_bound * max(DENOMINATORS) < 1:
+        # below this floor every sampled coefficient is 0
+        raise ConfigError(f"coeff_bound must be at least 1/{max(DENOMINATORS)}")
     if not 0 <= cfg.poly_degree <= 3:
         raise ConfigError("poly_degree must be between 0 and 3")
     if cfg.connection != "random" and not cfg.connection.startswith("preset:"):

@@ -12,15 +12,14 @@ A product pairs the disjoint surviving masks of its factors and does one
 small integer matrix product per pair, then normalizes once.  Sums and
 multiples work on the table the same way, and `drop`, `coefficient`,
 `convert` and the arrow transforms of `microcalc` apply a mask plan of
-`weil` to it (`_apply`).  `_combination` sums rational multiples of
-elements straight into a table: the public constructor packs its entries
-through it, and `Poly` evaluation reads a 1 x 1 one.  A `PolyMatrix` keeps
-a table of the same shape keyed by exponent tuples and sums its own
-evaluation into a matrix table; `_normal` brings both kinds of table to
-canonical form.  `models` reads the table by position: its group tests
-directly, its projections through `gather`, and the splitting connections
-read their free cells the same way.  Entries (`m[i, j]`, `rows`) are built
-as `WeilElement`s only when read.
+`weil` to it (`_apply`).  The public constructor packs its entries'
+tables into one (`_combination`).  A `PolyMatrix` or `Poly` keeps a table
+of the same shape keyed by exponent tuples and sums its evaluation into a
+table over masks; `_normal` brings both kinds of table to canonical form.
+`models` reads the table by position: its group tests directly, its
+projections through `gather`, and the splitting connections read their
+free cells the same way.  Entries (`m[i, j]`, `rows`) are built as
+`WeilElement`s only when read.
 
 Inverses exploit nilpotency: the constant part is inverted over the
 rationals by Gaussian elimination and the nilpotent remainder by the
@@ -73,7 +72,7 @@ class Matrix(_Transforms):
         for a in entries:
             if a.algebra is not alg:
                 _check_algebra(alg, a.algebra)
-        packed = _combination(alg, n, ((k, 1, a) for k, a in enumerate(entries)))
+        packed = _combination(alg, n, entries)
         self.algebra = alg
         self.size = n
         self._t = packed._t
@@ -171,8 +170,6 @@ class Matrix(_Transforms):
 
     def _apply(self, plan: _Plan) -> "Matrix":
         """Entrywise `WeilElement._apply`: one plan lookup per mask."""
-        if plan.keeps(self.algebra, self._t):
-            return self
         out: dict[int, tuple[int, ...]] = {}
         for m, v in self._t.items():
             if (hit := plan[m]) is not None:
@@ -290,26 +287,19 @@ def _times(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return a if c == 1 else tuple([x * c for x in a])
 
 
-def _combination(alg: WeilAlgebra, n: int, terms) -> Matrix:
-    """The matrix whose flat entry k is the sum of q * x over the (k, q, x)
-    `terms`, with q rational and x an element of `alg`: one integer table
-    over a common denominator, normalized once.  The caller has checked
-    the algebras."""
-    scaled = []
-    den = 1
-    for k, q, x in terms:
-        if q and x._c:
-            d = q.denominator * x._den
-            scaled.append((k, q.numerator, x._c, d))
-            den = lcm(den, d)
+def _combination(alg: WeilAlgebra, n: int, entries: Sequence[WeilElement]) -> Matrix:
+    """The matrix with the flat, row-major `entries`, elements of `alg`:
+    one integer table over a common denominator, normalized once.  The
+    caller has checked the algebras."""
+    den = lcm(*(x._den for x in entries))
     table: dict[int, list[int]] = {}
-    for k, num, c, d in scaled:
-        num *= den // d
-        for m, v in c.items():
+    for k, x in enumerate(entries):
+        s = den // x._den
+        for m, v in x._c.items():
             col = table.get(m)
             if col is None:
                 col = table[m] = [0] * (n * n)
-            col[k] += num * v
+            col[k] = v * s
     return _normal(alg, n, {m: tuple(v) for m, v in table.items()}, den)
 
 

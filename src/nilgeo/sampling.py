@@ -6,11 +6,12 @@ connection: runs are bit-reproducible.
 
 Each random rational is one `_draw`: a numerator and a denominator taken
 from `DENOMINATORS`, so every draw is an integer over their least common
-multiple `_DEN`.  The samplers of Weil elements, matrices, polynomial
-matrices and cube targets write those integers straight into the integer
-tables that `weil` and `matrices` keep, normalize each table once (with
-`weil._build` or `matrices._normal`) and build no `Fraction` on the way;
-`sample_rational` is the one draw as a `Fraction`.
+multiple `_DEN`.  The samplers of Weil elements, matrices, polynomials,
+polynomial matrices and cube targets write those integers straight into
+the integer tables that `weil`, `matrices` and `polynomials` keep,
+normalize each table once (with `weil._build` or `matrices._normal`) and
+build no `Fraction` on the way; `sample_rational` is the one draw as a
+`Fraction`.
 
 A Lie-algebra element is a constant matrix over `models.ALG0`, so
 `sample_lie_rows` is `sample_vert` over that algebra.
@@ -42,7 +43,7 @@ from .microcalc import (
     make_microcube,
 )
 from .models import ALG0, Arrow, GroupoidModel, MatrixGroup, Point, build_model
-from .polynomials import Poly, PolyMatrix, _wrap as poly_matrix_wrap
+from .polynomials import Poly, PolyMatrix, _wrap as poly_wrap
 from .weil import WeilAlgebra, WeilElement, _build as weil_build, algebra
 
 DENOMINATORS = (1, 1, 1, 2, 3)
@@ -205,12 +206,10 @@ def perturbed_square(
 def sample_poly(
     rng: random.Random, nvars: int, degree: int, bound: Fraction = Fraction(2)
 ) -> Poly:
-    terms = {}
-    for exps in _exponents(nvars, degree):
-        q = sample_rational(rng, bound)
-        if q:
-            terms[exps] = q
-    return Poly(nvars, terms)
+    """One draw per exponent of degree at most `degree`, written straight
+    into the polynomial's integer table over `_DEN`."""
+    table = {e: (_numerator(rng, bound),) for e in _exponents(nvars, degree)}
+    return poly_wrap(Poly, 1, nvars, table, _DEN)
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +247,7 @@ def sample_poly_matrix(
                 for k, v in cells:
                     col[k] += num * v
     table = {e: tuple(v) for e, v in table.items()}
-    return poly_matrix_wrap(n, model.base_dim, table, _DEN)
+    return poly_wrap(PolyMatrix, n, model.base_dim, table, _DEN)
 
 
 def sample_section(

@@ -16,18 +16,15 @@ than the 3**n disjoint pairs of n generators) walk a per-algebra table of
 each monomial's surviving disjoint partners, built on the first dense
 product.  `_mul_into` is that kernel.  Matrices over an algebra keep
 their own table of the same shape, one integer matrix per monomial (see
-`matrices`); rational linear combinations of elements, as polynomial
-evaluation needs them, are summed there (`matrices._combination`).
+`matrices`), and polynomial evaluation sums into a table of that shape
+(`polynomials._evaluate`).
 
 Dropping generators, taking a cofactor, renaming, restricting to a
 quotient, rescaling a generator and converting to another algebra only
 re-key the masks of a table.  Each is one *plan* here (`_Plan`), which
-elements, matrices and arrows apply alike.  A drop and a rename state the
-generators they can move (`moves`); a table that meets none of them is
-handed back as it is, with no rebuild, since it is already canonical over
-the plan's target.  Each builder but rescaling, whose factor is any
-rational, is cached: its arguments are interned algebras, masks and
-generator names.
+elements, matrices and arrows apply alike.  Each builder but rescaling,
+whose factor is any rational, is cached: its arguments are interned
+algebras, masks and generator names.
 Scalars are exact: a float raises `TypeError`.
 
 Two rules are written once here for `matrices` and `polynomials` too: the
@@ -281,22 +278,10 @@ class _Plan(dict):
     """A mask transform into `target`: old mask -> (new mask, integer
     factor), or None where the monomial dies; results are also divided by
     `den`.  `rule` finds a mask's image on its first use, so a rule raises
-    only for a monomial that is present.  `moves`, where a plan states it,
-    holds the generator bits the plan can rename or kill: a table over
-    `target` none of whose masks meets them is its own image."""
+    only for a monomial that is present."""
 
-    def __init__(self, target: "WeilAlgebra", rule, den: int = 1, moves: int | None = None):
-        self.target, self.rule, self.den, self.moves = target, rule, den, moves
-
-    def keeps(self, alg: "WeilAlgebra", masks) -> bool:
-        """Whether a canonical table over `alg` with these masks is its own
-        image."""
-        moves = self.moves
-        return (
-            moves is not None
-            and self.target is alg
-            and not any([m & moves for m in masks])
-        )
+    def __init__(self, target: "WeilAlgebra", rule, den: int = 1):
+        self.target, self.rule, self.den = target, rule, den
 
     def __missing__(self, m: int):
         hit = self[m] = self.rule(m)
@@ -306,7 +291,7 @@ class _Plan(dict):
 @lru_cache(maxsize=None)
 def _drop_plan(alg: "WeilAlgebra", mask: int) -> _Plan:
     """Evaluate the generators of `mask` at zero."""
-    return _Plan(alg, lambda m: None if m & mask else (m, 1), moves=mask)
+    return _Plan(alg, lambda m: None if m & mask else (m, 1))
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +316,7 @@ def _rename_plan(alg: "WeilAlgebra", pairs: tuple[tuple[str, str], ...]) -> _Pla
                 new |= new_bit
         return None if new in alg.killed else (new, 1)
 
-    return _Plan(alg, rule, moves=moved)
+    return _Plan(alg, rule)
 
 
 @lru_cache(maxsize=None)
@@ -435,8 +420,6 @@ class WeilElement(_Transforms):
 
     def _apply(self, plan: _Plan) -> "WeilElement":
         """The image under a mask plan."""
-        if plan.keeps(self.algebra, self._c):
-            return self
         out: dict[int, int] = {}
         get = out.get
         for m, v in self._c.items():

@@ -9,6 +9,12 @@ from nilgeo.models import Arrow
 from nilgeo.polynomials import Poly, PolyMatrix
 
 
+def poly_terms(p):
+    """The terms of a `Poly` as exponent tuple -> `Fraction`, read back off
+    its integer table."""
+    return {e: Fraction(c, p._den) for e, (c,) in p._t.items()}
+
+
 def poly_rows(pm):
     """The entries of a `PolyMatrix` as rows of `Poly`s, read back off its
     integer table."""
@@ -29,7 +35,7 @@ def partial(p, i):
         return PolyMatrix([[partial(q, i) for q in row] for row in poly_rows(p)])
     return Poly(
         p.nvars,
-        {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.terms.items() if e[i]},
+        {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in poly_terms(p).items() if e[i]},
     )
 
 
@@ -122,8 +128,8 @@ def fraction_poly_matrix(rng, model, grp, degree, bound=Fraction(2)):
         for i, row in enumerate(b.constant_matrix()):
             for j, v in enumerate(row):
                 if v:
-                    terms = dict(entries[i][j].terms)
-                    for e, c in p.terms.items():
+                    terms = poly_terms(entries[i][j])
+                    for e, c in poly_terms(p).items():
                         terms[e] = terms.get(e, 0) + c * v
                     entries[i][j] = Poly(nvars, terms)
     return PolyMatrix(entries)

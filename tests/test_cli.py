@@ -38,6 +38,23 @@ def test_rational_bound_is_parsed_exactly():
     assert cfg.coeff_bound == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("bound, status", [("1/4", 2), ("1/3", 0)])
+def test_coeff_bound_has_a_floor_below_which_every_draw_is_zero(tmp_path, capsys, bound, status):
+    # below 1 / max(DENOMINATORS) every sampled coefficient is 0, and the
+    # mutation check's search for a nonzero bump never ends
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "model = heisenberg\nseed = 1\ntrials = 1\nsuite = bianchi\n"
+        f"mutation = true\ncoeff_bound = {bound}\n"
+    )
+    assert main(["--config", str(path)]) == status
+    captured = capsys.readouterr()
+    if status:
+        assert captured.err == "error: coeff_bound must be at least 1/3\n"
+    else:
+        assert " fail=0 " in captured.out and "bianchi-mutation" in captured.out
+
+
 def test_unknown_model_error_names_the_registry():
     with pytest.raises(ConfigError) as err:
         parse_config("model = nope\nseed = 1\n")

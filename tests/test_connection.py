@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from oracles import partial, poly_rows
+from oracles import partial, poly_rows, poly_terms
 
 from nilgeo import connection
 from nilgeo.bianchi import build_cube, corrupt_edge
@@ -213,7 +213,7 @@ def _connection_data(conn):
     if isinstance(conn, SplittingConnection):
         return tuple(img.constant_matrix() for img in conn.images)
     return [
-        [[sorted(p.terms.items()) for p in row] for row in poly_rows(pm)]
+        [[sorted(poly_terms(p).items()) for p in row] for row in poly_rows(pm)]
         for pm in conn.coeffs
     ]
 

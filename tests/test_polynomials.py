@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import poly_rows
+from oracles import poly_rows, poly_terms
 
-from nilgeo.matrices import Matrix, _combination
+from nilgeo.matrices import Matrix
 from nilgeo.microcalc import make_microcube, scale_arg
 from nilgeo.models import Arrow, build_model
 from nilgeo.polynomials import Poly, PolyMatrix
@@ -17,7 +17,7 @@ def termwise(p, coords):
     alg = coords[0].algebra
     powers = [[alg.one, x] for x in coords]
     out = alg.zero
-    for exps, c in sorted(p.terms.items()):
+    for exps, c in sorted(poly_terms(p).items()):
         term = alg.scalar(c)
         for i, k in enumerate(exps):
             while len(powers[i]) <= k:
@@ -85,26 +85,24 @@ def test_poly_matrix_evaluation_matches_termwise_reference(alg):
 
 
 def test_linear_combination_matches_fraction_sum():
+    # a polynomial's value, read alone and as a 1 x 1 matrix, is the
+    # Fraction sum of the coefficient tables of its terms q * x^e
     rng = random.Random(47)
     alg = algebra(["d1", "d2"], killed=[("d1", "d2")])
     for _ in range(50):
-        # (flat entry index of a 2 x 2 matrix, rational, element)
-        terms = [
-            (
-                rng.randrange(4),
-                rng.choice((0, 1, -2, _rational(rng))),
-                rng.choice((alg.zero, _random_point(rng, alg, 1)[0])),
-            )
-            for _ in range(rng.randint(0, 8))
-        ]
-        want = [{} for _ in range(4)]
-        for k, q, a in terms:
-            for mono, v in a.coeffs.items():
-                want[k][mono] = want[k].get(mono, Fraction(0)) + q * v
-        got = _combination(alg, 2, terms)
-        for k in range(4):
-            entry = {mono: v for mono, v in want[k].items() if v}
-            assert got[divmod(k, 2)].coeffs == entry
+        p = _random_poly(rng, 2, 3)
+        x = _random_point(rng, alg, 2)
+        want = {}
+        for e, q in poly_terms(p).items():
+            mono = alg.one
+            for xi, k in zip(x, e):
+                for _ in range(k):
+                    mono = mono * xi
+            for names, v in mono.coeffs.items():
+                want[names] = want.get(names, Fraction(0)) + q * v
+        want = {names: v for names, v in want.items() if v}
+        assert p(x).coeffs == want
+        assert PolyMatrix(((p,),))(x)[0, 0].coeffs == want
 
 
 def test_poly_matrix_evaluation_shares_monomials(monkeypatch):
@@ -159,7 +157,7 @@ def test_floats_are_rejected_as_coefficients():
         scale_arg(cube, 1, 0.5)
     assert alg.term(Fraction(1, 10), ("d1",)).coeffs == {("d1",): Fraction(1, 10)}
     assert alg.scalar(Fraction(1, 10)).constant_term() == Fraction(1, 10)
-    assert Poly(1, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
+    assert poly_terms(Poly(1, {(1,): Fraction(1, 10)})) == {(1,): Fraction(1, 10)}
 
 
 def test_poly_times_weil_element_is_not_implemented():
