@@ -10,23 +10,22 @@ the splitting map reads the free cells of a tangent's table by position
 and its images' tables (constant matrices over `models.ALG0`) as they are;
 the gauge map checks each monomial's coefficient matrix of a `PolyMatrix`
 and evaluates a connection's coefficients at one anchor from one shared
-monomial table.  Every edge of a cube is lifted
-in one place, `lifted_edge`; `forms` and `bianchi` take their edges from it
-too.  Each axis of a cube is read once, at its far corner, where every
-other argument is on (`microcalc.Microcube.far_edge`); the edge from any
-other corner is that tangent with the off arguments dropped, by a drop plan
-of `weil`, which is a map of algebras.  Each connection keeps each distinct
-edge's lift, keyed by its value, for as long as it lives (the samplers
-build one per trial).  A lift not yet kept is the kept far-corner lift of
-its axis dropped the same way; only when that is missing too is it one
-`apply`, read at the edge's generator and checked for membership in H,
-since `apply` is outside data.  `curvature` reads a square's two
-far-corner edges first, so a fresh square costs two applies, and
-`bianchi.build_cube` lifts the far corners first, so a fresh cube costs
-three applies and three checks.  Its face curvatures and `forms.d_nabla`
-read the kept lifts: the faces share their edges with the cube as equal
-values, and a face sliced without renaming inherits the cube's far reads
-(`microcalc.slice_multi`).
+monomial table.  Every edge of a cube is lifted in one place, `lifted_edge`;
+`forms` and `bianchi` take their edges from it too.  Each axis is read once,
+at its far corner (`microcalc.Microcube.far_edge`); the edge from any other
+corner is that tangent with the off arguments dropped by a drop plan of
+`weil`, a map of algebras, or read directly at the origin; both reads are
+`microcalc._edge_tangent`.  Each connection keeps each distinct edge's lift,
+keyed by its value, for as long as it lives (the samplers build one per
+trial).  A lift not yet kept is the kept far-corner lift of its axis dropped
+the same way; only when that is missing too is it one `apply`, read at the
+edge's generator and checked for membership in H, since `apply` is outside
+data.  `curvature` reads a square's two far-corner edges first, so a fresh
+square costs two applies, and `bianchi.build_cube` lifts the far corners
+first, so a fresh cube costs three applies and three checks.  Its face
+curvatures and `forms.d_nabla` read the kept lifts: the faces share their
+edges with the cube as equal values, and a face sliced without renaming
+inherits the cube's far reads (`microcalc.slice_multi`).
 `apply` must therefore be a function of its tangent (a stateful one is seen
 once per distinct edge), and it must commute with dropping generators.
 Both shipped kinds do: polynomial evaluation and a rational-linear map
@@ -50,8 +49,8 @@ from .microcalc import (
     Microcube,
     Section,
     TangentData,
+    _edge_tangent,
     _fresh_pair,
-    _origin_edge,
     _tangent_drop,
     arrow_drop,
     as_kernel_tangent,
@@ -225,7 +224,8 @@ def lifted_edge(
     Each axis is read once per cube, at its far corner
     (`Microcube.far_edge`), and this edge's tangent is that read with the
     off arguments dropped.  An edge from the origin is read there instead,
-    with no inverse, until the cube has read its axis at the far corner.
+    by the same `microcalc._edge_tangent` and with no inverse, until the
+    cube has read its axis at the far corner.
     The lift of an edge the connection has not seen is the far-corner lift
     dropped the same way when that one is already kept, since `apply`
     commutes with dropping generators and a drop of a checked arrow stays
@@ -239,7 +239,7 @@ def lifted_edge(
     off = [h for i, h in enumerate(cube.args, 1) if i != k and i not in corner]
     far = cube.far_edge(k) if corner or k in cube.far_edges else None
     if far is None:
-        td = _origin_edge(cube, k)
+        td = _edge_tangent(arrow_drop(cube.arrow, off), (g,))
     else:
         td = _tangent_drop(far, off) if off else far
     key = (alg, g, td)  # equal tangents over distinct algebras stay apart

@@ -17,9 +17,10 @@ identity wherever one argument is 0, kernel-valued and a loop at the
 anchor.
 
 `Form.__call__` keeps a value only once the degree, kernel and fiber
-checks pass, so every first evaluation is validated.  Its key leads with
-the cube's algebra: cubes over different algebras then never reach
-`WeilElement.__eq__`, which refuses to compare across algebras.
+checks pass, so every first evaluation is validated; a value is over its
+cube's algebra, so the fiber check compares the two anchors as they are.
+Its key leads with the cube's algebra: cubes over different algebras then
+never reach `WeilElement.__eq__`, which refuses to compare across algebras.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class FormError(ValueError):
 
 @dataclass(frozen=True)
 class Form:
-    """Degree-n evaluator from downstairs micro-n-cubes to kernel tangents;
-    it keeps each value it computes, so its memo grows with the number of
-    distinct cubes it has seen."""
+    """Degree-n evaluator from downstairs micro-n-cubes to kernel tangents
+    over each cube's algebra; it keeps each value it computes, so its memo
+    grows with the number of distinct cubes it has seen."""
 
     model: GroupoidModel
     degree: int
@@ -70,7 +71,7 @@ class Form:
         value = self.fn(cube)
         if value.grp != "L":
             raise FormError("form value must be a kernel tangent")
-        if value.anchor != tuple(c.convert(value.algebra) for c in cube.anchor):
+        if value.anchor != cube.anchor:
             raise FormError("form value sits over the wrong fiber")
         self._values[key] = value
         return value
@@ -122,11 +123,11 @@ def validate_form(
         for i in range(1, form.degree + 1):
             for a in scalars:
                 got = form(scale_arg(cube, i, a))
-                if not got.same_as(base.scale(a)):
+                if got != base.scale(a):
                     violations.append(f"sample {k}: homogeneity fails in slot {i} at a={a}")
         for theta in permutations(range(1, form.degree + 1)):
             got = form(permute(cube, theta))
-            if not got.same_as(base.scale(perm_sign(theta))):
+            if got != base.scale(perm_sign(theta)):
                 violations.append(f"sample {k}: alternation fails for {theta}")
     return violations
 

@@ -322,20 +322,14 @@ def _check_sizes(a: Matrix, b: Matrix) -> None:
 
 
 def _det(rows):
-    """Cofactor expansion of a square matrix of size at most 3, over any
-    commutative ring: Weil elements, rationals or integers."""
+    """The determinant of a square matrix of size at most 2 (no group block
+    is larger), over any commutative ring: Weil elements, rationals or integers."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        return (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-    raise NotImplementedError("determinant only needed for sizes <= 3")
+    raise NotImplementedError("determinant only needed for sizes <= 2")
 
 
 @lru_cache(maxsize=None)

@@ -27,14 +27,15 @@ is a cube by group closure, since each reparametrizes by a map of algebras
 their arrow with the unchecked `_cube`; so does `connection.lift`, whose
 arrow composes two checked lifted edges.
 
-Each cube reads the edge tangent of each argument once, at its far corner
+Every edge tangent is read off its arrow by `_edge_tangent`.  Each cube
+reads the edge tangent of each argument once, at its far corner
 (`Microcube.far_edge`): the edge along d_k with every other argument on.
 The edge from any other corner is that tangent with the off arguments
 dropped (`_tangent_drop`), so a cube's twelve edges cost three reads, and
-an edge from the origin can be read directly (`_origin_edge`), with no
-inverse.  A slice that renames nothing inherits each far read its parent
-has kept (`_inherit_far_edges`), so the faces of a lifted cube read none
-again.
+an edge from the origin can be read directly, with no inverse, since its
+body is I at d_k = 0.  A slice that renames nothing inherits each far read
+its parent has kept (`_inherit_far_edges`), so the faces of a lifted cube
+read none again.
 """
 
 from __future__ import annotations
@@ -104,20 +105,25 @@ class Microcube:
 
     def far_edge(self, k: int) -> "TangentData":
         """The tangent of the edge along argument k with every other
-        argument on, read once per cube: anchored at the target at d_k = 0,
-        with direction the d_k-cofactor of the target and vert the
-        d_k-cofactor of the body times the inverse of the body at d_k = 0.
-        The edge from any other corner is this tangent with the off
-        arguments dropped (`_tangent_drop`), since dropping is a map of
-        algebras."""
+        argument on, read once per cube by `_edge_tangent`.  The edge from
+        any other corner is this tangent with the off arguments dropped
+        (`_tangent_drop`), since dropping is a map of algebras."""
         far = self.far_edges.get(k)
         if far is None:
-            a, d = self.arrow, (self.args[k - 1],)
-            anchor = tuple(c.drop(d) for c in a.target)
-            direction = tuple(c.coefficient(d) for c in a.target)
-            vert = a.body.coefficient(d) * a.body.drop(d).inverse()
-            far = self.far_edges[k] = TangentData(a.model, a.grp, anchor, direction, vert)
+            far = self.far_edges[k] = _edge_tangent(self.arrow, (self.args[k - 1],))
         return far
+
+
+def _edge_tangent(a: Arrow, d: tuple[str]) -> "TangentData":
+    """The tangent of `a` along the generator in `d`: anchor the target at
+    d = 0, direction its d-cofactor, and vert the d-cofactor of the body
+    times the inverse of the body at d = 0 (none when that body is I)."""
+    anchor = tuple(c.drop(d) for c in a.target)
+    direction = tuple(c.coefficient(d) for c in a.target)
+    vert, at_zero = a.body.coefficient(d), a.body.drop(d)
+    if not at_zero.is_identity():
+        vert = vert * at_zero.inverse()
+    return TangentData(a.model, a.grp, anchor, direction, vert)
 
 
 def _image(p: Point, alg: WeilAlgebra, plan: _Plan, plan_of) -> Point:
@@ -142,16 +148,6 @@ def _drops(names: Sequence[str]) -> Callable[[WeilAlgebra], _Plan]:
 def arrow_drop(a: Arrow, names: Sequence[str]) -> Arrow:
     """Evaluate the listed generators at zero throughout the arrow."""
     return _transform(a, _drops(names))
-
-
-def _origin_edge(cube: Microcube, k: int) -> "TangentData":
-    """The tangent of the edge along argument k from the origin: the cube
-    with every other argument dropped, whose body is I at d_k = 0, so the
-    read takes no inverse."""
-    d = (cube.args[k - 1],)
-    a = arrow_drop(cube.arrow, cube.args[: k - 1] + cube.args[k:])
-    direction = tuple(c.coefficient(d) for c in a.target)
-    return TangentData(a.model, a.grp, a.source, direction, a.body.coefficient(d))
 
 
 def _tangent_drop(td: "TangentData", names: Sequence[str]) -> "TangentData":
@@ -393,26 +389,12 @@ class TangentData:
     def __neg__(self) -> "TangentData":
         return self.scale(-1)
 
-    def same_as(self, other: "TangentData") -> bool:
-        if self.model is not other.model or self.grp != other.grp:
-            return False
-        alg = self.algebra.union(other.algebra)
-        a, b = self.convert(alg), other.convert(alg)
-        return (
-            a.anchor == b.anchor
-            and a.direction == b.direction
-            and a.vert == b.vert
-        )
-
 
 def from_tangent(t: Microcube) -> TangentData:
-    """Extract the linearization of a degree-one cube."""
+    """The linearization of a degree-one cube, read by `_edge_tangent`."""
     if t.degree != 1:
         raise CubeError("expected a degree-one cube")
-    d = t.args[0]
-    direction = tuple(c.coefficient((d,)) for c in t.arrow.target)
-    vert = t.arrow.body.coefficient((d,))
-    return TangentData(t.model, t.arrow.grp, t.anchor, direction, vert)
+    return _edge_tangent(t.arrow, t.args)
 
 
 def include_tangent(td: TangentData) -> TangentData:
@@ -433,13 +415,13 @@ def as_kernel_tangent(td: TangentData) -> TangentData:
     return out
 
 
-def top_tangent(word: Arrow, args: Sequence[str], error: type) -> tuple[Point, Matrix]:
-    """The direction and vertical part of the tangent whose value at the
-    product of `args` is `word`; raises `error` unless the word is the
-    identity wherever one of `args` is 0."""
+def top_tangent(word: Arrow, args: Sequence[str], error: type) -> TangentData:
+    """The tangent at the word's source whose value at the product of
+    `args` is `word`; raises `error` unless the word is the identity
+    wherever one of `args` is 0."""
     vert = _top_vert(word, args, error)
     direction = tuple((t - s).coefficient(args) for t, s in zip(word.target, word.source))
-    return direction, vert
+    return TangentData(word.model, word.grp, word.source, direction, vert)
 
 
 def _top_vert(word: Arrow, args: Sequence[str], error: type) -> Matrix:
@@ -515,12 +497,13 @@ def strong_diff(g2: Microcube, g1: Microcube) -> TangentData:
     if below[0] != below[1]:
         raise DifferenceError("squares disagree below the top coefficient")
     delta = compose(g2.arrow, invert(g1.arrow))  # both squares start at the anchor
-    direction, vert = top_tangent(delta, top, DifferenceError)
+    td = top_tangent(delta, top, DifferenceError)
     # multiplying the correction from the other side must give the same data
     other = (g1.arrow.body.inverse() * g2.arrow.body).coefficient(top)
-    if other != vert:
+    if other != td.vert:
         raise DifferenceError("left/right factorizations disagree")
-    return TangentData(g1.model, g1.arrow.grp, g1.anchor, direction, vert)
+    # the word starts at g1's target; the difference sits at the anchor
+    return TangentData(g1.model, g1.arrow.grp, g1.anchor, td.direction, td.vert)
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +600,6 @@ def _commutator_word(
     return compose_all(a4, a3, a2, a1)
 
 
-def _extract_square_tangent(
-    word: Arrow, x: Point, u: str, v: str, base_alg: WeilAlgebra
-) -> TangentData:
-    """Read the unique tangent with value `word` at the product monomial."""
-    direction, vert = top_tangent(word, (u, v), CubeError)
-    return TangentData(
-        word.model,
-        word.grp,
-        tuple(c.convert(base_alg) for c in x),
-        tuple(c.convert(base_alg) for c in direction),
-        vert.convert(base_alg),
-    )
-
-
 def _fresh_pair(alg: WeilAlgebra, a: str, b: str) -> tuple[WeilAlgebra, str, str]:
     """`alg` extended by two fresh generators named after `a` and `b`,
     with their names."""
@@ -649,7 +618,7 @@ def bracket_sections(
     word = _commutator_word(
         lambda p: t1.at(p, ext), lambda p: t2.at(p, ext), xe, ext, u, v
     )
-    return _extract_square_tangent(word, x, u, v, alg)
+    return top_tangent(word, (u, v), CubeError).convert(alg)
 
 
 def bracket(t1: TangentData, t2: TangentData) -> TangentData:
@@ -662,4 +631,4 @@ def bracket(t1: TangentData, t2: TangentData) -> TangentData:
     ext, u, v = _fresh_pair(alg, "u", "v")
     a, b = t1.convert(ext), t2.convert(ext)
     word = _commutator_word(lambda p: a, lambda p: b, a.anchor, ext, u, v)
-    return _extract_square_tangent(word, t1.anchor, u, v, alg)
+    return top_tangent(word, (u, v), CubeError).convert(alg)

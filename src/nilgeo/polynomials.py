@@ -53,6 +53,8 @@ class Poly:
 
     @staticmethod
     def var(nvars: int, i: int) -> "Poly":
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable index {i} out of range for {nvars} variables")
         return Poly(nvars, {tuple(int(j == i) for j in range(nvars)): 1})
 
     def __call__(self, coords: Sequence[WeilElement]) -> WeilElement:

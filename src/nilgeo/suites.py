@@ -229,7 +229,7 @@ def check_thm_1_4(model, rng, params):
     t2 = _group_tangent(rng, model, x, ALG0, params.bound)
     t3 = _group_tangent(rng, model, x, ALG0, params.bound)
     t12 = bracket(t1, t2)
-    ok = t12.same_as(-bracket(t2, t1))
+    ok = t12 == -bracket(t2, t1)
     # the value: minus the matrix commutator of the vertical parts
     ok = ok and t12.vert == t2.vert * t1.vert - t1.vert * t2.vert
     ok = ok and bracket(t1, t1).is_zero()
@@ -237,9 +237,9 @@ def check_thm_1_4(model, rng, params):
     t31, t32 = bracket(t3, t1), bracket(t3, t2)
     for a in (-2, -1, 0, Fraction(1, 2), 1, 3):
         lhs = bracket(t1.scale(a) + t2, t3)
-        ok = ok and lhs.same_as(t13.scale(a) + t23)
+        ok = ok and lhs == t13.scale(a) + t23
         lhs2 = bracket(t3, t1.scale(a) + t2)
-        ok = ok and lhs2.same_as(t31.scale(a) + t32)
+        ok = ok and lhs2 == t31.scale(a) + t32
     jac = (
         bracket(t1, bracket(t2, t3))
         + bracket(t2, bracket(t3, t1))
@@ -304,7 +304,7 @@ def check_thm_3_4(model, rng, params):
     g2 = perturbed_square(rng, g1, params.bound)
     lhs = conn.apply(strong_diff(g2, g1))
     rhs = strong_diff(lift(conn, g2), lift(conn, g1))
-    ok = lhs.same_as(rhs)
+    ok = lhs == rhs
     # the two-step difference chain reproduces the degenerate square
     chain = diff2(diff1(g2, g1), tau(g1, 2))
     return ok and chain == degenerate_square(strong_diff(g2, g1), ("d1", "d2"), ALG2)
@@ -346,7 +346,7 @@ def check_prop_4_3(model, rng, params):
 def check_prop_4_5(model, rng, params):
     conn = _connection(model, rng, params)
     cube = _square(rng, model, params)
-    return curvature(conn, cube).same_as(curvature_via_strong_diff(conn, cube))
+    return curvature(conn, cube) == curvature_via_strong_diff(conn, cube)
 
 
 @_trials("thm-4.4")
@@ -356,7 +356,7 @@ def check_thm_4_4(model, rng, params):
     ys = sample_section(rng, model, params.degree, params.bound)
     x = sample_point(rng, model, ALG0, params.bound)
     lhs, rhs = structure_equation(conn, xs, ys, x, ALG0)
-    return lhs.same_as(rhs)
+    return lhs == rhs
 
 
 def nonzero_curvature_witnesses(only_model: str | None = None) -> list[TrialResult]:

@@ -188,13 +188,6 @@ class WeilAlgebra:
         old = [self.mono_names(m) for m in self.killed]
         return algebra(self.names + tuple(missing), old)
 
-    def union(self, other: "WeilAlgebra") -> "WeilAlgebra":
-        if other is self:
-            return self
-        merged = self.extend(*other.names)
-        extra = [other.mono_names(m) for m in other.killed]
-        return merged.kill(extra)
-
     def fresh_name(self, base: str = "e") -> str:
         if base not in self._index:
             return base

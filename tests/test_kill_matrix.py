@@ -79,6 +79,19 @@ def flipped_gauge_transport(monkeypatch):
     monkeypatch.setattr(GaugeConnection, "apply", apply)
 
 
+def uninverted_edge_read(monkeypatch):
+    # vert read as the d-cofactor of the body alone, without the inverse of
+    # the body at d = 0
+    def make(original):
+        def edge_tangent(a, d):
+            t = original(a, d)
+            return TangentData(t.model, t.grp, t.anchor, t.direction, a.body.coefficient(d))
+
+        return edge_tangent
+
+    _rebind(monkeypatch, microcalc, "_edge_tangent", make)
+
+
 GAUGE = ("trivial_gauge[scalar]", "trivial_gauge[gl2]", "trivial_gauge[sl2]")
 
 ROWS = (
@@ -93,6 +106,7 @@ ROWS = (
        for name in ("heisenberg", "direct_product", "trivial_gauge[gl2]", "trivial_gauge[sl2]")]
     + [(zeroed_bracket, name, "thm-1.4") for name in ("heisenberg", "trivial_gauge[gl2]")]
     + [(flipped_gauge_transport, "trivial_gauge[scalar]", "witness")]
+    + [(uninverted_edge_read, "direct_product", "prop-4.3")]
 )
 
 

@@ -160,6 +160,13 @@ def test_floats_are_rejected_as_coefficients():
     assert poly_terms(Poly(1, {(1,): Fraction(1, 10)})) == {(1,): Fraction(1, 10)}
 
 
+def test_var_refuses_an_index_out_of_range():
+    for nvars, i in ((2, 2), (2, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            Poly.var(nvars, i)
+    assert poly_terms(Poly.var(2, 1)) == {(0, 1): 1}
+
+
 def test_poly_times_weil_element_is_not_implemented():
     p = Poly.var(1, 0)
     w = algebra(["d1"]).gen("d1")
