@@ -32,8 +32,7 @@ from .microcalc import (
     transpose,
 )
 from .connection import (
-    GaugeConnection,
-    SplittingConnection,
+    Connection,
     curvature,
     curvature_via_strong_diff,
     lift,

@@ -1,17 +1,20 @@
 """Connections on the exact sequence L -> H -> G and their curvature.
 
-A connection is fiberwise-linear lift data: a splitting matrix on the
-downstairs tangent coordinates (one-point models) or vertical coefficient
-polynomials over the base (gauge models).  Each kind's linear map is one
-function, `_splitting_map` or `_gauge_map`, which checks the data against
-the Lie algebra of its target group (`MatrixGroup.lie_contains`) and is
-shared with the kind's one-form in `forms`.  Both work on integer tables:
-the splitting map reads the free cells of a tangent's table by position
-and its images' tables (constant matrices over `models.ALG0`) as they are;
-the gauge map checks each monomial's coefficient matrix of a `PolyMatrix`
-and evaluates a connection's coefficients at one anchor from one shared
-monomial table.  Every edge of a cube is lifted in one place, `lifted_edge`;
-`forms` and `bianchi` take their edges from it too.  Each axis is read once,
+A connection is fiberwise-linear lift data, one `Connection` for every
+model: images of the downstairs coordinate directions, one per free cell of
+G (a splitting of the projection), and vertical coefficient polynomials,
+one per base axis (a gauge potential).  The model fixes both counts, so a
+one-point model takes only images and a gauge model only coefficients.
+The linear map is one function, `_linear_map`, which checks the data
+against the Lie algebra of its target group (`MatrixGroup.lie_contains`)
+and is shared with the one-form of `forms`; the two differ only in the
+sign of the gauge part.  It works on integer tables: it reads the free
+cells of a tangent's table by position and its images' tables (constant
+matrices over `models.ALG0`) as they are, checks each monomial's
+coefficient matrix of a `PolyMatrix`, and evaluates the coefficients at
+one anchor from one shared monomial table.
+Every edge of a cube is lifted in one place, `lifted_edge`; `forms` and
+`bianchi` take their edges from it too.  Each axis is read once,
 at its far corner (`microcalc.Microcube.far_edge`); the edge from any other
 corner is that tangent with the off arguments dropped by a drop plan of
 `weil`, a map of algebras, or read directly at the origin; both reads are
@@ -28,7 +31,7 @@ edges with the cube as equal values, and a face sliced without renaming
 inherits the cube's far reads (`microcalc.slice_multi`).
 `apply` must therefore be a function of its tangent (a stateful one is seen
 once per distinct edge), and it must commute with dropping generators.
-Both shipped kinds do: polynomial evaluation and a rational-linear map
+The linear map does: polynomial evaluation and a rational-linear map
 commute with maps of algebras.
 The lift of a microsquare is the path of two lifted edges, wrapped unchecked
 by `microcalc._cube` since both are checked, and its curvature the loop of
@@ -43,7 +46,7 @@ from math import lcm
 from typing import Callable, Collection, Sequence
 
 from . import microcalc
-from .matrices import Matrix, _normal
+from .matrices import Matrix, _combine, _normal
 from .microcalc import (
     CubeError,
     Microcube,
@@ -73,21 +76,40 @@ class CurvatureError(ValueError):
     """The curvature word came out structurally wrong (broken model data)."""
 
 
-def _splitting_map(
-    model: GroupoidModel, grp: str, images: Sequence, error: type
-) -> tuple[tuple, Callable[[Matrix], Matrix]]:
-    """The checked images and the map vert -> sum_k vert[cell_k] * images[k]
+def _linear_map(
+    model: GroupoidModel,
+    grp: str,
+    images: Sequence,
+    coeffs: Sequence[PolyMatrix],
+    error: type,
+    sign: int = 1,
+) -> tuple[tuple, Callable[[TangentData], Matrix]]:
+    """The checked images and the map
+    td -> sum_k td.vert[cell_k] * images[k] + sign * sum_i A_i(anchor) * v_i
     into the `grp` coefficients, cell_k the k-th free cell of G
-    (`model.spec("G").free`); raises `error` unless each free cell has one
-    image, a constant matrix over `ALG0` in the Lie algebra of `grp`.  The
-    map reads the free cells off vert's table by position and writes the
-    images' integer tables over one common denominator straight into the
-    result's."""
+    (`model.spec("G").free`) and v the base velocity.  Raises `error`
+    unless each free cell has one image, a constant matrix over `ALG0` in
+    the Lie algebra of `grp`, and each base axis one coefficient matrix of
+    `grp`'s size in one variable per base axis, each of whose monomials'
+    matrices lies in that Lie algebra.  The map reads the free cells off
+    vert's table by position and writes the images' integer tables over one
+    common denominator straight into the result's; the A_i are read per
+    anchor, from one shared monomial table."""
     cells = model.spec("G").free
     if len(images) != len(cells):
         raise error("one image per downstairs direction required")
     images = tuple(model._lie_value(grp, img, error, "each image") for img in images)
-    n = model.spec(grp).size
+    if len(coeffs) != model.base_dim:
+        raise error("one coefficient matrix per base axis")
+    spec = model.spec(grp)
+    n = spec.size
+    for pm in coeffs:
+        if pm.size != n:
+            raise error("coefficient size must match the structure group")
+        if pm.nvars != model.base_dim:
+            raise error("coefficients must take one variable per base axis")
+        if not spec.lie_contains(pm):
+            raise error(f"coefficients must lie in the Lie algebra of {grp}")
     den = lcm(*(img._den for img in images))
     g = model.spec("G").size
     # (flat position of the free cell in G, the image's nonzero flat entries)
@@ -96,8 +118,10 @@ def _splitting_map(
         scale = den // img._den
         entries = tuple((k, a * scale) for k, a in enumerate(img._t.get(0, ())) if a)
         reads.append((i * g + j, entries))
+    at: dict = {}  # anchors repeat heavily across slices of one cube
 
-    def vert_map(vert: Matrix) -> Matrix:
+    def vert_map(td: TangentData) -> Matrix:
+        vert = td.vert
         out: dict[int, tuple[int, ...]] = {}
         for m, v in vert._t.items():
             acc = None
@@ -110,59 +134,37 @@ def _splitting_map(
                         acc[k] += c * a
             if acc is not None:
                 out[m] = tuple(acc)
-        return _normal(vert.algebra, n, out, vert._den * den)
+        vert = _normal(vert.algebra, n, out, vert._den * den)
+        if coeffs:
+            mats = at.get(td.anchor)
+            if mats is None:
+                mono: dict = {}
+                mats = at[td.anchor] = tuple(pm(td.anchor, mono) for pm in coeffs)
+            for mat, v in zip(mats, td.direction):
+                if not v.is_zero():
+                    vert = _combine(vert, mat * v, sign)
+        return vert
 
     return images, vert_map
 
 
-def _gauge_map(
-    model: GroupoidModel, grp: str, coeffs: Sequence[PolyMatrix], error: type
-) -> Callable[[TangentData], Matrix]:
-    """The map td -> sum_i A_i(anchor) * v_i into the `grp` coefficients,
-    cached per anchor, where the A_i share one monomial table; raises
-    `error` unless the A_i are coefficients of a gauge model, each of
-    whose monomials' matrices lies in the Lie algebra of `grp`.  The map
-    reads only the base velocity, so it is a connection only where
-    G-tangents have no vertical part: G's Lie algebra is empty."""
-    if model.lie_basis("G"):
-        raise error("vertical coefficients need a gauge model")
-    if len(coeffs) != model.base_dim:
-        raise error("one coefficient matrix per base axis")
-    spec = model.spec(grp)
-    size = spec.size
-    for pm in coeffs:
-        if pm.size != size:
-            raise error("coefficient size must match the structure group")
-        if pm.nvars != model.base_dim:
-            raise error("coefficients must take one variable per base axis")
-        if not spec.lie_contains(pm):
-            raise error(f"coefficients must lie in the Lie algebra of {grp}")
-    at: dict = {}  # anchors repeat heavily across slices of one cube
+class Connection:
+    """A linear lift of G-tangents to H-tangents: images of the coordinate
+    directions, constant matrices over `ALG0`, one per free cell of G, that
+    split the projection; and vertical coefficient matrices A_i, polynomial
+    in the base point, one per base axis.  A tangent at x with velocity v
+    and vertical part w lifts to vertical part sigma(w) - sum_i A_i(x) v_i,
+    the parallel-transport convention that lines the curvature up with the
+    classical coefficient formula dA + A^A on coordinate squares."""
 
-    def vert_map(td: TangentData) -> Matrix:
-        mats = at.get(td.anchor)
-        if mats is None:
-            mono: dict = {}
-            mats = at[td.anchor] = tuple(pm(td.anchor, mono) for pm in coeffs)
-        vert = Matrix.zero(size, td.algebra)
-        for mat, v in zip(mats, td.direction):
-            if not v.is_zero():
-                vert = vert + mat * v
-        return vert
-
-    return vert_map
-
-
-class SplittingConnection:
-    """One-point models: a linear right inverse of the projection on
-    tangent coordinates, given by images of the coordinate directions:
-    constant matrices over `ALG0`, one per free cell of G."""
-
-    def __init__(self, model: GroupoidModel, images: Sequence):
+    def __init__(self, model: GroupoidModel, images: Sequence = (), coeffs: Sequence = ()):
         self.model = model
         # (algebra, generator, tangent) -> lifted arrow, see `lifted_edge`
         self._edges: dict = {}
-        self.images, self._vert = _splitting_map(model, "H", images, ConnectionError_)
+        self.coeffs = tuple(coeffs)
+        self.images, self._vert = _linear_map(
+            model, "H", images, self.coeffs, ConnectionError_, -1
+        )
         for img, b in zip(self.images, model.lie_basis("G")):
             if model.project_vert(img) != b:
                 raise ConnectionError_("images do not split the projection")
@@ -170,30 +172,11 @@ class SplittingConnection:
     def apply(self, td: TangentData) -> TangentData:
         if td.grp != "G":
             raise ConnectionError_("connections lift G-tangents")
-        vert = self._vert(td.vert)
-        return TangentData(self.model, "H", td.anchor, td.direction, vert)
+        return TangentData(self.model, "H", td.anchor, td.direction, self._vert(td))
 
 
-class GaugeConnection:
-    """Gauge models: vertical coefficient matrices, polynomial in the base
-    point.  The lift of a velocity v at x has body I - d * (sum_i A_i(x) v_i),
-    the parallel-transport convention that lines the curvature up with the
-    classical coefficient formula dA + A^A on coordinate squares."""
-
-    def __init__(self, model: GroupoidModel, coeffs: Sequence[PolyMatrix]):
-        self.model = model
-        # (algebra, generator, tangent) -> lifted arrow, see `lifted_edge`
-        self._edges: dict = {}
-        self.coeffs = tuple(coeffs)
-        self._vert = _gauge_map(model, "H", self.coeffs, ConnectionError_)
-
-    def apply(self, td: TangentData) -> TangentData:
-        if td.grp != "G":
-            raise ConnectionError_("connections lift G-tangents")
-        return TangentData(self.model, "H", td.anchor, td.direction, -self._vert(td))
-
-
-Connection = SplittingConnection | GaugeConnection
+# the benchmark tracer wraps `apply` under the names of the two former kinds
+SplittingConnection = GaugeConnection = Connection
 
 
 class LiftedSection(Section):

@@ -1,8 +1,8 @@
 """Kernel-valued differential forms and the covariant exterior derivative.
 
 A form of degree n eats micro-n-cubes of the downstairs groupoid and
-returns kernel tangents at the same anchor.  A one-form is a connection
-kind's linear map into L (`connection._splitting_map`, `_gauge_map`).
+returns kernel tangents at the same anchor.  A one-form is a connection's
+linear map into L (`connection._linear_map`), with the gauge part unnegated.
 A form keeps each value it computes for as long as it lives, so it is
 evaluated once per distinct cube.  Validation checks the homogeneity and
 alternation laws pointwise-exactly on supplied samples.
@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .connection import Connection, _gauge_map, _splitting_map, curvature, lifted_edge
+from .connection import Connection, _linear_map, curvature, lifted_edge
 from .microcalc import (
     Microcube,
     TangentData,
@@ -43,7 +43,6 @@ from .microcalc import (
     slice_cube,
 )
 from .models import GroupoidModel, compose, compose_all, invert
-from .polynomials import PolyMatrix
 
 
 class FormError(ValueError):
@@ -81,28 +80,17 @@ def curvature_form(conn: Connection) -> Form:
     return Form(conn.model, 2, lambda cube: curvature(conn, cube))
 
 
-def gauge_one_form(model: GroupoidModel, coeffs: Sequence[PolyMatrix]) -> Form:
-    """One-form on a coordinate base from per-axis coefficient matrices:
-    the gauge connection's map, unnegated."""
-    vert_of = _gauge_map(model, "L", coeffs, FormError)
+def one_form(model: GroupoidModel, images: Sequence = (), coeffs: Sequence = ()) -> Form:
+    """One-form from images of the downstairs coordinate directions (one per
+    free cell of G) and per-axis coefficient matrices (one per base axis),
+    valued in the kernel: the connection's map, with the gauge part
+    unnegated."""
+    _, vert_of = _linear_map(model, "L", images, coeffs, FormError)
 
     def fn(t: Microcube) -> TangentData:
         td = from_tangent(t)
         zero = tuple(td.algebra.zero for _ in td.anchor)
         return TangentData(model, "L", td.anchor, zero, vert_of(td))
-
-    return Form(model, 1, fn)
-
-
-def splitting_one_form(model: GroupoidModel, images: Sequence) -> Form:
-    """One-form on a one-point model: a linear map from downstairs tangent
-    coordinates into the kernel's coefficient matrices, given by images of
-    the coordinate directions, constant matrices over `ALG0`."""
-    _, vert_of = _splitting_map(model, "L", images, FormError)
-
-    def fn(t: Microcube) -> TangentData:
-        td = from_tangent(t)
-        return TangentData(model, "L", td.anchor, (), vert_of(td.vert))
 
     return Form(model, 1, fn)
 

@@ -129,14 +129,6 @@ class Matrix(_Transforms):
             return NotImplemented
         return _combine(self, other, -1)
 
-    def __neg__(self) -> "Matrix":
-        return _new(
-            self.algebra,
-            self.size,
-            {m: tuple([-x for x in v]) for m, v in self._t.items()},
-            self._den,
-        )
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self._scaled(other)

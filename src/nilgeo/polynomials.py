@@ -15,7 +15,7 @@ table once into a `Matrix`, a `Poly` into a `WeilElement`.  Evaluation
 shares monomials: one call builds each monomial x^e that its table needs
 once, from a smaller monomial by one Weil product (the constant and the
 coordinates themselves cost none).  Matrices read at one point can share
-one monomial table (`connection._gauge_map` shares it across a
+one monomial table (`connection._linear_map` shares it across a
 connection's coefficients).  Exponents are non-negative integers and
 coefficients exact rationals; anything else raises when the polynomial is
 built.

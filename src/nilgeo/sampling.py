@@ -19,8 +19,10 @@ A Lie-algebra element is a constant matrix over `models.ALG0`, so
 The connection table at the end holds, for each shipped configuration
 (keyed by model name, as in the `models` registry), its random-connection
 sampler, its named presets and its pinned nonflat witness, if it has one.
-Each splitting image layout is written once, over its free scalars: a
-preset fixes them, the sampler draws them.
+Every row builds a `connection.Connection`, from images on the one-point
+models and from coefficients on the gauge models.  Each image layout is
+written once, over its free scalars: a preset fixes them, the sampler
+draws them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .connection import Connection, GaugeConnection, SplittingConnection, curvature
+from .connection import Connection, curvature
 from .matrices import Matrix, _eye, _normal
 from .microcalc import (
     ConstantSection,
@@ -294,7 +296,7 @@ def preset_connection(model: GroupoidModel, name: str = "standard") -> Connectio
 
 def _heisenberg(model, lam, mu) -> Connection:
     images = (((0, 1, lam), (0, 0, 0), (0, 0, 0)), ((0, 0, mu), (0, 0, 1), (0, 0, 0)))
-    return SplittingConnection(model, [Matrix.from_rational(r, ALG0) for r in images])
+    return Connection(model, [Matrix.from_rational(r, ALG0) for r in images])
 
 
 def _sample_heisenberg(rng, model, bound, degree) -> Connection:
@@ -311,7 +313,7 @@ def _direct_product(model, c) -> Connection:
             rows[i][j] = 1
             rows[2][2] = c if i == j else 0
             images.append(Matrix.from_rational(rows, ALG0))
-    return SplittingConnection(model, images)
+    return Connection(model, images)
 
 
 def _sample_direct_product(rng, model, bound, degree) -> Connection:
@@ -323,7 +325,7 @@ def _sample_gauge(rng, model, bound, degree) -> Connection:
         sample_poly_matrix(rng, model, "H", degree, bound)
         for _ in range(model.base_dim)
     ]
-    return GaugeConnection(model, coeffs)
+    return Connection(model, coeffs=coeffs)
 
 
 def _gauge_coordinates():
@@ -332,21 +334,21 @@ def _gauge_coordinates():
 
 def _scalar_x1dx2(model) -> Connection:
     z, x1, _ = _gauge_coordinates()
-    return GaugeConnection(model, (PolyMatrix(((z,),)), PolyMatrix(((x1,),))))
+    return Connection(model, coeffs=(PolyMatrix(((z,),)), PolyMatrix(((x1,),))))
 
 
 def _gl2_standard(model) -> Connection:
     z, x1, x2 = _gauge_coordinates()
     a1 = PolyMatrix(((z, x2), (z, z)))
     a2 = PolyMatrix(((z, z), (x1, z)))
-    return GaugeConnection(model, (a1, a2))
+    return Connection(model, coeffs=(a1, a2))
 
 
 def _sl2_standard(model) -> Connection:
     z, x1, x2 = _gauge_coordinates()
     a1 = PolyMatrix(((x2, z), (z, Poly(2, {(0, 1): -1}))))
     a2 = PolyMatrix(((z, x1), (z, z)))
-    return GaugeConnection(model, (a1, a2))
+    return Connection(model, coeffs=(a1, a2))
 
 
 # ---------------------------------------------------------------------------

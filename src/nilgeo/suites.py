@@ -33,8 +33,7 @@ from .connection import (
 from .forms import (
     curvature_form,
     d_nabla,
-    gauge_one_form,
-    splitting_one_form,
+    one_form,
     validate_form,
 )
 from .microcalc import (
@@ -376,17 +375,12 @@ def nonzero_curvature_witnesses(only_model: str | None = None) -> list[TrialResu
 @_trials("dnabla-form")
 def check_dnabla_form(model, rng, params):
     conn = _connection(model, rng, params)
-    if model.base_dim == 0:
-        images = [
-            sample_lie_rows(rng, model, "L", params.bound) for _ in model.lie_basis("G")
-        ]
-        omega = splitting_one_form(model, images)
-    else:
-        coeffs = [
-            sample_poly_matrix(rng, model, "L", params.degree, params.bound)
-            for _ in range(model.base_dim)
-        ]
-        omega = gauge_one_form(model, coeffs)
+    images = [sample_lie_rows(rng, model, "L", params.bound) for _ in model.lie_basis("G")]
+    coeffs = [
+        sample_poly_matrix(rng, model, "L", params.degree, params.bound)
+        for _ in range(model.base_dim)
+    ]
+    omega = one_form(model, images, coeffs)
     tangent = sample_microcube(rng, model, "G", ("d1",), ALG1, bound=params.bound)
     ok = validate_form(omega, [tangent]) == []
     derived = d_nabla(conn, omega)

@@ -9,17 +9,16 @@ from oracles import partial, poly_rows, poly_terms
 from nilgeo import connection
 from nilgeo.bianchi import build_cube, corrupt_edge
 from nilgeo.connection import (
+    Connection,
     ConnectionError_,
     CurvatureError,
-    GaugeConnection,
-    SplittingConnection,
     curvature,
     curvature_via_strong_diff,
     lift,
     lifted_edge,
     structure_equation,
 )
-from nilgeo.forms import FormError, gauge_one_form, splitting_one_form
+from nilgeo.forms import FormError, one_form
 from nilgeo.matrices import Matrix
 from nilgeo.microcalc import (
     ConstantSection,
@@ -82,7 +81,7 @@ def coordinate_square(model, x, alg, args=("d1", "d2")):
 
 
 def scalar_poly_connection(a1, a2):
-    return GaugeConnection(SCALAR, (PolyMatrix(((a1,),)), PolyMatrix(((a2,),))))
+    return Connection(SCALAR, coeffs=(PolyMatrix(((a1,),)), PolyMatrix(((a2,),))))
 
 
 # -- apply ---------------------------------------------------------------------
@@ -208,9 +207,9 @@ SAMPLED_CONNECTION_DIGESTS = {
 
 
 def _connection_data(conn):
-    """A connection's defining data: splitting images, or the terms of each
-    gauge coefficient entry."""
-    if isinstance(conn, SplittingConnection):
+    """A connection's defining data: its images, or, where the model takes
+    none, the terms of each coefficient entry."""
+    if conn.images:
         return tuple(img.constant_matrix() for img in conn.images)
     return [
         [[sorted(poly_terms(p).items()) for p in row] for row in poly_rows(pm)]
@@ -263,7 +262,7 @@ def test_splitting_connection_rejects_non_sections():
         _lie(((0, 0, 0), (0, 0, 1), (0, 0, 0))),
     )
     with pytest.raises(ConnectionError_, match="do not split the projection"):
-        SplittingConnection(HEIS, bad)
+        Connection(HEIS, bad)
 
 
 def test_sl2_connection_requires_traceless_coefficients():
@@ -272,7 +271,7 @@ def test_sl2_connection_requires_traceless_coefficients():
     z = Poly(2, {})
     not_traceless = PolyMatrix(((x1, z), (z, z)))
     with pytest.raises(ConnectionError_):
-        GaugeConnection(model, (not_traceless, not_traceless))
+        Connection(model, coeffs=(not_traceless, not_traceless))
 
 
 def test_gauge_connection_rejects_coefficients_of_the_wrong_arity():
@@ -280,13 +279,13 @@ def test_gauge_connection_rejects_coefficients_of_the_wrong_arity():
     z = Poly(3, {})
     three_vars = PolyMatrix(((z, z), (z, z)))
     with pytest.raises(ConnectionError_, match="one variable per base axis"):
-        GaugeConnection(model, (three_vars, three_vars))
+        Connection(model, coeffs=(three_vars, three_vars))
 
 
 def test_splitting_one_form_rejects_a_wrong_image_count_up_front():
     one_image = (_lie(((0, 0, 1), (0, 0, 0), (0, 0, 0))),)
     with pytest.raises(FormError, match="one image per downstairs direction"):
-        splitting_one_form(HEIS, one_image)
+        one_form(HEIS, one_image)
 
 
 def _unit(n, *cells):
@@ -299,14 +298,14 @@ def test_splitting_connection_rejects_images_outside_h():
     direct_product = tuple(_unit(3, (i, j), (0, 2)) for i in range(2) for j in range(2))
     for model, images in ((HEIS, heisenberg), (FLAT, direct_product)):
         with pytest.raises(ConnectionError_, match="Lie algebra of H"):
-            SplittingConnection(model, images)
+            Connection(model, images)
 
 
 def test_splitting_one_form_rejects_images_outside_the_kernel():
     for model, outside in ((HEIS, _unit(3, (0, 1))), (FLAT, _unit(3, (0, 0)))):
         images = (outside,) * len(model.lie_basis("G"))
         with pytest.raises(FormError, match="Lie algebra of L"):
-            splitting_one_form(model, images)
+            one_form(model, images)
 
 
 def test_gauge_one_form_rejects_coefficients_of_the_wrong_arity():
@@ -319,19 +318,30 @@ def test_gauge_one_form_rejects_coefficients_of_the_wrong_arity():
     for group, coeff, message in cases:
         model = build_model("trivial_gauge", group)
         with pytest.raises(FormError, match=message):
-            gauge_one_form(model, (coeff, coeff))
+            one_form(model, coeffs=(coeff, coeff))
 
 
 def test_vertical_coefficients_need_a_gauge_model():
-    # checked before the arity: a one-point model refuses any coefficient list
+    # a one-point model refuses any coefficient list, a gauge model any
+    # image list, both in the connection and in the one-form
     z = Poly(2, {})
     one_matrix = (PolyMatrix(((z,) * 3,) * 3),)
     for model in (HEIS, FLAT):
-        for coeffs in ((), one_matrix):
-            with pytest.raises(ConnectionError_, match="vertical coefficients need a gauge model"):
-                GaugeConnection(model, coeffs)
-            with pytest.raises(FormError, match="vertical coefficients need a gauge model"):
-                gauge_one_form(model, coeffs)
+        images = preset_connection(model).images
+        central = (_unit(3, (0, 2)) if model is HEIS else _unit(3, (2, 2)),) * len(images)
+        for coeffs in (one_matrix, one_matrix * 2):
+            with pytest.raises(ConnectionError_, match="one coefficient matrix per base axis"):
+                Connection(model, images, coeffs)
+            with pytest.raises(FormError, match="one coefficient matrix per base axis"):
+                one_form(model, central, coeffs)
+    for group in ("scalar", "gl2", "sl2"):
+        model = build_model("trivial_gauge", group)
+        coeffs = preset_connection(model, preset_names(model)[0]).coeffs
+        for images in ((_lie(((0,),)),), (_lie(((0,),)),) * 2):
+            with pytest.raises(ConnectionError_, match="one image per downstairs direction"):
+                Connection(model, images, coeffs)
+            with pytest.raises(FormError, match="one image per downstairs direction"):
+                one_form(model, images, coeffs)
 
 
 def test_float_entries_are_rejected_by_every_constant_constructor():
@@ -343,8 +353,8 @@ def test_float_entries_are_rejected_by_every_constant_constructor():
 
     # rows enter through `Matrix.from_rational`, which refuses floats
     constructors = (
-        lambda scalar: SplittingConnection(HEIS, [_lie(r) for r in images(scalar)]),
-        lambda scalar: splitting_one_form(HEIS, [_lie(r) for r in central_images(scalar)]),
+        lambda scalar: Connection(HEIS, [_lie(r) for r in images(scalar)]),
+        lambda scalar: one_form(HEIS, [_lie(r) for r in central_images(scalar)]),
         lambda scalar: ConstantSection(HEIS, "G", _lie(images(scalar)[0])),
     )
     for build in constructors:
@@ -363,8 +373,8 @@ def test_constant_constructors_take_only_constant_matrices_of_their_size():
     cube = sample_microcube(random.Random(5), HEIS, "G", ("d1", "d2", "d3"), alg3)
     labeling = build_cube(preset_connection(HEIS), cube)
     constructors = (
-        (ConnectionError_, e01, lambda v: SplittingConnection(HEIS, (v, _lie(e12)))),
-        (FormError, e02, lambda v: splitting_one_form(HEIS, (v, _lie(e02)))),
+        (ConnectionError_, e01, lambda v: Connection(HEIS, (v, _lie(e12)))),
+        (FormError, e02, lambda v: one_form(HEIS, (v, _lie(e02)))),
         (MembershipError, e01, lambda v: ConstantSection(HEIS, "G", v)),
         (MembershipError, e12, lambda v: corrupt_edge(labeling, ("B", "D"), v)),
     )

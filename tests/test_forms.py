@@ -10,8 +10,7 @@ from nilgeo.forms import (
     FormError,
     curvature_form,
     d_nabla,
-    gauge_one_form,
-    splitting_one_form,
+    one_form,
     validate_form,
 )
 from nilgeo.matrices import Matrix
@@ -57,13 +56,11 @@ def sample_squares(rng, model, count, alg=None):
 
 
 def random_one_form(rng, model, degree=2):
-    if model.base_dim == 0:
-        images = [_l_value(rng, model) for _ in model.lie_basis("G")]
-        return splitting_one_form(model, images)
+    images = [_l_value(rng, model) for _ in model.lie_basis("G")]
     coeffs = [
         sample_poly_matrix(rng, model, "L", degree) for _ in range(model.base_dim)
     ]
-    return gauge_one_form(model, coeffs)
+    return one_form(model, images, coeffs)
 
 
 def _l_value(rng, model):
@@ -151,7 +148,7 @@ def test_abelian_derivative_is_the_curl():
     for _ in range(10):
         w1 = sample_poly(rng, 2, 3)
         w2 = sample_poly(rng, 2, 3)
-        omega = gauge_one_form(SCALAR, (PolyMatrix(((w1,),)), PolyMatrix(((w2,),))))
+        omega = one_form(SCALAR, coeffs=(PolyMatrix(((w1,),)), PolyMatrix(((w2,),))))
         x = sample_point(rng, SCALAR, alg)
         target = (x[0] + alg.gen("d1"), x[1] + alg.gen("d2"))
         square = make_microcube(

@@ -17,7 +17,7 @@ from math import lcm
 import pytest
 
 from nilgeo import matrices, microcalc, models, suites
-from nilgeo.connection import GaugeConnection
+from nilgeo.connection import Connection
 from nilgeo.microcalc import TangentData
 from nilgeo.models import all_models
 
@@ -70,13 +70,14 @@ def zeroed_bracket(monkeypatch):
 
 def flipped_gauge_transport(monkeypatch):
     # the lift's vertical part negated; its base direction stays
-    original = GaugeConnection.apply
+    original = Connection.apply
 
     def apply(self, td):
         t = original(self, td)
-        return TangentData(t.model, t.grp, t.anchor, t.direction, -t.vert)
+        vert = matrices.Matrix.zero(t.vert.size, t.algebra) - t.vert
+        return TangentData(t.model, t.grp, t.anchor, t.direction, vert)
 
-    monkeypatch.setattr(GaugeConnection, "apply", apply)
+    monkeypatch.setattr(Connection, "apply", apply)
 
 
 def uninverted_edge_read(monkeypatch):

@@ -144,3 +144,27 @@ def test_no_public_code_is_called_only_from_tests(tmp_path):
         and not any(n.rsplit(".", 1)[1] in reads for n in names)
     )
     assert not never, "never called by the program: " + ", ".join(never)
+
+
+def traced_methods() -> dict[str, tuple[tuple[str, str], ...]]:
+    """The benchmark tracer's span name -> (class, attribute) pairs, read
+    from its source without importing it."""
+    tree = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("the tracer assigns no METHODS")
+
+
+def test_every_traced_method_is_defined_on_a_class_of_its_layer():
+    # the tracer reports a missing name only after a full traced run
+    methods = traced_methods()
+    assert methods
+    for span, members in methods.items():
+        mod = importlib.import_module(f"nilgeo.{span.split('.')[0]}")
+        for cls_name, attr in members:
+            cls = getattr(mod, cls_name, None)
+            assert isinstance(cls, type), f"{span}: {mod.__name__} has no class {cls_name}"
+            assert attr in vars(cls), f"{span}: {cls_name} does not define {attr}"

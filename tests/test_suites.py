@@ -10,7 +10,7 @@ from oracles import poly_rows, poly_terms
 
 from nilgeo import microcalc, suites
 from nilgeo.cli import RunConfig, parse_config, run_suite
-from nilgeo.connection import GaugeConnection, SplittingConnection
+from nilgeo.connection import Connection
 from nilgeo.microcalc import ConstantSection, Microcube, PolySection
 from nilgeo.models import all_models
 from nilgeo.polynomials import Poly, PolyMatrix
@@ -100,9 +100,9 @@ def _canonical(value) -> str:
     if isinstance(value, Microcube):
         a = value.arrow
         return f"cube{value.args}[{_canonical(a.source)} -> {_canonical(a.target)}: {a.body}]"
-    if isinstance(value, SplittingConnection):
-        return f"splitting{_canonical(tuple(img.constant_matrix() for img in value.images))}"
-    if isinstance(value, GaugeConnection):
+    if isinstance(value, Connection):
+        if value.images:
+            return f"splitting{_canonical(tuple(img.constant_matrix() for img in value.images))}"
         return f"gauge{_canonical(value.coeffs)}"
     if isinstance(value, ConstantSection):
         return f"constant{_canonical(value.vert.constant_matrix())}"
