@@ -12,26 +12,27 @@ A product pairs the disjoint surviving masks of its factors and does one
 small integer matrix product per pair, then normalizes once.  Sums and
 multiples work on the table the same way, and `drop`, `coefficient`,
 `convert` and the arrow transforms of `microcalc` apply a mask plan of
-`weil` to it (`_apply`).  The public constructor packs its entries'
-tables into one (`_combination`).  A `PolyMatrix` or `Poly` keeps a table
-of the same shape keyed by exponent tuples and sums its evaluation into a
-table over masks; `_normal` brings both kinds of table to canonical form.
-`models` reads the table by position: its group tests directly, its
-projections through `gather`, and the splitting connections read their
-free cells the same way.  Entries (`m[i, j]`, `rows`) are built as
+`weil` to it (`_apply`).  There is no constructor from rows of entries:
+a matrix starts as a table, from `identity`, `zero`, `from_rational`
+(where rationals enter) or a `PolyMatrix` evaluation.  A `PolyMatrix` or
+`Poly` keeps a table of the same shape keyed by exponent tuples and sums
+its evaluation into a table over masks; `_normal` brings both kinds of
+table to canonical form.  `models` reads the table by position: its group
+tests directly, its projections through `gather`, and the connections read
+their free cells the same way.  Entries (`m[i, j]`) are built as
 `WeilElement`s only when read.
 
-Inverses exploit nilpotency: the constant part is inverted over the
-rationals by Gaussian elimination and the nilpotent remainder by the
-finite series of `weil._neumann`, so everything stays exact.  When the constant part is
-already the identity, as for every square-zero step I + wV of a lifted
-edge, the elimination and both products with its result are skipped and
-the series runs on the nilpotent part directly; for a step it stops after
-one square.
+Only I + U with U nilpotent is inverted, by the finite series of
+`weil._neumann`, so everything stays exact.  Every arrow the checker
+composes or inverts is the identity where its generators vanish, so no
+other constant part ever reaches `inverse`, and one raises `NotUnipotent`;
+there is no elimination over the rationals.  For a square-zero step I + wV
+of a lifted edge the series stops after one square.
 
-The public constructor checks that the matrix is square, not empty and
-over one algebra.  Results of the arithmetic here are all three by
-construction and skip those checks.  Every algebra test is `weil._check_algebra`.
+`from_rational` checks that the matrix is square and not empty.  Results
+of the arithmetic here are square, not empty and over one algebra by
+construction and skip those checks.  Every algebra test is
+`weil._check_algebra`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .weil import (
     Scalar, WeilAlgebra, WeilElement, _build, _check_algebra, _exact, _neumann, _Plan,
@@ -50,8 +51,10 @@ from .weil import (
 Rational = Sequence[Sequence[Scalar]]
 
 
-class SingularMatrix(ZeroDivisionError):
-    """Constant part of the matrix is not invertible over the rationals."""
+class NotUnipotent(ValueError):
+    """`Matrix.inverse` was given a constant part other than the identity.
+    Every arrow the checker inverts is the identity where its generators
+    vanish, so only I + nilpotent is ever inverted, by a finite series."""
 
 
 class SizeMismatch(ValueError):
@@ -63,20 +66,6 @@ class Matrix(_Transforms):
     integer n x n matrix (`_t`), over the common denominator `_den`."""
 
     __slots__ = ("algebra", "size", "_t", "_den")
-
-    def __init__(self, rows: Iterable[Iterable[WeilElement]]):
-        rows = tuple(tuple(r) for r in rows)
-        n = _check_shape(rows)
-        alg = rows[0][0].algebra
-        entries = [a for r in rows for a in r]
-        for a in entries:
-            if a.algebra is not alg:
-                _check_algebra(alg, a.algebra)
-        packed = _combination(alg, n, entries)
-        self.algebra = alg
-        self.size = n
-        self._t = packed._t
-        self._den = packed._den
 
     @staticmethod
     def identity(n: int, alg: WeilAlgebra) -> "Matrix":
@@ -102,11 +91,6 @@ class Matrix(_Transforms):
         return _build(
             self.algebra, {m: v[k] for m, v in self._t.items() if v[k]}, self._den
         )
-
-    @property
-    def rows(self) -> tuple[tuple[WeilElement, ...], ...]:
-        n = self.size
-        return tuple(tuple(self[i, j] for j in range(n)) for i in range(n))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -189,17 +173,16 @@ class Matrix(_Transforms):
         return self._den == 1 and len(self._t) == 1 and self._t.get(0) == _eye(self.size)
 
     def inverse(self) -> "Matrix":
-        if _has_identity_constant(self):
-            return _unipotent_inverse(self)
-        c_inv_m = Matrix.from_rational(
-            _rational_inverse(self.constant_matrix()), self.algebra
-        )
-        # self = C (I + U) with U nilpotent; inverse = (I + U)^{-1} C^{-1}
-        return _unipotent_inverse(c_inv_m * self) * c_inv_m
+        """The inverse of I + U with U nilpotent (`weil._neumann`)."""
+        if not _has_identity_constant(self):
+            raise NotUnipotent("constant part is not the identity")
+        u = _normal(self.algebra, self.size, {k: v for k, v in self._t.items() if k}, self._den)
+        return _neumann(Matrix.identity(self.size, self.algebra), u)
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
-        return f"Matrix[{body}]"
+        n = self.size
+        rows = (", ".join(str(self[i, j]) for j in range(n)) for i in range(n))
+        return f"Matrix[{'; '.join(rows)}]"
 
 
 def _new(alg: WeilAlgebra, n: int, table: dict, den: int) -> Matrix:
@@ -279,22 +262,6 @@ def _times(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return a if c == 1 else tuple([x * c for x in a])
 
 
-def _combination(alg: WeilAlgebra, n: int, entries: Sequence[WeilElement]) -> Matrix:
-    """The matrix with the flat, row-major `entries`, elements of `alg`:
-    one integer table over a common denominator, normalized once.  The
-    caller has checked the algebras."""
-    den = lcm(*(x._den for x in entries))
-    table: dict[int, list[int]] = {}
-    for k, x in enumerate(entries):
-        s = den // x._den
-        for m, v in x._c.items():
-            col = table.get(m)
-            if col is None:
-                col = table[m] = [0] * (n * n)
-            col[k] = v * s
-    return _normal(alg, n, {m: tuple(v) for m, v in table.items()}, den)
-
-
 def _check_size(n: int) -> int:
     if n < 1:
         raise ValueError("matrix must not be empty")
@@ -314,8 +281,9 @@ def _check_sizes(a: Matrix, b: Matrix) -> None:
 
 
 def _det(rows):
-    """The determinant of a square matrix of size at most 2 (no group block
-    is larger), over any commutative ring: Weil elements, rationals or integers."""
+    """The determinant of a square matrix of size at most 2 (`MatrixGroup`
+    refuses larger blocks), over any commutative ring: Weil elements,
+    rationals or integers."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -352,32 +320,3 @@ def _has_identity_constant(m: Matrix) -> bool:
     # a constant term equals I exactly when its numerators are den * I
     c = m._t.get(0)
     return c is not None and c == tuple([m._den * x for x in _eye(m.size)])
-
-
-def _unipotent_inverse(m: Matrix) -> Matrix:
-    """Inverse of I + U with U nilpotent (`weil._neumann`).  `m` has
-    constant part exactly I, so U is its table without mask 0."""
-    u = _normal(m.algebra, m.size, {k: v for k, v in m._t.items() if k}, m._den)
-    return _neumann(Matrix.identity(m.size, m.algebra), u)
-
-
-def _rational_inverse(rows: tuple[tuple[Fraction, ...], ...]):
-    n = len(rows)
-    a = [list(r) for r in rows]
-    b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("constant part is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] = [v * inv for v in b[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col]
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-            b[r] = [v - f * w for v, w in zip(b[r], b[col])]
-    return tuple(tuple(r) for r in b)

@@ -23,7 +23,7 @@ enters from outside: the public `make_microcube`, which `degenerate_square`,
 connection's `apply` returns is checked in `connection.lifted_edge`.  A cube
 derived from a checked one by `slice_multi`, `permute`, `scale_arg` or `tau`
 is a cube by group closure, since each reparametrizes by a map of algebras
-(`_relabel_plan` refuses a renaming that is not one), so those four wrap
+(`permute`'s `_relabel_plan` refuses a renaming that is not one), so those four wrap
 their arrow with the unchecked `_cube`; so does `connection.lift`, whose
 arrow composes two checked lifted edges.
 
@@ -33,9 +33,9 @@ reads the edge tangent of each argument once, at its far corner
 The edge from any other corner is that tangent with the off arguments
 dropped (`_tangent_drop`), so a cube's twelve edges cost three reads, and
 an edge from the origin can be read directly, with no inverse, since its
-body is I at d_k = 0.  A slice that renames nothing inherits each far read
-its parent has kept (`_inherit_far_edges`), so the faces of a lifted cube
-read none again.
+body is I at d_k = 0.  A slice freezes each argument at 0 or at its own
+name, never renaming one, so it inherits each far read its parent has kept
+(`_inherit_far_edges`), and the faces of a lifted cube read none again.
 """
 
 from __future__ import annotations
@@ -215,57 +215,47 @@ def _cube(arrow: Arrow, args: tuple[str, ...]) -> Microcube:
 def slice_cube(cube: Microcube, i: int, e) -> Microcube:
     """Freeze argument i at e and renormalize by the frozen arrow.
 
-    `e` is 0 or a generator name; passing the argument's own name keeps it
-    as a symbolic parameter of the resulting lower cube."""
+    `e` is 0 or the argument's own name, which keeps it as a symbolic
+    parameter of the resulting lower cube."""
     return slice_multi(cube, {i: e})
 
 
 def slice_multi(cube: Microcube, frozen: dict[int, object]) -> Microcube:
+    """Freeze each argument i of `frozen` at its value, 0 or the argument's
+    own name, and renormalize by the frozen arrow."""
     args = cube.args
     for i in frozen:
         if not 1 <= i <= len(args):
             raise CubeError(f"slice index {i} out of range")
     remaining = tuple(g for k, g in enumerate(args, 1) if k not in frozen)
-    alg = cube.algebra
-    rename: dict[str, str] = {}
     zeroed: list[str] = []
     for i, e in frozen.items():
         g = args[i - 1]
         if e == 0:
             zeroed.append(g)
-        elif isinstance(e, str):
-            if e not in alg.names:
-                raise CubeError(f"generator {e} not in the ambient algebra")
-            if e in remaining:
-                raise CubeError(f"generator collision with remaining argument {e}")
-            if e != g:
-                rename[g] = e
-        else:
-            raise CubeError("frozen value must be 0 or a generator name")
-    a = cube.arrow
-    if rename:
-        a = _transform(a, lambda alg: _relabel_plan(alg, tuple(rename.items())))
-    if zeroed:
-        a = arrow_drop(a, zeroed)
+        elif e != g:
+            raise CubeError(f"frozen value must be 0 or the argument's own name {g}")
     if not remaining:
         raise CubeError("cannot slice away every argument")
-    if all(e == 0 for e in frozen.values()):
+    a = cube.arrow
+    if zeroed:
+        a = arrow_drop(a, zeroed)
+    if len(zeroed) == len(frozen):
         # frozen arrow is the identity; no correction factor needed
         out = _cube(a, remaining)
     else:
         corr = arrow_drop(a, remaining)
         out = _cube(compose(a, invert(corr)), remaining)
-    if not rename:
-        _inherit_far_edges(cube, out, zeroed)
+    _inherit_far_edges(cube, out, zeroed)
     return out
 
 
 def _inherit_far_edges(parent: Microcube, child: Microcube, zeroed: list[str]) -> None:
-    """Hand a slice of `parent` that renames nothing each far-corner read
-    the parent has kept along one of the slice's arguments.  The slice's
-    read is the parent's with the zeroed arguments dropped; the correction
-    by the frozen arrow does not change it, since that arrow is free of
-    the slice's arguments and cancels between the read's two factors."""
+    """Hand a slice of `parent` each far-corner read the parent has kept
+    along one of the slice's arguments.  The slice's read is the parent's
+    with the zeroed arguments dropped; the correction by the frozen arrow
+    does not change it, since that arrow is free of the slice's arguments
+    and cancels between the read's two factors."""
     kept = parent.__dict__.get("far_edges")
     if not kept:
         return

@@ -71,6 +71,10 @@ class MatrixGroup:
         self.blocks = tuple(blocks)
         if any(kind not in ("GL", "SL") for _, kind in self.blocks):
             raise ValueError("a block is 'GL' or 'SL'")
+        # `_det` covers sizes 1 and 2, which is every block a model needs
+        for span, _ in self.blocks:
+            if len(set(span) & set(range(size))) != len(span) or len(span) not in (1, 2):
+                raise ValueError(f"a block spans 1 or 2 distinct indices below {size}: {span}")
         # flat positions off the free cells, where the table reads as I
         fixed = [k for k in range(size * size) if divmod(k, size) not in self.free]
         self._zeros = tuple(k for k in fixed if k % (size + 1))

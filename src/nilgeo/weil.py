@@ -397,14 +397,6 @@ class WeilElement(_Transforms):
 
     # -- inspection ---------------------------------------------------------
 
-    @property
-    def coeffs(self) -> dict[tuple[str, ...], Fraction]:
-        """Coefficient table keyed by monomial name tuples (a copy)."""
-        return {
-            self.algebra.mono_names(m): Fraction(v, self._den)
-            for m, v in sorted(self._c.items())
-        }
-
     def constant_term(self) -> Fraction:
         return Fraction(self._c.get(0, 0), self._den)
 

@@ -9,6 +9,71 @@ from nilgeo.models import Arrow
 from nilgeo.polynomials import Poly, PolyMatrix
 
 
+def coeffs(e):
+    """The coefficients of a `WeilElement` as monomial name tuple ->
+    `Fraction`, read back off its integer table."""
+    return {e.algebra.mono_names(m): Fraction(v, e._den) for m, v in sorted(e._c.items())}
+
+
+def rows(m):
+    """The entries of a `Matrix` as a tuple of rows of `WeilElement`s."""
+    n = m.size
+    return tuple(tuple(m[i, j] for j in range(n)) for i in range(n))
+
+
+def matrix(entries):
+    """The `Matrix` with these rows of `WeilElement`s of one algebra, built
+    from program calls only: the sum of E_ij * a_ij over the unit matrices
+    E_ij."""
+    entries = tuple(tuple(r) for r in entries)
+    n = len(entries)
+    alg = entries[0][0].algebra
+    out = Matrix.zero(n, alg)
+    for i, r in enumerate(entries):
+        for j, a in enumerate(r):
+            unit = [[int((p, q) == (i, j)) for q in range(n)] for p in range(n)]
+            out = out + Matrix.from_rational(unit, alg) * a
+    return out
+
+
+def rational_inverse(const):
+    """The inverse of a square matrix of rationals, given as rows, by
+    Gaussian elimination; raises `ZeroDivisionError` when it is singular."""
+    n = len(const)
+    a = [[Fraction(v) for v in r] for r in const]
+    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("constant part is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        b[col] = [v * inv for v in b[col]]
+        for r in range(n):
+            if r == col or a[r][col] == 0:
+                continue
+            f = a[r][col]
+            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+            b[r] = [v - f * w for v, w in zip(b[r], b[col])]
+    return tuple(tuple(r) for r in b)
+
+
+def inverse(m):
+    """The inverse of a `Matrix` whose constant part C is any invertible
+    rational matrix: m = C (I + U) with U nilpotent, so m^-1 = (I + U)^-1
+    C^-1, and `Matrix.inverse` takes the factor I + U."""
+    c_inv = Matrix.from_rational(rational_inverse(m.constant_matrix()), m.algebra)
+    return (c_inv * m).inverse() * c_inv
+
+
+def invert(g):
+    """The inverse of a finite arrow, whose body need not be I where the
+    generators vanish."""
+    return Arrow(g.model, g.grp, g.target, g.source, inverse(g.body))
+
+
 def poly_terms(p):
     """The terms of a `Poly` as exponent tuple -> `Fraction`, read back off
     its integer table."""

@@ -97,13 +97,7 @@ def test_lopsided_evaluator_fails_alternation():
         alg = cube.algebra
         d1 = cube.args[0]
         coeff = cube.arrow.body.coefficient((d1,)).drop(cube.args[1:])
-        vert = Matrix(
-            (
-                (alg.zero, alg.zero, coeff[0, 1]),
-                (alg.zero, alg.zero, alg.zero),
-                (alg.zero, alg.zero, alg.zero),
-            )
-        )
+        vert = Matrix.from_rational([[0, 0, 1], [0, 0, 0], [0, 0, 0]], alg) * coeff[0, 1]
         return TangentData(HEIS, "L", cube.anchor, (), vert)
 
     bad = Form(HEIS, 2, fn)

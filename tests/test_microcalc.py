@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import partial
+from oracles import matrix, partial, rows
 
 from nilgeo import microcalc
 from nilgeo.matrices import Matrix
@@ -49,8 +49,8 @@ HEIS = build_model("heisenberg")
 
 
 def entrywise(m, fn):
-    """Oracle: `fn` on every entry, rebuilt through the public constructor."""
-    return Matrix([[fn(w) for w in r] for r in m.rows])
+    """Oracle: `fn` on every entry, rebuilt from the entries."""
+    return matrix([[fn(w) for w in r] for r in rows(m)])
 
 
 def arrow_map(a, fn):
@@ -94,16 +94,16 @@ def random_g_matrices(rng, alg):
 # -- slices -------------------------------------------------------------------
 
 
-def test_slice_with_fresh_parameter_matches_hand_expansion():
+def test_slice_at_own_name_matches_hand_expansion():
     rng = random.Random(2)
-    alg = algebra(["d1", "d2", "e"])
+    alg = algebra(["d1", "d2"])
     for _ in range(20):
         a, b, c = random_g_matrices(rng, alg)
         cube = g_square(alg, a, b, c)
-        got = slice_cube(cube, 1, "e")
+        got = slice_cube(cube, 1, "d1")
         assert got.args == ("d2",)
-        ge, g2 = alg.gen("e"), alg.gen("d2")
-        want = Matrix.identity(3, alg) + b * g2 + (c - b * a) * (ge * g2)
+        g1, g2 = alg.gen("d1"), alg.gen("d2")
+        want = Matrix.identity(3, alg) + b * g2 + (c - b * a) * (g1 * g2)
         assert got.arrow.body == want
 
 
@@ -207,10 +207,12 @@ def test_arrow_drop_reads_foreign_coordinates_by_name():
 
 
 def test_slice_rejects_colliding_parameter():
-    alg = algebra(["d1", "d2"])
+    # a frozen value is 0 or the argument's own name: a slice never renames
+    alg = algebra(["d1", "d2", "e"])
     cube = g_square(alg, e01(alg), e02(alg), e02(alg, 0))
-    with pytest.raises(CubeError):
-        slice_cube(cube, 1, "d2")
+    for e in ("d2", "e", "y", 1, alg.gen("d1")):
+        with pytest.raises(CubeError, match="0 or the argument's own name d1"):
+            slice_cube(cube, 1, e)
 
 
 # -- edges, permutation, scaling ----------------------------------------------
@@ -305,6 +307,23 @@ def test_bracket_heisenberg_directions():
     t2 = TangentData(HEIS, "H", (), (), e12(alg))
     got = bracket(t1, t2)
     assert got.vert == e02(alg, -1)
+
+
+def test_bracket_takes_fresh_names_past_the_ones_in_use():
+    # the word needs two generators beyond the tangents' algebra, named
+    # after u and v; over an algebra that holds u and u1 the first is u2
+    t1 = TangentData(HEIS, "H", (), (), e01(ALG0, 2) + e02(ALG0))
+    t2 = TangentData(HEIS, "H", (), (), e12(ALG0, 3))
+    want = bracket(t1, t2)
+    assert not want.is_zero()
+    for names in (["u", "v"], ["u", "u1", "v"]):
+        alg = algebra(names)
+        assert bracket(t1.convert(alg), t2.convert(alg)) == want.convert(alg)
+        # the bracket is bilinear over the algebra: entries holding every
+        # name in use scale it, where a clash with the word would truncate
+        f = sum((alg.gen(g) for g in names), alg.one)
+        a, b = (TangentData(HEIS, "H", (), (), t.convert(alg).vert * f) for t in (t1, t2))
+        assert bracket(a, b).vert == want.convert(alg).vert * (f * f)
 
 
 def test_bracket_matches_word_expansion_oracle():
@@ -533,7 +552,7 @@ ALG3 = algebra(["d1", "d2", "d3"])
 # each function that derives a cube from a checked one, with one call on a cube
 DERIVED = {
     "slice_multi": lambda c: slice_multi(c, {1: 0, 3: "d3"}),
-    "slice_cube-fresh-name": lambda c: slice_cube(c, 2, "e"),
+    "slice_cube-own-name": lambda c: slice_cube(c, 2, "d2"),
     "slice_cube-zero": lambda c: slice_cube(c, 1, 0),
     "permute": lambda c: permute(c, (3, 1, 2)),
     "scale_arg": lambda c: scale_arg(c, 2, Fraction(-3, 2)),
@@ -606,13 +625,12 @@ def test_make_microcube_rejects_malformed_input(arrow, args, error, message):
     ids=["heisenberg-G", "sl2-H"],
 )
 def test_renaming_must_be_a_map_of_algebras(model, grp):
-    # with d1*d2 killed but d1*d3 alive, swapping d2 and d3 or renaming d1
-    # to e is no map of algebras: it would return a wrong cube unchecked
+    # with d1*d2 killed but d1*d3 alive, swapping d2 and d3 is no map of
+    # algebras: it would return a wrong cube unchecked
     alg = algebra(["d1", "d2", "d3", "e"], killed=[("d1", "d2")])
     cube = sample_microcube(random.Random(80), model, grp, ("d1", "d2", "d3"), alg)
-    for derive in (lambda c: permute(c, (1, 3, 2)), lambda c: slice_cube(c, 1, "e")):
-        with pytest.raises(CubeError, match="killed monomials"):
-            derive(cube)
+    with pytest.raises(CubeError, match="killed monomials"):
+        permute(cube, (1, 3, 2))
     swapped = permute(cube, (2, 1, 3))
     assert swapped == make_microcube(swapped.arrow, swapped.args)
     assert permute(swapped, (2, 1, 3)) == cube

@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import invert, matrix, rows
 
 from nilgeo.matrices import Matrix, _det
 from nilgeo.models import (
     ALG0,
     Arrow,
     CompositionError,
+    MatrixGroup,
+    _full,
     all_models,
     build_model,
     compose,
-    invert,
 )
 from nilgeo.sampling import (
     sample_lie_rows,
@@ -273,6 +275,20 @@ def test_registry_rejects_unknown_names():
     assert len(all_models()) == 5
 
 
+def test_matrix_group_refuses_blocks_it_cannot_test():
+    # membership reads the determinant of each block, of size 1 or 2
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    with pytest.raises(ValueError, match="1 or 2 distinct indices below 3"):
+        _full(3, "GL")
+    for span in ((0, 1, 1), (1, 1), (), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="1 or 2 distinct indices below 3"):
+            MatrixGroup(3, cells, ((span, "SL"),))
+    with pytest.raises(ValueError, match="'GL' or 'SL'"):
+        MatrixGroup(3, cells, (((0, 1), "SO"),))
+    group = MatrixGroup(3, cells, (((2, 0), "SL"), ((1,), "GL")))
+    assert group.contains(Matrix.identity(3, ALG0))
+
+
 # -- table reads against per-entry oracles ----------------------------------------
 
 
@@ -299,10 +315,10 @@ def entry_project_vert(model, w):
     """Oracle: the downstairs part of an H-matrix, rebuilt entry by entry."""
     z = w.algebra.zero
     if model.family == "heisenberg":
-        return Matrix(((z, w[0, 1], w[1, 2]), (z, z, z), (z, z, z)))
+        return matrix(((z, w[0, 1], w[1, 2]), (z, z, z), (z, z, z)))
     if model.family == "direct_product":
-        return Matrix(((w[0, 0], w[0, 1]), (w[1, 0], w[1, 1])))
-    return Matrix(((z,),))
+        return matrix(((w[0, 0], w[0, 1]), (w[1, 0], w[1, 1])))
+    return matrix(((z,),))
 
 
 def entry_project(model, h):
@@ -354,7 +370,7 @@ def test_members_off_only_at_a_nilpotent_monomial_are_rejected():
         assert not spec.contains(bad) and not entry_contains(spec, bad)
         assert spec.contains(bad.drop(("d2",)))
     bump = Matrix.identity(2, alg) + _unit(2, 0, 0, alg) * d12
-    assert _det(bump.rows) == alg.one + d12
+    assert _det(rows(bump)) == alg.one + d12
     assert build_model("trivial_gauge", "gl2").spec("H").contains(bump)
 
 

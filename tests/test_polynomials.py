@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import poly_rows, poly_terms
+from oracles import coeffs, poly_rows, poly_terms
 
 from nilgeo.matrices import Matrix
 from nilgeo.microcalc import make_microcube, scale_arg
@@ -80,8 +80,8 @@ def test_poly_matrix_evaluation_matches_termwise_reference(alg):
         for i, row in enumerate(poly_rows(pm)):
             for j, p in enumerate(row):
                 want = termwise(p, x)
-                assert got[i, j].coeffs == want.coeffs
-                assert p(x).coeffs == want.coeffs
+                assert coeffs(got[i, j]) == coeffs(want)
+                assert coeffs(p(x)) == coeffs(want)
 
 
 def test_linear_combination_matches_fraction_sum():
@@ -98,11 +98,11 @@ def test_linear_combination_matches_fraction_sum():
             for xi, k in zip(x, e):
                 for _ in range(k):
                     mono = mono * xi
-            for names, v in mono.coeffs.items():
+            for names, v in coeffs(mono).items():
                 want[names] = want.get(names, Fraction(0)) + q * v
         want = {names: v for names, v in want.items() if v}
-        assert p(x).coeffs == want
-        assert PolyMatrix(((p,),))(x)[0, 0].coeffs == want
+        assert coeffs(p(x)) == want
+        assert coeffs(PolyMatrix(((p,),))(x)[0, 0]) == want
 
 
 def test_poly_matrix_evaluation_shares_monomials(monkeypatch):
@@ -155,7 +155,7 @@ def test_floats_are_rejected_as_coefficients():
     cube = make_microcube(Arrow(model, "G", (), (), Matrix.identity(3, alg)), ("d1",))
     with pytest.raises(TypeError):
         scale_arg(cube, 1, 0.5)
-    assert alg.term(Fraction(1, 10), ("d1",)).coeffs == {("d1",): Fraction(1, 10)}
+    assert coeffs(alg.term(Fraction(1, 10), ("d1",))) == {("d1",): Fraction(1, 10)}
     assert alg.scalar(Fraction(1, 10)).constant_term() == Fraction(1, 10)
     assert poly_terms(Poly(1, {(1,): Fraction(1, 10)})) == {(1,): Fraction(1, 10)}
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import coeffs
 
 from nilgeo.weil import (
     AlgebraMismatch,
@@ -33,7 +34,7 @@ def subs(x, mapping, into=None):
             raise SubstitutionError(f"image of {name} is not square-zero")
         images[name] = img
     out = target.zero
-    for names, c in x.coeffs.items():
+    for names, c in coeffs(x).items():
         term = target.scalar(c)
         for g in names:
             term = term * (images[g] if g in images else target.gen(g))
@@ -318,8 +319,8 @@ def pair_loop_product(a, b):
     skipping repeated generators and killed products."""
     alg = a.algebra
     out = {}
-    for n1, q1 in a.coeffs.items():
-        for n2, q2 in b.coeffs.items():
+    for n1, q1 in coeffs(a).items():
+        for n2, q2 in coeffs(b).items():
             if set(n1) & set(n2) or alg.term(1, n1 + n2).is_zero():
                 continue
             key = alg.mono_names(alg.mask(n1 + n2))
@@ -345,10 +346,10 @@ def test_dense_product_matches_pair_loop(n, killed):
     for _ in range(60):
         a = random_element(rng, alg)
         b = random_element(rng, alg)
-        if len(a.coeffs) * len(b.coeffs) <= 3**n:
+        if len(coeffs(a)) * len(coeffs(b)) <= 3**n:
             continue  # sparse pairs take the pair loop itself
-        assert (a * b).coeffs == pair_loop_product(a, b)
-        assert (b * a).coeffs == pair_loop_product(b, a)
+        assert coeffs(a * b) == pair_loop_product(a, b)
+        assert coeffs(b * a) == pair_loop_product(b, a)
 
 
 def test_sparse_product_matches_pair_loop():
@@ -357,7 +358,7 @@ def test_sparse_product_matches_pair_loop():
     for _ in range(60):
         a = random_element(rng, alg)
         b = alg.scalar(rng.randint(-3, 3)) + rng.randint(-3, 3) * alg.gen("d2")
-        assert (a * b).coeffs == pair_loop_product(a, b)
+        assert coeffs(a * b) == pair_loop_product(a, b)
 
 
 # -- mask plans -----------------------------------------------------------------
@@ -386,7 +387,7 @@ def test_every_plan_matches_its_oracle_on_every_subset(alg):
     wide = algebra(["d3", "e", "d2", "d1"], killed=dead)  # reordered, one more name
     for _ in range(10):
         x = random_element(rng, alg)
-        terms = list(x.coeffs.items())
+        terms = list(coeffs(x).items())
         for names in _subsets(alg.names):
             gone = set(names)
             assert x.drop(names) == _rebuild(
