@@ -19,15 +19,17 @@ a matrix starts as a table, from `identity`, `zero`, `from_rational`
 its evaluation into a table over masks; `_normal` brings both kinds of
 table to canonical form.  `models` reads the table by position: its group
 tests directly, its projections through `gather`, and the connections read
-their free cells the same way.  Entries (`m[i, j]`) are built as
-`WeilElement`s only when read.
+their free cells the same way.  There is no entry reader: the program
+reads tables, and entries are built as `WeilElement`s only for display.
 
-Only I + U with U nilpotent is inverted, by the finite series of
-`weil._neumann`, so everything stays exact.  Every arrow the checker
-composes or inverts is the identity where its generators vanish, so no
-other constant part ever reaches `inverse`, and one raises `NotUnipotent`;
-there is no elimination over the rationals.  For a square-zero step I + wV
-of a lifted edge the series stops after one square.
+Only I + U with U nilpotent is inverted, so everything stays exact.  Every
+arrow the checker composes or inverts is the identity where its generators
+vanish, so no other constant part ever reaches `inverse`, and one raises
+`NotUnipotent`; there is no elimination over the rationals.  A square-zero
+step, I + U whose masks all share a generator (a lifted edge I + dV, a
+face-loop letter), has U * U = 0, so its inverse is I - U in closed form:
+the same table with the nonconstant part negated.  Every other I + U takes
+the finite series of `weil._neumann`.
 
 `from_rational` checks that the matrix is square and not empty.  Results
 of the arithmetic here are square, not empty and over one algebra by
@@ -84,14 +86,6 @@ class Matrix(_Transforms):
         flat = tuple(q.numerator * (den // q.denominator) for q in vals)
         return _new(alg, n, {0: flat} if any(flat) else {}, den)
 
-    def __getitem__(self, ij) -> WeilElement:
-        i, j = ij
-        span = range(self.size)  # indexes like a tuple of rows
-        k = span[i] * self.size + span[j]
-        return _build(
-            self.algebra, {m: v[k] for m, v in self._t.items() if v[k]}, self._den
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -144,14 +138,15 @@ class Matrix(_Transforms):
             for i in range(n)
         )
 
-    def _apply(self, plan: _Plan) -> "Matrix":
-        """Entrywise `WeilElement._apply`: one plan lookup per mask."""
+    def _apply(self, *plans: _Plan) -> "Matrix":
+        """Entrywise `WeilElement._apply`: one plan lookup per mask and plan."""
         out: dict[int, tuple[int, ...]] = {}
-        for m, v in self._t.items():
-            if (hit := plan[m]) is not None:
-                new, f = hit
-                v = v if f == 1 else tuple([x * f for x in v])
-                out[new] = tuple(map(add, out[new], v)) if new in out else v
+        for plan in plans:
+            for m, v in self._t.items():
+                if (hit := plan[m]) is not None:
+                    new, f = hit
+                    v = v if f == 1 else tuple([x * f for x in v])
+                    out[new] = tuple(map(add, out[new], v)) if new in out else v
         return _normal(plan.target, self.size, out, self._den * plan.den)
 
     def gather(self, cells: Sequence[Sequence[tuple[int, int] | None]]) -> "Matrix":
@@ -173,15 +168,27 @@ class Matrix(_Transforms):
         return self._den == 1 and len(self._t) == 1 and self._t.get(0) == _eye(self.size)
 
     def inverse(self) -> "Matrix":
-        """The inverse of I + U with U nilpotent (`weil._neumann`)."""
+        """The inverse of I + U with U nilpotent.  When every mask of U
+        shares a generator, U * U = 0 and the inverse is I - U
+        (`_step_inverse`); otherwise it is the series of `weil._neumann`."""
         if not _has_identity_constant(self):
             raise NotUnipotent("constant part is not the identity")
+        common = -1  # the AND of U's masks; no mask at all leaves it nonzero
+        for m in self._t:
+            if m:
+                common &= m
+        if common:
+            return _step_inverse(self)
         u = _normal(self.algebra, self.size, {k: v for k, v in self._t.items() if k}, self._den)
         return _neumann(Matrix.identity(self.size, self.algebra), u)
 
     def __repr__(self):
-        n = self.size
-        rows = (", ".join(str(self[i, j]) for j in range(n)) for i in range(n))
+        n, t = self.size, self._t
+        entries = [
+            str(_build(self.algebra, {m: v[k] for m, v in t.items() if v[k]}, self._den))
+            for k in range(n * n)
+        ]
+        rows = (", ".join(entries[i * n:(i + 1) * n]) for i in range(n))
         return f"Matrix[{'; '.join(rows)}]"
 
 
@@ -193,6 +200,25 @@ def _new(alg: WeilAlgebra, n: int, table: dict, den: int) -> Matrix:
     m._t = table
     m._den = den
     return m
+
+
+def _step_inverse(m: Matrix) -> Matrix:
+    """I - U for m = I + U with U * U = 0: the table with its nonconstant
+    part negated, which keeps the denominator and the content."""
+    return _new(
+        m.algebra,
+        m.size,
+        {k: tuple([-x for x in v]) if k else v for k, v in m._t.items()},
+        m._den,
+    )
+
+
+def _plus_identity(m: Matrix) -> Matrix:
+    """I + m for m with no constant term: den * I written in at mask 0,
+    which keeps the table canonical."""
+    t = {0: tuple([m._den * x for x in _eye(m.size)])}
+    t.update(m._t)
+    return _new(m.algebra, m.size, t, m._den)
 
 
 def _normal(alg: WeilAlgebra, n: int, table: dict, den: int) -> Matrix:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .matrices import Matrix
+from .matrices import Matrix, _plus_identity
 from .models import (
     Arrow,
     CompositionError,
@@ -57,13 +57,18 @@ from .models import (
 )
 from .polynomials import Poly
 from .weil import (
-    Scalar, WeilAlgebra, WeilElement, _Plan, _drop_plan, _rename_plan,
-    _restrict_plan, _scale_plan,
+    Scalar, WeilAlgebra, WeilElement, _Plan, _check_algebra, _drop_plan, _rename_plan,
+    _restrict_plan, _scale_plan, _times_plan,
 )
 
 
 class CubeError(ValueError):
     """A would-be microcube violates the defining invariants."""
+
+
+class NotNilpotent(ValueError):
+    """`TangentData.arrow_at` was given a parameter with a constant term:
+    a step I + wV is read only at nilpotent w."""
 
 
 class DifferenceError(ValueError):
@@ -328,10 +333,24 @@ class TangentData:
         return self.vert.algebra
 
     def arrow_at(self, w: WeilElement) -> Arrow:
-        """The arrow at parameter value w (any square-zero element)."""
-        n = self.vert.size
-        target = tuple(c + w * d for c, d in zip(self.anchor, self.direction))
-        body = Matrix.identity(n, self.algebra) + self.vert * w
+        """The arrow at parameter value w, a nilpotent element:
+        (anchor + w*direction, I + w*vert).  Each term of w is one
+        `weil._times_plan`, and vert and each direction coordinate are
+        re-keyed by the sum of those plans, with no product; I is written
+        in at mask 0, which no shifted table holds.  A w with a constant
+        term raises `NotNilpotent`."""
+        alg = w.algebra
+        _check_algebra(self.vert.algebra, alg)
+        for c in (*self.anchor, *self.direction):
+            _check_algebra(c.algebra, alg)
+        if 0 in w._c:
+            raise NotNilpotent(f"parameter {w} has a constant term")
+        if not w._c:
+            body = Matrix.identity(self.vert.size, alg)
+            return Arrow(self.model, self.grp, self.anchor, self.anchor, body)
+        plans = [_times_plan(alg, m, v, w._den) for m, v in w._c.items()]
+        target = tuple(c + d._apply(*plans) for c, d in zip(self.anchor, self.direction))
+        body = _plus_identity(self.vert._apply(*plans))
         return Arrow(self.model, self.grp, self.anchor, target, body)
 
     def convert(self, alg: WeilAlgebra) -> "TangentData":

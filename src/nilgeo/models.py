@@ -29,7 +29,8 @@ A `MatrixGroup` (free cells of body - I, GL or SL diagonal blocks) also
 states its Lie algebra (`lie_contains`, `lie_basis`), whose elements are
 constant matrices over the empty algebra `ALG0` (`_lie_value` checks one).
 Group and Lie tests and projections read a table by position (`contains`,
-`lie_contains`, `Matrix.gather`); only an SL block builds entries.
+`lie_contains`, `Matrix.gather`), with no entries built; an SL block's
+determinant is summed over pairs of the table's masks (`_unit_det`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class MatrixGroup:
         self.blocks = tuple(blocks)
         if any(kind not in ("GL", "SL") for _, kind in self.blocks):
             raise ValueError("a block is 'GL' or 'SL'")
-        # `_det` covers sizes 1 and 2, which is every block a model needs
+        # `_det` and `_unit_det` cover sizes 1 and 2, which is every block a model needs
         for span, _ in self.blocks:
             if len(set(span) & set(range(size))) != len(span) or len(span) not in (1, 2):
                 raise ValueError(f"a block spans 1 or 2 distinct indices below {size}: {span}")
@@ -88,6 +89,7 @@ class MatrixGroup:
             if kind == "GL"
         )
         self._sl = tuple(span for span, kind in self.blocks if kind == "SL")
+        self._sl_flat = tuple(tuple(i * size + j for i in span for j in span) for span in self._sl)
         # the Lie basis in the order of `free` (see `lie_basis`)
         last = {i: span[-1] for span in self._sl for i in span}
         basis = []
@@ -124,8 +126,8 @@ class MatrixGroup:
         for rows in self._gl:
             if not _det([[c[k] for k in r] for r in rows]):
                 return False
-        for span in self._sl:
-            if _det([[m[i, j] for j in span] for i in span]) != m.algebra.one:
+        for flat in self._sl_flat:
+            if not _unit_det(t, den, m.algebra.killed, flat):
                 return False
         return True
 
@@ -145,6 +147,29 @@ class MatrixGroup:
         cells, in order, except that in an SL block each diagonal cell but
         the last, l, carries E_ii - E_ll; built once per group."""
         return self._basis
+
+
+def _unit_det(t: dict, den: int, killed, flat: tuple[int, ...]) -> bool:
+    """Whether the 1 x 1 or 2 x 2 block at the row-major flat positions
+    `flat` of a matrix table over `den` has determinant exactly one, read
+    off the table: den^k times the determinant, for a k x k block, is the
+    entry's table itself, or the sum of a * d - b * c over ordered pairs of
+    disjoint masks whose union survives (a and b read at the first, c and d
+    at the second).  It must be den^k at mask 0 and 0 at every other mask."""
+    if len(flat) == 1:
+        (k,) = flat
+        det, one = {m: v[k] for m, v in t.items()}, den
+    else:
+        a, b, c, d = flat
+        det, one = {}, den * den
+        get = det.get
+        items = list(t.items())
+        for m1, x in items:
+            for m2, y in items:
+                if m1 & m2 or (m := m1 | m2) in killed:
+                    continue
+                det[m] = get(m, 0) + x[a] * y[d] - x[b] * y[c]
+    return det.pop(0, 0) == one and not any(det.values())
 
 
 def _full(n: int, kind: str) -> MatrixGroup:

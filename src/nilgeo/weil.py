@@ -19,12 +19,14 @@ their own table of the same shape, one integer matrix per monomial (see
 `matrices`), and polynomial evaluation sums into a table of that shape
 (`polynomials._evaluate`).
 
-Dropping generators, taking a cofactor, renaming, restricting to a
-quotient, rescaling a generator and converting to another algebra only
-re-key the masks of a table.  Each is one *plan* here (`_Plan`), which
-elements, matrices and arrows apply alike.  Each builder but rescaling,
-whose factor is any rational, is cached: its arguments are interned
-algebras, masks and generator names.
+Dropping generators, taking a cofactor, multiplying by one term,
+renaming, restricting to a quotient, rescaling a generator and converting
+to another algebra only re-key the masks of a table.  Each is one *plan*
+here (`_Plan`), which elements, matrices and arrows apply alike.  Each
+builder but rescaling is cached: its arguments are interned algebras,
+masks and generator names, or for one term its rational coefficient,
+under a bounded cache.  Rescaling, whose factor is any rational and
+changes from call to call, builds its plan afresh.
 Scalars are exact: a float raises `TypeError`.
 
 Two rules are written once here for `matrices` and `polynomials` too: the
@@ -293,6 +295,18 @@ def _coefficient_plan(alg: "WeilAlgebra", mask: int) -> _Plan:
     return _Plan(alg, lambda m: (m & ~mask, 1) if m & mask == mask else None)
 
 
+@lru_cache(maxsize=1024)
+def _times_plan(alg: "WeilAlgebra", mask: int, num: int, den: int) -> _Plan:
+    """Multiplication by the term (num / den) * x^mask, for a nonzero mask:
+    each monomial moves to its union with x^mask, and dies where it meets
+    x^mask or the union is killed.  The coefficient is any rational, so
+    the cache is bounded."""
+    killed = alg.killed
+    return _Plan(
+        alg, lambda m: None if m & mask or m | mask in killed else (m | mask, num), den
+    )
+
+
 @lru_cache(maxsize=None)
 def _rename_plan(alg: "WeilAlgebra", pairs: tuple[tuple[str, str], ...]) -> _Plan:
     """Rename each generator `old` to `new` over the (old, new) pairs at once;
@@ -403,13 +417,15 @@ class WeilElement(_Transforms):
     def is_zero(self) -> bool:
         return not self._c
 
-    def _apply(self, plan: _Plan) -> "WeilElement":
-        """The image under a mask plan."""
+    def _apply(self, *plans: _Plan) -> "WeilElement":
+        """The image under a mask plan, or the sum of the images under
+        several plans with one target and one denominator."""
         out: dict[int, int] = {}
         get = out.get
-        for m, v in self._c.items():
-            if (hit := plan[m]) is not None:
-                out[hit[0]] = get(hit[0], 0) + v * hit[1]
+        for plan in plans:
+            for m, v in self._c.items():
+                if (hit := plan[m]) is not None:
+                    out[hit[0]] = get(hit[0], 0) + v * hit[1]
         return _build(plan.target, out, self._den * plan.den)
 
     # -- ring operations ----------------------------------------------------

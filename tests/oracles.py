@@ -15,10 +15,22 @@ def coeffs(e):
     return {e.algebra.mono_names(m): Fraction(v, e._den) for m, v in sorted(e._c.items())}
 
 
+def entry(m, i, j):
+    """The entry (i, j) of a `Matrix` as a `WeilElement`, read back off its
+    integer table; i and j index like a tuple of rows."""
+    span = range(m.size)
+    k = span[i] * m.size + span[j]
+    alg = m.algebra
+    out = alg.zero
+    for mask, v in sorted(m._t.items()):
+        out = out + alg.term(Fraction(v[k], m._den), alg.mono_names(mask))
+    return out
+
+
 def rows(m):
     """The entries of a `Matrix` as a tuple of rows of `WeilElement`s."""
     n = m.size
-    return tuple(tuple(m[i, j] for j in range(n)) for i in range(n))
+    return tuple(tuple(entry(m, i, j) for j in range(n)) for i in range(n))
 
 
 def matrix(entries):
@@ -58,6 +70,34 @@ def rational_inverse(const):
             a[r] = [v - f * w for v, w in zip(a[r], a[col])]
             b[r] = [v - f * w for v, w in zip(b[r], b[col])]
     return tuple(tuple(r) for r in b)
+
+
+def regular_inverse(m):
+    """The inverse of a `Matrix` over a Weil algebra A, through its regular
+    representation: the rational matrix by which m acts on A^n, with the
+    surviving monomials of A as basis, inverted by `rational_inverse`.  The
+    entry (i, j) of the inverse is read off column (j, 1) of that inverse;
+    raises `ZeroDivisionError` when m is not invertible."""
+    alg, n = m.algebra, m.size
+    basis = [b for b in range(1 << len(alg.names)) if b not in alg.killed]
+    index = {(i, b): k for k, (i, b) in enumerate((i, b) for i in range(n) for b in basis)}
+    act = [[Fraction(0)] * len(index) for _ in index]
+    for (j, b), col in index.items():
+        for mask, v in m._t.items():
+            if mask & b or mask | b in alg.killed:
+                continue
+            for i in range(n):
+                act[index[i, mask | b]][col] += Fraction(v[i * n + j], m._den)
+    inv = rational_inverse(act)
+    out = Matrix.zero(n, alg)
+    for i in range(n):
+        for j in range(n):
+            unit = [[int((p, q) == (i, j)) for q in range(n)] for p in range(n)]
+            for b in basis:
+                c = inv[index[i, b]][index[j, 0]]
+                if c:
+                    out = out + Matrix.from_rational(unit, alg) * alg.term(c, alg.mono_names(b))
+    return out
 
 
 def inverse(m):

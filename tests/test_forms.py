@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import partial
+from oracles import entry, partial
 
 from nilgeo import forms
 from nilgeo.connection import curvature
@@ -97,7 +97,7 @@ def test_lopsided_evaluator_fails_alternation():
         alg = cube.algebra
         d1 = cube.args[0]
         coeff = cube.arrow.body.coefficient((d1,)).drop(cube.args[1:])
-        vert = Matrix.from_rational([[0, 0, 1], [0, 0, 0], [0, 0, 0]], alg) * coeff[0, 1]
+        vert = Matrix.from_rational([[0, 0, 1], [0, 0, 0], [0, 0, 0]], alg) * entry(coeff, 0, 1)
         return TangentData(HEIS, "L", cube.anchor, (), vert)
 
     bad = Form(HEIS, 2, fn)
@@ -150,7 +150,7 @@ def test_abelian_derivative_is_the_curl():
         )
         got = d_nabla(conn, omega)(square)
         want = partial(w2, 0)(x) - partial(w1, 1)(x)
-        assert got.vert[0, 0] == want
+        assert entry(got.vert, 0, 0) == want
 
 
 def test_derivative_output_passes_validation():

@@ -16,7 +16,7 @@ from math import lcm
 
 import pytest
 
-from nilgeo import matrices, microcalc, models, suites
+from nilgeo import matrices, microcalc, models, suites, weil
 from nilgeo.connection import Connection
 from nilgeo.microcalc import TangentData
 from nilgeo.models import all_models
@@ -93,6 +93,21 @@ def uninverted_edge_read(monkeypatch):
     _rebind(monkeypatch, microcalc, "_edge_tangent", make)
 
 
+def unflipped_step_inverse(monkeypatch):
+    # the closed-form inverse of a square-zero step I + U returns I + U
+    _rebind(monkeypatch, matrices, "_step_inverse", lambda f: lambda m: m)
+
+
+def unsigned_step_shift(monkeypatch):
+    # the plan of one term c * x^m of a step parameter drops the sign of c
+    _rebind(
+        monkeypatch,
+        weil,
+        "_times_plan",
+        lambda f: lambda alg, mask, num, den: f(alg, mask, abs(num), den),
+    )
+
+
 GAUGE = ("trivial_gauge[scalar]", "trivial_gauge[gl2]", "trivial_gauge[sl2]")
 
 ROWS = (
@@ -108,6 +123,8 @@ ROWS = (
     + [(zeroed_bracket, name, "thm-1.4") for name in ("heisenberg", "trivial_gauge[gl2]")]
     + [(flipped_gauge_transport, "trivial_gauge[scalar]", "witness")]
     + [(uninverted_edge_read, "direct_product", "prop-4.3")]
+    + [(unflipped_step_inverse, "trivial_gauge[gl2]", "bianchi-abstract")]
+    + [(unsigned_step_shift, "direct_product", "prop-1.1")]
 )
 
 

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import coeffs, inverse, matrix, partial, poly_terms, rational_inverse, rows
+from oracles import (
+    coeffs, entry, inverse, matrix, partial, poly_terms, rational_inverse, regular_inverse, rows,
+)
 
 from nilgeo import matrices
 from nilgeo.matrices import Matrix, NotUnipotent, SizeMismatch
 from nilgeo.microcalc import TangentData
-from nilgeo.models import MatrixGroup, build_model
+from nilgeo.models import ALG0, MatrixGroup, build_model
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.sampling import sample_point, sample_vert
 from nilgeo.weil import (
@@ -23,9 +25,9 @@ from nilgeo.weil import (
 
 
 def _trace(m):
-    t = m[0, 0]
+    t = entry(m, 0, 0)
     for i in range(1, m.size):
-        t = t + m[i, i]
+        t = t + entry(m, i, i)
     return t
 
 
@@ -106,6 +108,66 @@ def test_inverse_of_a_square_zero_step_is_closed_form():
             assert inv * body == ident
 
 
+STEP_ALGEBRAS = (
+    algebra(["d1", "d2"], killed=[("d1", "d2")]),
+    algebra(["d1", "d2", "d3"]),
+)
+
+
+def _mixed_rational(rng, n):
+    """A rational n x n matrix whose entries have mixed denominators."""
+    return [
+        [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("alg", STEP_ALGEBRAS, ids=("paired", "alg3"))
+def test_square_zero_steps_invert_by_a_sign_flip_and_match_the_regular_oracle(alg):
+    # every monomial of U = sum of V_m * m holds one generator, so U * U = 0
+    rng = random.Random(14 + len(alg.names))
+    for _ in range(12):
+        bit = 1 << rng.randrange(len(alg.names))
+        shared = [m for m in range(1 << len(alg.names)) if m & bit and m not in alg.killed]
+        n = rng.randint(1, 3)
+        ident = Matrix.identity(n, alg)
+        u = Matrix.zero(n, alg)
+        for mask in rng.sample(shared, rng.randint(1, len(shared))):
+            mono = alg.term(Fraction(1, rng.choice((1, 2, 5))), alg.mono_names(mask))
+            u = u + Matrix.from_rational(_mixed_rational(rng, n), alg) * mono
+        assert u * u == Matrix.zero(n, alg)
+        m = ident + u
+        inv = m.inverse()
+        assert inv == ident - u == regular_inverse(m)
+        assert inv._den == m._den
+        assert m * inv == ident
+
+
+def test_the_vacuous_step_inverts_to_the_identity():
+    for alg in (ALG0, *STEP_ALGEBRAS):
+        for n in (1, 2, 3):
+            ident = Matrix.identity(n, alg)
+            assert ident.inverse() == ident == regular_inverse(ident)
+
+
+def test_a_nilpotent_with_no_shared_generator_takes_the_series():
+    # U = d1 A + d2 B with AB + BA != 0, so U * U = d1 d2 (AB + BA) != 0
+    alg = STEP_ALGEBRAS[1]
+    rng = random.Random(15)
+    ident = Matrix.identity(2, alg)
+    a = Matrix.from_rational([[0, Fraction(1, 2)], [0, 0]], alg)
+    b = Matrix.from_rational([[0, 0], [Fraction(2, 3), 0]], alg)
+    assert a * b != b * a
+    for _ in range(6):
+        c = Matrix.from_rational(_mixed_rational(rng, 2), alg)
+        u = (a + c) * alg.gen("d1") + (b + c) * alg.gen("d2")
+        assert u * u != Matrix.zero(2, alg)
+        m = ident + u
+        inv = m.inverse()
+        assert inv == ident - u + u * u == regular_inverse(m)
+        assert m * inv == ident
+
+
 def test_inverse_refuses_a_constant_part_other_than_identity():
     alg = algebra(["d1"])
     d = alg.gen("d1")
@@ -170,7 +232,7 @@ def test_poly_matrix_roundtrip():
     pm = PolyMatrix([[z, x1], [z, z]])
     alg = algebra([])
     m = pm((alg.scalar(4), alg.scalar(0)))
-    assert m[0, 1] == alg.scalar(4)
+    assert entry(m, 0, 1) == alg.scalar(4)
 
 
 def _random_entry(rng, alg):
@@ -205,9 +267,9 @@ def test_fused_product_matches_term_by_term_reference(alg):
             for j in range(n):
                 want = alg.zero
                 for k in range(n):
-                    want = want + a[i, k] * b[k, j]
-                assert got[i, j] == want
-                assert coeffs(got[i, j]) == coeffs(want)
+                    want = want + entry(a, i, k) * entry(b, k, j)
+                assert entry(got, i, j) == want
+                assert coeffs(entry(got, i, j)) == coeffs(want)
 
 
 def test_sums_and_scalings_across_algebras_raise():
@@ -475,22 +537,20 @@ def test_convert_matches_entrywise_convert():
         assert_same(a.convert(dst), ea._entrywise(lambda w: w.convert(dst)))
         for i in range(a.size):
             for j in range(a.size):
-                got = {frozenset(k): v for k, v in coeffs(a.convert(dst)[i, j]).items()}
-                assert got == {frozenset(k): v for k, v in coeffs(a[i, j]).items()}
+                got = {frozenset(k): v for k, v in coeffs(entry(a.convert(dst), i, j)).items()}
+                assert got == {frozenset(k): v for k, v in coeffs(entry(a, i, j)).items()}
     top = Matrix.identity(2, src) * src.term(1, ("d1", "d2"))
     with pytest.raises(AlgebraMismatch):
         top.convert(algebra(["d1", "d2"], killed=[("d1", "d2")]))
 
 
-def test_entry_access_indexes_like_rows():
-    m = Matrix.from_rational([[1, 2], [3, Fraction(1, 4)]], algebra(["d1"]))
-    for i in range(-2, 2):
-        for j in range(-2, 2):
-            assert m[i, j] == rows(m)[i][j]
-    with pytest.raises(IndexError):
-        m[2, 0]
-    with pytest.raises(IndexError):
-        m[0, -3]
+def test_repr_shows_the_entries_row_by_row():
+    alg = algebra(["d1"])
+    m = Matrix.from_rational([[1, 2], [3, Fraction(1, 4)]], alg) + Matrix.from_rational(
+        [[0, 0], [Fraction(1, 2), 0]], alg
+    ) * alg.gen("d1")
+    shown = "; ".join(", ".join(str(e) for e in r) for r in rows(m))
+    assert repr(m) == f"Matrix[{shown}]" == "Matrix[1, 2; 3 + 1/2*d1, 1/4]"
 
 
 def _subsets(names):
@@ -532,14 +592,14 @@ def test_support_and_gather_match_entry_reads(alg):
         positions = [(i, j) for i in range(n) for j in range(n)]
         # a group with no blocks holds I + a exactly when its free cells
         # cover the positions where an entry read of a is nonzero
-        support = [p for p in positions if not a[p].is_zero()]
+        support = [p for p in positions if not entry(a, *p).is_zero()]
         body = Matrix.identity(n, alg) + a
         assert MatrixGroup(n, support).contains(body)
         for p in support:
             assert not MatrixGroup(n, [q for q in support if q != p]).contains(body)
         k = rng.randint(1, 3)
         cells = [[rng.choice([None, *positions]) for _ in range(k)] for _ in range(k)]
-        want = [[alg.zero if c is None else a[c] for c in r] for r in cells]
+        want = [[alg.zero if c is None else entry(a, *c) for c in r] for r in cells]
         assert_same(a.gather(cells), EntryMatrix(want))
     with pytest.raises(ValueError):
         a.gather(())

@@ -10,6 +10,7 @@ from nilgeo.microcalc import (
     ConstantSection,
     CubeError,
     DifferenceError,
+    NotNilpotent,
     PolySection,
     TangentData,
     _transform,
@@ -33,8 +34,11 @@ from nilgeo.microcalc import (
 )
 from nilgeo.models import ALG0, Arrow, MembershipError, all_models, build_model
 from nilgeo.polynomials import Poly
-from nilgeo.sampling import perturbed_square, sample_microcube
+from nilgeo.sampling import (
+    perturbed_square, sample_microcube, sample_point, sample_vert, sample_weil,
+)
 from nilgeo.weil import (
+    AlgebraMismatch,
     WeilAlgebra,
     _coefficient_plan,
     _convert_plan,
@@ -282,6 +286,52 @@ def test_perm_sign():
 
 
 # -- tangent arithmetic ---------------------------------------------------------
+
+
+STEP_ALGEBRAS = (algebra(["d1", "d2"], killed=[("d1", "d2")]), algebra(["d1", "d2", "d3"]))
+STEP_MODELS = (HEIS, build_model("direct_product"), build_model("trivial_gauge", "gl2"))
+
+
+def test_arrow_at_matches_the_written_out_step():
+    # (anchor + w*direction, I + w*vert) with Weil-valued data; over the
+    # paired algebra the half top term is 0
+    rng = random.Random(16)
+    for alg in STEP_ALGEBRAS:
+        ga, gb = alg.gen("d1"), alg.gen("d2")
+        for w in (ga, -ga, alg.term(Fraction(1, 2), ("d1", "d2")), ga + gb):
+            for model in STEP_MODELS:
+                anchor = sample_point(rng, model, alg)
+                direction = tuple(sample_weil(rng, alg) for _ in anchor)
+                vert = sample_vert(rng, model, "H", alg) * sample_weil(rng, alg)
+                got = TangentData(model, "H", anchor, direction, vert).arrow_at(w)
+                assert got.source == anchor
+                assert got.target == tuple(c + w * d for c, d in zip(anchor, direction))
+                assert got.body == Matrix.identity(vert.size, alg) + vert * w
+
+
+def test_arrow_at_refuses_mixed_algebras_and_a_constant_parameter():
+    rng = random.Random(17)
+    alg, other = STEP_ALGEBRAS[1], algebra(["d1", "d2", "d3", "d4"])
+    model = STEP_MODELS[2]
+    x = sample_point(rng, model, alg)
+    v = tuple(sample_weil(rng, alg) for _ in x)
+    vert = sample_vert(rng, model, "H", alg)
+    w = alg.gen("d1")
+    x_other, v_other = (tuple(c.convert(other) for c in p) for p in (x, v))
+    for td in (
+        TangentData(model, "H", x, v, vert.convert(other)),
+        TangentData(model, "H", x_other, v, vert),
+        TangentData(model, "H", x, v_other, vert),
+    ):
+        with pytest.raises(AlgebraMismatch):
+            td.arrow_at(w)
+    td = TangentData(model, "H", x, v, vert)
+    with pytest.raises(AlgebraMismatch):
+        td.arrow_at(other.gen("d1"))
+    for constant in (alg.one + w, alg.scalar(Fraction(2, 3)), alg.one):
+        with pytest.raises(NotNilpotent):
+            td.arrow_at(constant)
+    assert issubclass(NotNilpotent, ValueError)
 
 
 def test_tangent_add_matches_body_product():
