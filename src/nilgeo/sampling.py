@@ -4,14 +4,16 @@ Everything is drawn from an explicit `random.Random` in a fixed order, so
 a seed fully determines every sampled element, cube, section and
 connection: runs are bit-reproducible.
 
-Each random rational is one `_draw`: a numerator and a denominator taken
-from `DENOMINATORS`, so every draw is an integer over their least common
-multiple `_DEN`.  The samplers of Weil elements, matrices, polynomials,
-polynomial matrices and cube targets write those integers straight into
-the integer tables that `weil`, `matrices` and `polynomials` keep,
-normalize each table once (with `weil._build` or `matrices._normal`) and
-build no `Fraction` on the way; `sample_rational` is the one draw as a
-`Fraction`.
+Each random rational is one `_numerator` draw: a denominator taken from
+`DENOMINATORS`, then a numerator over it, read as an integer over their
+least common multiple `_DEN`.  The samplers of Weil elements, matrices,
+polynomials, polynomial matrices and cube targets write those integers
+straight into the integer tables that `weil`, `matrices` and
+`polynomials` keep, normalize each table once (with `weil._build` or
+`matrices._normal`) and build no `Fraction` on the way; `sample_rational`
+is the one draw as a `Fraction`.  What a draw needs of its bound is one
+table per bound (`_draw_table`), looked up once per sampler call, since
+hashing the bound costs about as much as the draw.
 
 A Lie-algebra element is a constant matrix over `models.ALG0`, so
 `sample_lie_rows` is `sample_vert` over that algebra.
@@ -52,30 +54,33 @@ DENOMINATORS = (1, 1, 1, 2, 3)
 _DEN = lcm(*DENOMINATORS)  # every draw is an integer over this
 
 
-def _draw(rng: random.Random, bound: Fraction = Fraction(2)) -> tuple[int, int]:
-    """A random rational of size at most `bound`, as (numerator,
-    denominator) with the denominator drawn from `DENOMINATORS`; not
-    reduced."""
-    den = rng.choice(DENOMINATORS)
-    top = bound.numerator * den // bound.denominator
-    return rng.randint(-top, top), den
+@lru_cache(maxsize=None)
+def _draw_table(bound: Fraction) -> tuple[tuple[int, int], ...]:
+    """For each entry den of `DENOMINATORS`, (top, _DEN // den): the largest
+    numerator over den of size at most `bound`, and den's cofactor in `_DEN`."""
+    return tuple(
+        (bound.numerator * den // bound.denominator, _DEN // den) for den in DENOMINATORS
+    )
 
 
-def _numerator(rng: random.Random, bound: Fraction) -> int:
-    """`_draw` as a numerator over `_DEN`."""
-    num, den = _draw(rng, bound)
-    return num * (_DEN // den)
+def _numerator(rng: random.Random, table: tuple[tuple[int, int], ...]) -> int:
+    """A random rational of size at most the bound of `table`, as a
+    numerator over `_DEN`.  The two calls draw what `rng.choice(DENOMINATORS)`
+    and `rng.randint(-top, top)` draw, from the same stream."""
+    top, scale = table[rng.randrange(len(table))]
+    return (rng.randrange(2 * top + 1) - top) * scale
 
 
 def sample_rational(rng: random.Random, bound: Fraction = Fraction(2)) -> Fraction:
-    return Fraction(*_draw(rng, bound))
+    return Fraction(_numerator(rng, _draw_table(bound)), _DEN)
 
 
 def sample_weil(
     rng: random.Random, alg: WeilAlgebra, bound: Fraction = Fraction(2)
 ) -> WeilElement:
+    draws = _draw_table(bound)
     table = {
-        mask: _numerator(rng, bound)
+        mask: _numerator(rng, draws)
         for mask in range(1 << len(alg.names))
         if mask not in alg.killed
     }
@@ -95,9 +100,10 @@ def _lie_table(
     """A random matrix in the layer's coefficient pattern, as a flat integer
     matrix over `_DEN`: one draw per Lie basis matrix, in basis order."""
     spec = model.spec(grp)
+    draws = _draw_table(bound)
     flat = [0] * (spec.size * spec.size)
     for cells in _lie_cells(spec):
-        num = _numerator(rng, bound)
+        num = _numerator(rng, draws)
         for k, v in cells:
             flat[k] += num * v
     return flat
@@ -145,8 +151,10 @@ def sample_point(
     alg: WeilAlgebra,
     bound: Fraction = Fraction(2),
 ) -> Point:
-    draws = [_draw(rng, bound) for _ in range(model.base_dim)]
-    return tuple(weil_build(alg, {0: num}, den) for num, den in draws)
+    draws = _draw_table(bound)
+    return tuple(
+        weil_build(alg, {0: _numerator(rng, draws)}, _DEN) for _ in range(model.base_dim)
+    )
 
 
 def sample_microcube(
@@ -169,13 +177,14 @@ def sample_microcube(
     moves: list[dict[int, int]] = [{} for _ in range(model.base_dim)]
     masks = list(range(1, 1 << len(args)))
     masks.sort(key=lambda m: (bin(m).count("1"), m))
+    draws = _draw_table(bound)
     for m in masks:
         mono = alg.mask(_names(args, m))
         step = _step(rng, model, grp, alg, mono, bound)
         if step is not None:
             body = body * step
         for table in moves:
-            num = _numerator(rng, bound)
+            num = _numerator(rng, draws)
             if mono not in alg.killed:
                 table[mono] = num
     target = tuple(c + weil_build(alg, t, _DEN) for c, t in zip(x, moves))
@@ -198,8 +207,9 @@ def perturbed_square(
     step = _step(rng, base.model, old.grp, alg, top, bound)
     body = old.body if step is None else step * old.body
     tgt = []
+    draws = _draw_table(bound)
     for c in old.target:
-        num = _numerator(rng, bound)
+        num = _numerator(rng, draws)
         tgt.append(c if top in alg.killed else c + weil_build(alg, {top: num}, _DEN))
     arrow = Arrow(base.model, old.grp, old.source, tuple(tgt), body)
     return make_microcube(arrow, base.args)
@@ -210,7 +220,8 @@ def sample_poly(
 ) -> Poly:
     """One draw per exponent of degree at most `degree`, written straight
     into the polynomial's integer table over `_DEN`."""
-    table = {e: (_numerator(rng, bound),) for e in _exponents(nvars, degree)}
+    draws = _draw_table(bound)
+    table = {e: (_numerator(rng, draws),) for e in _exponents(nvars, degree)}
     return poly_wrap(Poly, 1, nvars, table, _DEN)
 
 
@@ -238,10 +249,11 @@ def sample_poly_matrix(
     spec = model.spec(grp)
     n = spec.size
     exponents = _exponents(model.base_dim, degree)
+    draws = _draw_table(bound)
     table: dict[tuple[int, ...], list[int]] = {}
     for cells in _lie_cells(spec):
         for e in exponents:
-            num = _numerator(rng, bound)
+            num = _numerator(rng, draws)
             if num:
                 col = table.get(e)
                 if col is None:

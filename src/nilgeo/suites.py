@@ -138,9 +138,10 @@ def check_weil_ring(model, rng, params):
         a = sample_weil(rng, alg, params.bound)
         b = sample_weil(rng, alg, params.bound)
         c = sample_weil(rng, alg, params.bound)
-        if (a * b) * c != a * (b * c) or a * b != b * a:
+        ab = a * b
+        if ab * c != a * (b * c) or ab != b * a:
             ok = False
-        if a * (b + c) != a * b + a * c:
+        if a * (b + c) != ab + a * c:
             ok = False
         if a.constant_term() == 0:
             a = a + 1

@@ -11,10 +11,12 @@ Monomials are encoded as bit masks over the algebra's generator ordering.
 Internally a single common denominator is factored out of each element and
 the coefficient table holds plain integers; this keeps the hot product
 loops in machine-integer arithmetic instead of `Fraction` calls.  Sparse
-factors multiply by a loop over pairs of monomials; dense ones (more pairs
-than the 3**n disjoint pairs of n generators) walk a per-algebra table of
-each monomial's surviving disjoint partners, built on the first dense
-product.  `_mul_into` is that kernel.  Matrices over an algebra keep
+factors multiply by a loop over pairs of monomials (`_pair_loop`).  Dense
+ones, with more pairs than the algebra has surviving monomials, go through
+a product written out once per algebra (`_kernel`), generated on the first
+dense product: every disjoint pair of surviving monomials is one term of
+it, 3**n terms for n generators, so algebras of more than six generators
+take the pair loop.  Matrices over an algebra keep
 their own table of the same shape, one integer matrix per monomial (see
 `matrices`), and polynomial evaluation sums into a table of that shape
 (`polynomials._evaluate`).
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -101,21 +103,25 @@ def algebra(names: Iterable[str], killed: Iterable[Iterable[str]] = ()) -> "Weil
     return alg
 
 
+_KERNEL_CAP = 6  # generators; the kernel of n generators has 3**n terms
+
+
 class WeilAlgebra:
     """R[g1,...,gn] / (gi^2 = 0, killed monomials).  Use `algebra()` to
     build: it interns each algebra by its names and killed masks, so equal
     algebras are one object and compare with `is`."""
 
-    __slots__ = ("names", "killed", "_index", "_one", "_zero", "_dense_at", "_partners")
+    __slots__ = ("names", "killed", "_index", "_one", "_zero", "_dense_at")
 
     def __init__(self, names: tuple[str, ...], killed: frozenset[int]):
         self.names = names
         self.killed = killed
         self._index = {g: i for i, g in enumerate(names)}
-        # a product is dense when it has more pairs than there are
-        # disjoint pairs of monomials; its partner table is built lazily
-        self._dense_at = 3 ** len(names)
-        self._partners: dict[int, tuple[tuple[int, int], ...]] | None = None
+        # a product is dense when it has more pairs than there are surviving
+        # monomials; past the kernel's cap every product takes the pair loop
+        self._dense_at = (
+            (1 << len(names)) - len(killed) if len(names) <= _KERNEL_CAP else inf
+        )
         self._zero = WeilElement(self, {}, 1)
         self._one = WeilElement(self, {0: 1}, 1)
 
@@ -198,42 +204,30 @@ class WeilAlgebra:
             k += 1
         return f"{base}{k}"
 
-    def _partner_table(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """For each surviving monomial m1, the pairs (m2, m1 | m2) over the
-        surviving monomials m2 disjoint from m1 whose product survives."""
-        table = self._partners
-        if table is None:
-            killed = self.killed
-            alive = [m for m in range(1 << len(self.names)) if m not in killed]
-            table = {
-                m1: tuple(
-                    (m2, m1 | m2)
-                    for m2 in alive
-                    if not m1 & m2 and m1 | m2 not in killed
-                )
-                for m1 in alive
-            }
-            self._partners = table
-        return table
+
+@lru_cache(maxsize=None)
+def _kernel(alg: WeilAlgebra):
+    """The product of two coefficient tables over `alg`, written out once
+    per algebra: each surviving monomial m maps to the sum of a[s] * b[m ^ s]
+    over the submasks s of m, which all survive, since killing a monomial
+    kills its multiples.  On dense operands this costs about a third of the
+    pair loop.  Entries that sum to zero stay in the table for `_build`."""
+    alive = [m for m in range(1 << len(alg.names)) if m not in alg.killed]
+    reads = "; ".join(f"a{m} = f({m}, 0); b{m} = g({m}, 0)" for m in alive)
+    entries = ", ".join(
+        f"{m}: " + " + ".join(f"a{s} * b{m ^ s}" for s in alive if s & m == s)
+        for m in alive
+    )
+    scope: dict = {}
+    body = f"f = a.get; g = b.get\n    {reads}\n    return {{{entries}}}"
+    exec(f"def mul(a, b):\n    {body}", scope)
+    return scope["mul"]
 
 
-def _mul_into(
-    alg: WeilAlgebra,
-    out: dict[int, int],
-    c1: dict[int, int],
-    c2: dict[int, int],
-) -> None:
-    """Accumulate c1 * c2 into the integer table `out`."""
+def _pair_loop(alg: WeilAlgebra, c1: dict[int, int], c2: dict[int, int]) -> dict[int, int]:
+    """The product of two coefficient tables, one pair of monomials at a time."""
+    out: dict[int, int] = {}
     get = out.get
-    if len(c1) * len(c2) > alg._dense_at:
-        partners = alg._partner_table()
-        find = c2.get
-        for m1, v1 in c1.items():
-            for m2, m in partners[m1]:
-                v2 = find(m2)
-                if v2 is not None:
-                    out[m] = get(m, 0) + v1 * v2
-        return
     items2 = list(c2.items())
     killed = alg.killed
     for m1, v1 in c1.items():
@@ -244,6 +238,7 @@ def _mul_into(
             if m in killed:
                 continue
             out[m] = get(m, 0) + v1 * v2
+    return out
 
 
 def _check_algebra(alg: WeilAlgebra, other: WeilAlgebra) -> None:
@@ -499,9 +494,12 @@ class WeilElement(_Transforms):
             _check_algebra(self.algebra, other.algebra)
         if not self._c or not other._c:
             return self.algebra._zero
-        out: dict[int, int] = {}
-        _mul_into(self.algebra, out, self._c, other._c)
-        return _build(self.algebra, out, self._den * other._den)
+        alg, c1, c2 = self.algebra, self._c, other._c
+        if len(c1) * len(c2) > alg._dense_at:
+            out = _kernel(alg)(c1, c2)
+        else:
+            out = _pair_loop(alg, c1, c2)
+        return _build(alg, out, self._den * other._den)
 
     __rmul__ = __mul__
 

@@ -7,9 +7,9 @@ The traced run prints, for each workload, a `## workload <name>` line and
 then one JSON line whose metrics hold every `*.calls` count of one seed-1
 pass; those counts repeat exactly from run to run.  This script compares
 each count with its ceiling in `op_count_ceilings.json`, next to it, and
-exits 1 when a count is missing or above its ceiling.  A change that
-lowers a count lowers its ceiling too; one that must raise a ceiling says
-why.
+exits 1 when a count is missing, above its ceiling, or below it.  A change
+that lowers a count lowers its ceiling too, so a count below its ceiling
+names a stale ceiling; a change that must raise a ceiling says why.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def counts(text: str) -> dict[str, dict[str, float]]:
 
 
 def problems(found, ceilings) -> list[str]:
-    """Each count of `ceilings` that `found` lacks or holds above its ceiling."""
+    """Each count of `ceilings` that `found` lacks or holds above or below
+    its ceiling."""
     out = []
     for workload, table in ceilings.items():
         for name, ceiling in table.items():
@@ -46,6 +47,8 @@ def problems(found, ceilings) -> list[str]:
                 out.append(f"{workload}: {name} is missing")
             elif got > ceiling:
                 out.append(f"{workload}: {name} = {got}, above its ceiling {ceiling}")
+            elif got < ceiling:
+                out.append(f"{workload}: {name} = {got}, below its stale ceiling {ceiling}")
     return out
 
 

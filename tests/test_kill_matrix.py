@@ -108,6 +108,23 @@ def unsigned_step_shift(monkeypatch):
     )
 
 
+def halved_kernel(monkeypatch):
+    # the written-out product of an algebra sums only the pairs (m1, m2)
+    # with m1 <= m2
+    def kernel(alg):
+        def mul(a, b):
+            out = {}
+            for m1, v1 in a.items():
+                for m2, v2 in b.items():
+                    if m1 <= m2 and not m1 & m2 and m1 | m2 not in alg.killed:
+                        out[m1 | m2] = out.get(m1 | m2, 0) + v1 * v2
+            return out
+
+        return mul
+
+    _rebind(monkeypatch, weil, "_kernel", lambda f: kernel)
+
+
 GAUGE = ("trivial_gauge[scalar]", "trivial_gauge[gl2]", "trivial_gauge[sl2]")
 
 ROWS = (
@@ -125,6 +142,7 @@ ROWS = (
     + [(uninverted_edge_read, "direct_product", "prop-4.3")]
     + [(unflipped_step_inverse, "trivial_gauge[gl2]", "bianchi-abstract")]
     + [(unsigned_step_shift, "direct_product", "prop-1.1")]
+    + [(halved_kernel, "heisenberg", "weil-ring")]
 )
 
 

@@ -1,5 +1,5 @@
 """The operation-count ceiling check passes on counts at their ceilings
-and fails on one count raised by 1 or missing."""
+and fails on one count raised by 1, lowered by 1 or missing."""
 
 import json
 
@@ -33,6 +33,12 @@ def test_counts_at_their_ceilings_pass_and_a_raised_or_missing_one_fails(tmp_pat
     assert _check(tmp_path, raised) == 1
     err = capsys.readouterr().err
     assert f"squares: connection.apply.calls = {ceiling + 1}, above its ceiling {ceiling}" in err
+
+    lowered = json.loads(json.dumps(ceilings))
+    lowered["squares"]["connection.apply.calls"] -= 1
+    assert _check(tmp_path, lowered) == 1
+    err = capsys.readouterr().err
+    assert f"squares: connection.apply.calls = {ceiling - 1}, below its stale ceiling {ceiling}" in err
 
     del raised["cubes"]["matrices.inverse.calls"]
     assert _check(tmp_path, raised) == 1

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import coeffs
 
+import nilgeo
 from nilgeo.weil import (
     AlgebraMismatch,
     NotInvertible,
@@ -328,6 +333,17 @@ def pair_loop_product(a, b):
     return {k: v for k, v in out.items() if v}
 
 
+def sparse_element(rng, alg):
+    """`random_element` with each monomial kept with one probability, itself
+    drawn, so that products fall on both sides of the dense threshold."""
+    keep = rng.random()
+    return sum(
+        (alg.term(q, names) for names, q in coeffs(random_element(rng, alg)).items()
+         if rng.random() < keep),
+        alg.zero,
+    )
+
+
 @pytest.mark.parametrize(
     "n, killed",
     [
@@ -338,18 +354,48 @@ def pair_loop_product(a, b):
         (3, [("d1", "d3")]),
         (4, []),
         (4, [("d1", "d3"), ("d2", "d3", "d4")]),
+        (0, []),
+        (5, [("d2", "d5")]),
+        (6, []),
+        (6, [("d1", "d2", "d3")]),
+        (7, []),  # past the kernel's cap: the pair loop on dense operands
+        (7, [("d1", "d7"), ("d3", "d4", "d5")]),
     ],
 )
 def test_dense_product_matches_pair_loop(n, killed):
     rng = random.Random(4000 + 10 * n + len(killed))
     alg = algebra([f"d{i}" for i in range(1, n + 1)], killed=killed)
-    for _ in range(60):
-        a = random_element(rng, alg)
-        b = random_element(rng, alg)
-        if len(coeffs(a)) * len(coeffs(b)) <= 3**n:
-            continue  # sparse pairs take the pair loop itself
+    for _ in range(60 if n <= 4 else 6):
+        a = sparse_element(rng, alg)
+        b = sparse_element(rng, alg)
         assert coeffs(a * b) == pair_loop_product(a, b)
         assert coeffs(b * a) == pair_loop_product(b, a)
+
+
+# run in the child: importing the package and parsing each model's config
+KERNELS_AFTER_SETUP = """
+from nilgeo import cli, weil
+from nilgeo.models import all_models
+
+for model in all_models():
+    text = f"model = {model.family}\\nseed = 1\\nsuite = all\\n"
+    if model.structure is not None:
+        text += f"structure_group = {model.structure}\\n"
+    cli.parse_config(text)
+print(weil._kernel.cache_info().currsize)
+"""
+
+
+def test_setup_builds_no_kernel():
+    # kernels are built on the first dense product, not at import or set-up
+    env = dict(os.environ)
+    src = str(Path(nilgeo.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", KERNELS_AFTER_SETUP],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.split() == ["0"]
 
 
 def test_sparse_product_matches_pair_loop():
