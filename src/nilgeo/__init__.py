@@ -20,16 +20,14 @@ from .microcalc import (
     bracket,
     bracket_sections,
     degenerate_square,
-    diff1,
-    diff2,
+    diff,
     from_tangent,
     make_microcube,
     permute,
     scale_arg,
-    slice_cube,
+    slice_multi,
     strong_diff,
     tau,
-    transpose,
 )
 from .connection import (
     Connection,

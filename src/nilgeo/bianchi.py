@@ -28,7 +28,7 @@ from typing import Sequence
 from .connection import Connection, curvature, lifted_edge
 from .forms import curvature_form, d_nabla
 from .matrices import Matrix
-from .microcalc import Microcube, TangentData, include_tangent, slice_cube
+from .microcalc import Microcube, TangentData, include_tangent, slice_multi
 from .models import Arrow, MembershipError, Point, compose, compose_all, invert
 
 # vertex name -> set of axes (1..3) that are "switched on" at that corner
@@ -77,9 +77,6 @@ class CubeLabeling:
     edges: dict[tuple[str, str], Arrow]
     points: dict[str, Point]
 
-    def edge_arrow(self, x: str, y: str) -> Arrow:
-        return self.edges[(x, y)]
-
 
 def vertex_point(cube: Microcube, vertex: str) -> Point:
     off = [g for k, g in enumerate(cube.args, 1) if k not in VERTEX_AXES[vertex]]
@@ -115,7 +112,7 @@ def face_loop(labeling: CubeLabeling, cycle: Sequence[str]) -> Arrow:
         raise WordError(f"{cycle} does not round a face")
     if not all(_adjacent(a, b) for a, b in word):
         raise WordError(f"{cycle} does not walk edges")
-    return compose_all(*(labeling.edge_arrow(a, b) for a, b in word))
+    return compose_all(*(labeling.edges[(a, b)] for a, b in word))
 
 
 def face_words(cycle: Sequence[str]) -> list[tuple[str, str]]:
@@ -166,7 +163,7 @@ class AbstractReport:
 def verify_abstract_bianchi(labeling: CubeLabeling) -> AbstractReport:
     word = abstract_word()
     residue = reduce_word(word)
-    numeric = compose_all(*[labeling.edge_arrow(*p) for p in word])
+    numeric = compose_all(*[labeling.edges[p] for p in word])
     o = labeling.points["O"]
     ok = numeric.source == o and numeric.target == o and numeric.body.is_identity()
     return AbstractReport(residue == (), ok, residue)
@@ -211,7 +208,7 @@ def face_curvature_checks(labeling: CubeLabeling) -> list[tuple[str, bool]]:
     for cycle in FACES[:3]:
         # the base face through O normal to the one axis its corners leave off
         (axis,) = {1, 2, 3}.difference(*(VERTEX_AXES[v] for v in cycle))
-        omega = curvature(conn, slice_cube(cube, axis, 0))
+        omega = curvature(conn, slice_multi(cube, {axis: 0}))
         value = _face_value(cube, omega, axis, 0)
         checks.append(("".join(cycle), face_loop(labeling, cycle) == value))
     return checks
@@ -243,7 +240,7 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
     labeling = build_cube(conn, cube)
     faces = curvature_form(conn)
     omega = {
-        (i, e): faces(slice_cube(cube, i, e))
+        (i, e): faces(slice_multi(cube, {i: e}))
         for i, g in enumerate(cube.args, 1)
         for e in (0, g)
     }
@@ -256,7 +253,7 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
     named = {}
     for (i, g), v in zip(enumerate(cube.args, 1), "ABC"):
         named[f"w{i}"] = face[(i, 0)]
-        named[f"c{i}"] = conj(labeling.edge_arrow("O", v), face[(i, g)])
+        named[f"c{i}"] = conj(labeling.edges[("O", v)], face[(i, g)])
     commutations = []
     keys = list(named)
     for i, a in enumerate(keys):
@@ -265,7 +262,7 @@ def verify_classical_bianchi(conn: Connection, cube: Microcube) -> ClassicalRepo
 
     # the nested conjugation pattern: the far-face value carried back to C
     d1, _, d3 = cube.args
-    inner = conj(invert(labeling.edge_arrow("A", "E")), invert(face[(1, d1)]))
-    nested = conj(labeling.edge_arrow("C", "E"), inner)
+    inner = conj(invert(labeling.edges[("A", "E")]), invert(face[(1, d1)]))
+    nested = conj(labeling.edges[("C", "E")], inner)
     commutations.append(("nested~far", _commute(nested, face[(3, d3)])))
     return ClassicalReport(derivative_zero, tuple(commutations))

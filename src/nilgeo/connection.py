@@ -60,8 +60,8 @@ from .microcalc import (
     bisection_product,
     bracket_sections,
     kernel_loop_tangent,
+    permute,
     strong_diff,
-    transpose,
 )
 from .models import Arrow, GroupoidModel, Point, compose, compose_all, invert
 from .polynomials import PolyMatrix
@@ -165,7 +165,7 @@ class Connection:
         self.images, self._vert = _linear_map(
             model, "H", images, self.coeffs, ConnectionError_, -1
         )
-        for img, b in zip(self.images, model.lie_basis("G")):
+        for img, b in zip(self.images, model.spec("G").lie_basis):
             if model.project_vert(img) != b:
                 raise ConnectionError_("images do not split the projection")
 
@@ -267,7 +267,7 @@ def curvature_via_strong_diff(conn: Connection, cube: Microcube) -> TangentData:
     """Equivalent computation: transpose-lift-transpose against the plain
     lift, compared by strong difference."""
     lifted = lift(conn, cube)
-    other = transpose(lift(conn, transpose(cube)))
+    other = permute(lift(conn, permute(cube, (2, 1))), (2, 1))
     return as_kernel_tangent(strong_diff(other, lifted))
 
 

@@ -40,7 +40,7 @@ from .microcalc import (
     permute,
     perm_sign,
     scale_arg,
-    slice_cube,
+    slice_multi,
 )
 from .models import GroupoidModel, compose, compose_all, invert
 
@@ -144,8 +144,8 @@ def _derivative_value(conn: Connection, form: Form, cube: Microcube) -> TangentD
         others = tuple(g for k, g in enumerate(args, 1) if k != i)
         mono = alg.term(1, others)
         gi = lifted_edge(conn, cube, (), i)
-        v0 = include_tangent(form(slice_cube(cube, i, 0)))
-        vi = include_tangent(form(slice_cube(cube, i, args[i - 1])))
+        v0 = include_tangent(form(slice_multi(cube, {i: 0})))
+        vi = include_tangent(form(slice_multi(cube, {i: args[i - 1]})))
         inner = compose_all(invert(gi), vi.arrow_at(-mono), gi)
         if not cube.model.kernel_test(inner):
             raise FormError("conjugated form value left the kernel")

@@ -26,8 +26,9 @@ Composition follows function order: ``compose(g, h)`` applies h first and
 needs the source of g to equal the target of h exactly.
 
 A `MatrixGroup` (free cells of body - I, GL or SL diagonal blocks) also
-states its Lie algebra (`lie_contains`, `lie_basis`), whose elements are
-constant matrices over the empty algebra `ALG0` (`_lie_value` checks one).
+states its Lie algebra (`lie_contains`, and the basis tuple `lie_basis`),
+whose elements are constant matrices over the empty algebra `ALG0`
+(`_lie_value` checks one).
 Group and Lie tests and projections read a table by position (`contains`,
 `lie_contains`, `Matrix.gather`), with no entries built; an SL block's
 determinant is summed over pairs of the table's masks (`_unit_det`).
@@ -59,8 +60,11 @@ class MembershipError(ValueError):
 class MatrixGroup:
     """The matrices I + X with X supported on the `free` cells, whose
     diagonal `blocks`, each a (span of indices, "GL" or "SL") pair, have a
-    unit determinant (GL) or determinant exactly one (SL).  The order of
-    `free` is the order of `lie_basis`.
+    unit determinant (GL) or determinant exactly one (SL).  Its Lie
+    algebra's basis, `lie_basis`, is a tuple of constant matrices over
+    `ALG0`, built once in the order of `free`: the unit matrices on the
+    free cells, except that in an SL block each diagonal cell but the
+    last, l, carries E_ii - E_ll.
 
     Only patterns closed under multiplication are declared here, so
     membership is a support check plus the block determinants.
@@ -70,6 +74,11 @@ class MatrixGroup:
         self.size = size
         self.free = tuple(free)
         self.blocks = tuple(blocks)
+        if len(set(self.free)) != len(self.free):
+            raise ValueError(f"repeated free cell: {self.free}")
+        for i, j in self.free:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ValueError(f"a free cell needs both indices below {size}: {(i, j)}")
         if any(kind not in ("GL", "SL") for _, kind in self.blocks):
             raise ValueError("a block is 'GL' or 'SL'")
         # `_det` and `_unit_det` cover sizes 1 and 2, which is every block a model needs
@@ -90,7 +99,7 @@ class MatrixGroup:
         )
         self._sl = tuple(span for span, kind in self.blocks if kind == "SL")
         self._sl_flat = tuple(tuple(i * size + j for i in span for j in span) for span in self._sl)
-        # the Lie basis in the order of `free` (see `lie_basis`)
+        # the Lie basis in the order of `free`
         last = {i: span[-1] for span in self._sl for i in span}
         basis = []
         for i, j in self.free:
@@ -102,7 +111,7 @@ class MatrixGroup:
             if l is not None:
                 flat[l * size + l] = -1
             basis.append(_normal(ALG0, size, {0: tuple(flat)}, 1))
-        self._basis = tuple(basis)
+        self.lie_basis = tuple(basis)
 
     def contains(self, m: Matrix) -> bool:
         """Exact membership, read off the table by position."""
@@ -141,12 +150,6 @@ class MatrixGroup:
             or any(sum(v[i * step] for i in span) for span in self._sl)
             for v in m._t.values()
         )
-
-    def lie_basis(self):
-        """Constant matrices over `ALG0`: the unit matrices on the free
-        cells, in order, except that in an SL block each diagonal cell but
-        the last, l, carries E_ii - E_ll; built once per group."""
-        return self._basis
 
 
 def _unit_det(t: dict, den: int, killed, flat: tuple[int, ...]) -> bool:
@@ -254,9 +257,13 @@ class GroupoidModel:
         return Arrow(self, grp, x, x, Matrix.identity(self.spec(grp).size, alg))
 
     def validate(self, arrow: Arrow) -> bool:
-        """Exact membership: defining equations hold identically and the
-        base coordinates have the right arity (L-arrows are loops)."""
+        """Exact membership: defining equations hold identically, the base
+        coordinates have the right arity and live over the body's algebra
+        (L-arrows are loops)."""
         if len(arrow.source) != self.base_dim or len(arrow.target) != self.base_dim:
+            return False
+        alg = arrow.body.algebra
+        if any(c.algebra is not alg for c in (*arrow.source, *arrow.target)):
             return False
         if arrow.grp == "L" and arrow.source != arrow.target:
             return False
@@ -272,9 +279,6 @@ class GroupoidModel:
     def kernel_test(self, h: Arrow) -> bool:
         """True when the arrow projects to an identity arrow downstairs."""
         return self.project(h).is_identity()
-
-    def lie_basis(self, grp: str):
-        return self.spec(grp).lie_basis()
 
     def _lie_value(self, grp: str, m, error: type, what: str) -> Matrix:
         """`m`, once it is checked to be a constant matrix over `ALG0` in

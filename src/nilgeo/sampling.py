@@ -91,7 +91,7 @@ def sample_weil(
 def _lie_cells(spec: MatrixGroup) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Each Lie basis matrix of `spec` as its (flat position, entry) pairs
     where the entry is nonzero; the entries are 0 and +-1, over 1."""
-    return tuple(tuple((k, v) for k, v in enumerate(b._t[0]) if v) for b in spec.lie_basis())
+    return tuple(tuple((k, v) for k, v in enumerate(b._t[0]) if v) for b in spec.lie_basis)
 
 
 def _lie_table(

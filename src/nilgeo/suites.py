@@ -43,8 +43,7 @@ from .microcalc import (
     bracket,
     bracket_sections,
     degenerate_square,
-    diff1,
-    diff2,
+    diff,
     scale_arg,
     strong_diff,
     tau,
@@ -279,8 +278,9 @@ def check_cor_3_2(model, rng, params):
     conn = _connection(model, rng, params)
     g1 = _square(rng, model, params)
     g2 = perturbed_square(rng, g1, params.bound)
-    ok = lift(conn, diff1(g2, g1)) == diff1(lift(conn, g2), lift(conn, g1))
-    return ok and lift(conn, diff2(g2, g1)) == diff2(lift(conn, g2), lift(conn, g1))
+    return all(
+        lift(conn, diff(g2, g1, k)) == diff(lift(conn, g2), lift(conn, g1), k) for k in (1, 2)
+    )
 
 
 @_trials("prop-3.3")
@@ -306,7 +306,7 @@ def check_thm_3_4(model, rng, params):
     rhs = strong_diff(lift(conn, g2), lift(conn, g1))
     ok = lhs == rhs
     # the two-step difference chain reproduces the degenerate square
-    chain = diff2(diff1(g2, g1), tau(g1, 2))
+    chain = diff(diff(g2, g1, 1), tau(g1, 2), 2)
     return ok and chain == degenerate_square(strong_diff(g2, g1), ("d1", "d2"), ALG2)
 
 
@@ -376,7 +376,7 @@ def nonzero_curvature_witnesses(only_model: str | None = None) -> list[TrialResu
 @_trials("dnabla-form")
 def check_dnabla_form(model, rng, params):
     conn = _connection(model, rng, params)
-    images = [sample_lie_rows(rng, model, "L", params.bound) for _ in model.lie_basis("G")]
+    images = [sample_lie_rows(rng, model, "L", params.bound) for _ in model.spec("G").lie_basis]
     coeffs = [
         sample_poly_matrix(rng, model, "L", params.degree, params.bound)
         for _ in range(model.base_dim)

@@ -73,6 +73,22 @@ def _close_upward(masks: frozenset[int], full: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _mask(index: dict[str, int], names: Iterable[str]) -> int:
+    """The bit mask of a square-free monomial, given by its generator names
+    over the generator positions `index`; an unknown or a repeated
+    generator raises `ValueError`."""
+    m = 0
+    for g in names:
+        try:
+            bit = 1 << index[g]
+        except KeyError:
+            raise ValueError(f"unknown generator in monomial: {g!r}") from None
+        if m & bit:
+            raise ValueError(f"repeated generator in monomial: {g}")
+        m |= bit
+    return m
+
+
 _ALGEBRA_CACHE: dict[tuple, "WeilAlgebra"] = {}
 
 
@@ -86,15 +102,8 @@ def algebra(names: Iterable[str], killed: Iterable[Iterable[str]] = ()) -> "Weil
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate generator names: {names}")
     index = {g: i for i, g in enumerate(names)}
-    masks = []
-    for mono in killed:
-        mask = 0
-        for g in mono:
-            mask |= 1 << index[g]
-        if mask:
-            masks.append(mask)
-    full = (1 << len(names)) - 1
-    closed = _close_upward(frozenset(masks), full)
+    masks = frozenset(_mask(index, mono) for mono in killed) - {0}
+    closed = _close_upward(masks, (1 << len(names)) - 1)
     key = (names, closed)
     alg = _ALGEBRA_CACHE.get(key)
     if alg is None:
@@ -111,7 +120,7 @@ class WeilAlgebra:
     build: it interns each algebra by its names and killed masks, so equal
     algebras are one object and compare with `is`."""
 
-    __slots__ = ("names", "killed", "_index", "_one", "_zero", "_dense_at")
+    __slots__ = ("names", "killed", "_index", "zero", "one", "_dense_at")
 
     def __init__(self, names: tuple[str, ...], killed: frozenset[int]):
         self.names = names
@@ -122,8 +131,8 @@ class WeilAlgebra:
         self._dense_at = (
             (1 << len(names)) - len(killed) if len(names) <= _KERNEL_CAP else inf
         )
-        self._zero = WeilElement(self, {}, 1)
-        self._one = WeilElement(self, {0: 1}, 1)
+        self.zero = WeilElement(self, {}, 1)
+        self.one = WeilElement(self, {0: 1}, 1)
 
     def __repr__(self):
         if not self.killed:
@@ -134,13 +143,7 @@ class WeilAlgebra:
     # -- mask helpers ------------------------------------------------------
 
     def mask(self, names: Iterable[str]) -> int:
-        m = 0
-        for g in names:
-            bit = 1 << self._index[g]
-            if m & bit:
-                raise ValueError(f"repeated generator in monomial: {g}")
-            m |= bit
-        return m
+        return _mask(self._index, names)
 
     def mono_names(self, mask: int) -> tuple[str, ...]:
         return tuple(g for i, g in enumerate(self.names) if mask >> i & 1)
@@ -150,34 +153,26 @@ class WeilAlgebra:
 
     # -- element constructors ---------------------------------------------
 
-    @property
-    def zero(self) -> "WeilElement":
-        return self._zero
-
-    @property
-    def one(self) -> "WeilElement":
-        return self._one
-
     def scalar(self, q: Scalar) -> "WeilElement":
         if type(q) is int:
             return WeilElement(self, {0: q} if q else {}, 1)
         if not isinstance(q, Fraction):
             q = Fraction(_exact(q))
         if not q:
-            return self._zero
+            return self.zero
         return WeilElement(self, {0: q.numerator}, q.denominator)
 
     def gen(self, name: str) -> "WeilElement":
         bit = 1 << self._index[name]
         if bit in self.killed:
-            return self._zero
+            return self.zero
         return WeilElement(self, {bit: 1}, 1)
 
     def term(self, coeff: Scalar, names: Iterable[str]) -> "WeilElement":
         mask = self.mask(names)
         coeff = Fraction(_exact(coeff))
         if coeff == 0 or mask in self.killed:
-            return self._zero
+            return self.zero
         return WeilElement(self, {mask: coeff.numerator}, coeff.denominator)
 
     # -- derived algebras ---------------------------------------------------
@@ -355,7 +350,7 @@ def _build(alg: WeilAlgebra, table: dict[int, int], den: int) -> "WeilElement":
     if 0 in table.values():
         table = {m: v for m, v in table.items() if v}
     if not table:
-        return alg._zero
+        return alg.zero
     if den == 1:
         return WeilElement(alg, table, 1)
     if den < 0:
@@ -475,7 +470,7 @@ class WeilElement(_Transforms):
         if type(other) is not WeilElement:
             if type(other) is int:
                 if other == 0:
-                    return self.algebra._zero
+                    return self.algebra.zero
                 if other == 1:
                     return self
                 return _build(
@@ -493,7 +488,7 @@ class WeilElement(_Transforms):
         elif other.algebra is not self.algebra:
             _check_algebra(self.algebra, other.algebra)
         if not self._c or not other._c:
-            return self.algebra._zero
+            return self.algebra.zero
         alg, c1, c2 = self.algebra, self._c, other._c
         if len(c1) * len(c2) > alg._dense_at:
             out = _kernel(alg)(c1, c2)

@@ -170,7 +170,7 @@ def fraction_weil(rng, alg, bound=Fraction(2)):
 def fraction_lie_rows(rng, model, grp, bound=Fraction(2)):
     size = model.spec(grp).size
     rows = [[Fraction(0)] * size for _ in range(size)]
-    for b in model.lie_basis(grp):
+    for b in model.spec(grp).lie_basis:
         q = fraction_rational(rng, bound)
         for i, row in enumerate(b.constant_matrix()):
             for j, v in enumerate(row):
@@ -195,7 +195,7 @@ def fraction_microcube(rng, model, grp, args, alg, bound=Fraction(2)):
     masks = sorted(range(1, 1 << len(args)), key=lambda m: (bin(m).count("1"), m))
     for m in masks:
         mono = alg.term(1, [g for i, g in enumerate(args) if m >> i & 1])
-        if model.lie_basis(grp):
+        if model.spec(grp).lie_basis:
             step = Matrix.identity(size, alg) + fraction_vert(rng, model, grp, alg, bound) * mono
             body = body * step
         for k in range(model.base_dim):
@@ -207,7 +207,7 @@ def fraction_perturbed_square(rng, base, bound=Fraction(2)):
     alg, model, grp = base.algebra, base.model, base.arrow.grp
     top = alg.term(1, base.args)
     bump = Matrix.identity(model.spec(grp).size, alg)
-    if model.lie_basis(grp):
+    if model.spec(grp).lie_basis:
         bump = bump + fraction_vert(rng, model, grp, alg, bound) * top
     tgt = [c + top * fraction_rational(rng, bound) for c in base.arrow.target]
     old = base.arrow
@@ -228,7 +228,7 @@ def fraction_poly_matrix(rng, model, grp, degree, bound=Fraction(2)):
     size = model.spec(grp).size
     nvars = model.base_dim
     entries = [[Poly(nvars, {}) for _ in range(size)] for _ in range(size)]
-    for b in model.lie_basis(grp):
+    for b in model.spec(grp).lie_basis:
         p = fraction_poly(rng, nvars, degree, bound)
         for i, row in enumerate(b.constant_matrix()):
             for j, v in enumerate(row):

@@ -19,7 +19,7 @@ from nilgeo.bianchi import (
 )
 from nilgeo.connection import curvature
 from nilgeo.forms import curvature_form, d_nabla
-from nilgeo.microcalc import arrow_drop, include_tangent, slice_cube
+from nilgeo.microcalc import arrow_drop, include_tangent, slice_multi
 from nilgeo.models import build_model, all_models, compose, compose_all, invert
 from nilgeo.sampling import (
     preset_connection,
@@ -109,8 +109,8 @@ def test_dropping_the_third_generator_collapses_top_onto_bottom():
             (("F", "G"), ("B", "D")),
         ):
             assert collapse[top_a] == bot_a and collapse[top_b] == bot_b
-            dropped = arrow_drop(labeling.edge_arrow(top_a, top_b), ("d3",))
-            assert dropped == labeling.edge_arrow(bot_a, bot_b)
+            dropped = arrow_drop(labeling.edges[(top_a, top_b)], ("d3",))
+            assert dropped == labeling.edges[(bot_a, bot_b)]
 
 
 def test_edge_vanishes_when_its_own_generator_is_dropped():
@@ -125,7 +125,7 @@ def test_edge_vanishes_when_its_own_generator_is_dropped():
             ("D", "G"): "d3", ("E", "G"): "d2", ("F", "G"): "d1",
         }
         for pair, g in gen_of.items():
-            dropped = arrow_drop(labeling.edge_arrow(*pair), (g,))
+            dropped = arrow_drop(labeling.edges[pair], (g,))
             assert dropped.body.is_identity()
             assert dropped.source == dropped.target == labeling.points[pair[0]]
 
@@ -177,7 +177,7 @@ def test_far_face_conjugation_identities():
     # matching slice curvature transported along the first edge
     rng = random.Random(63)
     from nilgeo.connection import curvature
-    from nilgeo.microcalc import include_tangent, slice_cube
+    from nilgeo.microcalc import include_tangent, slice_multi
     from nilgeo.models import compose_all
 
     for model in (HEIS, build_model("trivial_gauge", "gl2")):
@@ -193,17 +193,17 @@ def test_far_face_conjugation_identities():
         for face, first_edge, axis, kept, mono, sign in cases:
             loop = face_loop(labeling, face)
             out_and_back = compose_all(
-                labeling.edge_arrow("A", "O"),
-                labeling.edge_arrow("D", "A"),
-                labeling.edge_arrow("G", "D"),
+                labeling.edges[("A", "O")],
+                labeling.edges[("D", "A")],
+                labeling.edges[("G", "D")],
                 loop,
-                labeling.edge_arrow("D", "G"),
-                labeling.edge_arrow("A", "D"),
-                labeling.edge_arrow("O", "A"),
+                labeling.edges[("D", "G")],
+                labeling.edges[("A", "D")],
+                labeling.edges[("O", "A")],
             )
-            omega = curvature(conn, slice_cube(cube, axis, kept))
+            omega = curvature(conn, slice_multi(cube, {axis: kept}))
             value = include_tangent(omega).arrow_at(alg.term(sign, mono))
-            edge = labeling.edge_arrow(*first_edge)
+            edge = labeling.edges[first_edge]
             transported = compose_all(
                 invert(edge), value, edge
             )
@@ -273,7 +273,7 @@ def _unshared_classical_report(conn, cube):
     d1, d2, d3 = cube.args
 
     def face(axis, e, sign, mono):
-        omega = curvature(conn, slice_cube(cube, axis, e))
+        omega = curvature(conn, slice_multi(cube, {axis: e}))
         return include_tangent(omega).arrow_at(alg.term(sign, mono))
 
     def conj(g, loop):
@@ -284,11 +284,11 @@ def _unshared_classical_report(conn, cube):
 
     named = {
         "w1": face(1, 0, -1, (d2, d3)),
-        "c1": conj(labeling.edge_arrow("O", "A"), face(1, d1, 1, (d2, d3))),
+        "c1": conj(labeling.edges[("O", "A")], face(1, d1, 1, (d2, d3))),
         "w2": face(2, 0, 1, (d1, d3)),
-        "c2": conj(labeling.edge_arrow("O", "B"), face(2, d2, -1, (d1, d3))),
+        "c2": conj(labeling.edges[("O", "B")], face(2, d2, -1, (d1, d3))),
         "w3": face(3, 0, -1, (d1, d2)),
-        "c3": conj(labeling.edge_arrow("O", "C"), face(3, d3, 1, (d1, d2))),
+        "c3": conj(labeling.edges[("O", "C")], face(3, d3, 1, (d1, d2))),
     }
     keys = list(named)
     commutations = [
@@ -296,8 +296,8 @@ def _unshared_classical_report(conn, cube):
         for i, a in enumerate(keys)
         for b in keys[i + 1 :]
     ]
-    inner = conj(invert(labeling.edge_arrow("A", "E")), face(1, d1, -1, (d2, d3)))
-    nested = conj(labeling.edge_arrow("C", "E"), inner)
+    inner = conj(invert(labeling.edges[("A", "E")]), face(1, d1, -1, (d2, d3)))
+    nested = conj(labeling.edges[("C", "E")], inner)
     commutations.append(("nested~far", commute(nested, face(3, d3, 1, (d1, d2)))))
     return ClassicalReport(derivative_zero, tuple(commutations))
 

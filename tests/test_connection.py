@@ -28,12 +28,11 @@ from nilgeo.microcalc import (
     TangentData,
     bisection_product,
     degenerate_square,
-    diff1,
-    diff2,
+    diff,
     from_tangent,
     make_microcube,
     scale_arg,
-    slice_cube,
+    slice_multi,
     slice_multi,
     strong_diff,
     tau,
@@ -303,7 +302,7 @@ def test_splitting_connection_rejects_images_outside_h():
 
 def test_splitting_one_form_rejects_images_outside_the_kernel():
     for model, outside in ((HEIS, _unit(3, (0, 1))), (FLAT, _unit(3, (0, 0)))):
-        images = (outside,) * len(model.lie_basis("G"))
+        images = (outside,) * len(model.spec("G").lie_basis)
         with pytest.raises(FormError, match="Lie algebra of L"):
             one_form(model, images)
 
@@ -424,8 +423,8 @@ def test_lift_commutes_with_differences():
         for _ in range(5):
             g1 = sample_microcube(rng, model, "G", ("d1", "d2"), alg)
             g2 = perturbed_square(rng, g1)
-            assert lift(conn, diff1(g2, g1)) == diff1(lift(conn, g2), lift(conn, g1))
-            assert lift(conn, diff2(g2, g1)) == diff2(lift(conn, g2), lift(conn, g1))
+            assert lift(conn, diff(g2, g1, 1)) == diff(lift(conn, g2), lift(conn, g1), 1)
+            assert lift(conn, diff(g2, g1, 2)) == diff(lift(conn, g2), lift(conn, g1), 2)
 
 
 def test_lift_of_degenerate_square_is_degenerate():
@@ -447,7 +446,7 @@ def test_lift_of_frozen_square_has_no_second_direction():
     cube = sample_microcube(rng, HEIS, "G", ("d1", "d2"), alg)
     frozen = tau(cube, 1)
     lifted = lift(conn, frozen)
-    up1 = nabla_tangent(conn, slice_cube(frozen, 2, 0))  # the d1-edge lift
+    up1 = nabla_tangent(conn, slice_multi(frozen, {2: 0}))  # the d1-edge lift
     assert lifted.arrow.body == up1.arrow.body
     assert lifted.arrow.body.drop(("d2",)) == lifted.arrow.body
 
@@ -707,7 +706,7 @@ def test_apply_commutes_with_dropping_generators(model):
             anchor = tuple(sample_weil(rng, alg) for _ in range(model.base_dim))
             direction = tuple(sample_weil(rng, alg) for _ in range(model.base_dim))
             vert = Matrix.zero(size, alg)
-            for b in model.lie_basis("G"):
+            for b in model.spec("G").lie_basis:
                 vert = vert + b.convert(alg) * sample_weil(rng, alg)
             td = TangentData(model, "G", anchor, direction, vert)
             lifted = conn.apply(td)
@@ -759,7 +758,7 @@ def test_face_slices_inherit_their_cubes_far_reads(model):
         assert sorted(cube.far_edges) == [1, 2, 3]
         for i, g in enumerate(names, 1):
             for e in (0, g):
-                face = slice_cube(cube, i, e)
+                face = slice_multi(cube, {i: e})
                 assert sorted(face.far_edges) == [1, 2], (i, e)
                 fresh = Microcube(face.arrow, face.args)
                 for k, read in face.far_edges.items():

@@ -56,7 +56,7 @@ def sample_squares(rng, model, count, alg=None):
 
 
 def random_one_form(rng, model, degree=2):
-    images = [_l_value(rng, model) for _ in model.lie_basis("G")]
+    images = [_l_value(rng, model) for _ in model.spec("G").lie_basis]
     coeffs = [
         sample_poly_matrix(rng, model, "L", degree) for _ in range(model.base_dim)
     ]
@@ -65,7 +65,7 @@ def random_one_form(rng, model, degree=2):
 
 def _l_value(rng, model):
     out = Matrix.zero(model.spec("L").size, ALG0)
-    for b in model.lie_basis("L"):
+    for b in model.spec("L").lie_basis:
         out = out + b * rng.randint(-2, 2)
     return out
 

@@ -15,24 +15,22 @@ from nilgeo.microcalc import (
     TangentData,
     _transform,
     arrow_drop,
+    as_kernel_tangent,
     bisection_product,
     bracket,
     bracket_sections,
     degenerate_square,
-    diff1,
-    diff2,
+    diff,
     from_tangent,
     make_microcube,
     perm_sign,
     permute,
     scale_arg,
-    slice_cube,
     slice_multi,
     strong_diff,
     tau,
-    transpose,
 )
-from nilgeo.models import ALG0, Arrow, MembershipError, all_models, build_model
+from nilgeo.models import ALG0, Arrow, CompositionError, MembershipError, all_models, build_model
 from nilgeo.polynomials import Poly
 from nilgeo.sampling import (
     perturbed_square, sample_microcube, sample_point, sample_vert, sample_weil,
@@ -104,7 +102,7 @@ def test_slice_at_own_name_matches_hand_expansion():
     for _ in range(20):
         a, b, c = random_g_matrices(rng, alg)
         cube = g_square(alg, a, b, c)
-        got = slice_cube(cube, 1, "d1")
+        got = slice_multi(cube, {1: "d1"})
         assert got.args == ("d2",)
         g1, g2 = alg.gen("d1"), alg.gen("d2")
         want = Matrix.identity(3, alg) + b * g2 + (c - b * a) * (g1 * g2)
@@ -115,7 +113,7 @@ def test_slice_at_zero_is_plain_evaluation():
     alg = algebra(["d1", "d2"])
     a, b, c = e01(alg), e12(alg, 0) + e02(alg, 2), e02(alg, 5)
     cube = g_square(alg, a, b, c)
-    got = slice_cube(cube, 1, 0)
+    got = slice_multi(cube, {1: 0})
     want = Matrix.identity(3, alg) + b * alg.gen("d2")
     assert got.arrow.body == want
     assert got.args == ("d2",)
@@ -158,25 +156,22 @@ def test_every_arrow_plan_matches_the_entrywise_oracle():
     names3 = ["d1", "d2", "d3"]
     for alg in (algebra(names3), algebra(names3, killed=[("d1", "d3")])):
         dead = [alg.mono_names(m) for m in alg.killed]
-        foreign = algebra(["e", "d3", "d2", "d1"], killed=dead)
         wide = algebra(["d2", "d1", "f", "d3", "e"], killed=dead)
         for model in all_models():
             a = sample_microcube(rng, model, "H", alg.names, alg).arrow
-            # target coordinates over an algebra that orders its names differently
-            a = Arrow(model, "H", a.source, tuple(c.convert(foreign) for c in a.target), a.body)
             for names in _subsets(alg.names):
                 cycle = dict(zip(names, names[1:] + names[:1]))
                 q = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-                plan_ofs = [
-                    lambda b: _drop_plan(b, b.mask(names)),
-                    lambda b: _coefficient_plan(b, b.mask(names)),
-                    lambda b: _rename_plan(b, tuple(cycle.items())),
-                    lambda b: _restrict_plan(b.kill([names])),
-                    lambda b: _convert_plan(b, wide),
-                ] + [lambda b, g=g: _scale_plan(b, g, q) for g in names]
-                for plan_of in plan_ofs:
-                    want = arrow_map(a, lambda w: w._apply(plan_of(w.algebra)))
-                    assert _transform(a, plan_of) == want
+                plans = [
+                    _drop_plan(alg, alg.mask(names)),
+                    _coefficient_plan(alg, alg.mask(names)),
+                    _rename_plan(alg, tuple(cycle.items())),
+                    _restrict_plan(alg.kill([names])),
+                    _convert_plan(alg, wide),
+                ] + [_scale_plan(alg, g, q) for g in names]
+                for plan in plans:
+                    want = arrow_map(a, lambda w: w._apply(plan))
+                    assert _transform(a, plan) == want
 
 
 def test_arrow_drop_computes_one_mask_per_arrow(monkeypatch):
@@ -199,15 +194,22 @@ def test_arrow_drop_computes_one_mask_per_arrow(monkeypatch):
         assert len(calls) == 1
 
 
-def test_arrow_drop_reads_foreign_coordinates_by_name():
-    # the body and the coordinates order their generators differently
+def test_an_arrow_with_coordinates_over_another_algebra_is_refused():
+    # the body and the coordinates order their generators differently: a
+    # plan of the body's algebra would misread every coordinate
     body_alg, coord_alg = algebra(["d1", "e"]), algebra(["e", "d1"])
     model = build_model("trivial_gauge", "scalar")
-    x = (coord_alg.scalar(1) + coord_alg.gen("d1"), coord_alg.gen("e"))
-    a = Arrow(model, "G", x, x, Matrix.identity(1, body_alg))
-    got = arrow_drop(a, ("d1",))
-    assert got.source == (coord_alg.scalar(1), coord_alg.gen("e"))
-    assert got.body == Matrix.identity(1, body_alg)
+    x = (coord_alg.scalar(1), coord_alg.scalar(2))
+    x_body = tuple(c.convert(body_alg) for c in x)
+    moved = (x_body[0] + body_alg.gen("d1"), x_body[1])
+    good = Arrow(model, "G", x_body, moved, Matrix.identity(1, body_alg))
+    assert model.validate(good)
+    assert make_microcube(good, ("d1",)).arrow is good
+    for source, target in ((x, moved), (x_body, tuple(c.convert(coord_alg) for c in moved))):
+        bad = Arrow(model, "G", source, target, Matrix.identity(1, body_alg))
+        assert not model.validate(bad)
+        with pytest.raises(MembershipError, match="invalid G-arrow"):
+            make_microcube(bad, ("d1",))
 
 
 def test_slice_rejects_colliding_parameter():
@@ -216,7 +218,7 @@ def test_slice_rejects_colliding_parameter():
     cube = g_square(alg, e01(alg), e02(alg), e02(alg, 0))
     for e in ("d2", "e", "y", 1, alg.gen("d1")):
         with pytest.raises(CubeError, match="0 or the argument's own name d1"):
-            slice_cube(cube, 1, e)
+            slice_multi(cube, {1: e})
 
 
 # -- edges, permutation, scaling ----------------------------------------------
@@ -251,11 +253,11 @@ def test_transpose_swaps_the_mixed_coefficient_frame():
     for _ in range(10):
         a, b, c = random_g_matrices(rng, alg)
         cube = g_square(alg, a, b, c)
-        flipped = transpose(cube)
+        flipped = permute(cube, (2, 1))
         g1, g2 = alg.gen("d1"), alg.gen("d2")
         want = Matrix.identity(3, alg) + b * g1 + a * g2 + c * (g1 * g2)
         assert flipped.arrow.body == want
-        assert transpose(flipped) == cube
+        assert permute(flipped, (2, 1)) == cube
 
 
 def test_tau_zeroes_the_other_argument():
@@ -332,6 +334,63 @@ def test_arrow_at_refuses_mixed_algebras_and_a_constant_parameter():
         with pytest.raises(NotNilpotent):
             td.arrow_at(constant)
     assert issubclass(NotNilpotent, ValueError)
+
+
+KERNEL_ALG = algebra(["d1", "d2"], killed=[("d1", "d2")]).extend("d3")
+
+
+def _kernel_data(rng, model):
+    """A vertical H-tangent at a random point whose vertical part lies in
+    Lie(L), with Weil-valued coefficients."""
+    x = sample_point(rng, model, KERNEL_ALG)
+    vert = sum(
+        (sample_vert(rng, model, "L", KERNEL_ALG) * sample_weil(rng, KERNEL_ALG) for _ in range(2)),
+        Matrix.zero(model.spec("L").size, KERNEL_ALG),
+    )
+    return x, tuple(KERNEL_ALG.zero for _ in x), vert
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_as_kernel_tangent_tags_a_lie_l_value(model):
+    rng = random.Random(19)
+    for _ in range(5):
+        x, zero, vert = _kernel_data(rng, model)
+        got = as_kernel_tangent(TangentData(model, "H", x, zero, vert))
+        assert got == TangentData(model, "L", x, zero, vert)
+
+
+@pytest.mark.parametrize(
+    "model", [m for m in all_models() if m.base_dim], ids=lambda m: m.name
+)
+def test_as_kernel_tangent_refuses_a_nonzero_direction(model):
+    # over a one-point base a tangent has no direction
+    rng = random.Random(20)
+    x, zero, vert = _kernel_data(rng, model)
+    moving = (KERNEL_ALG.gen("d1"),) + zero[1:]
+    with pytest.raises(CompositionError, match="nonzero base velocity"):
+        as_kernel_tangent(TangentData(model, "H", x, moving, vert))
+
+
+@pytest.mark.parametrize(
+    "name, structure, cell",
+    [("heisenberg", None, (0, 1)), ("direct_product", None, (0, 0)), ("trivial_gauge", "sl2", None)],
+    ids=["heisenberg-E01", "direct_product-E00", "trivial_gauge[sl2]-I"],
+)
+def test_as_kernel_tangent_refuses_a_value_outside_lie_l(name, structure, cell):
+    model = build_model(name, structure)
+    n = model.spec("L").size
+    if cell is None:
+        outside = Matrix.identity(n, KERNEL_ALG)  # not traceless
+    else:
+        flat = [[0] * n for _ in range(n)]
+        flat[cell[0]][cell[1]] = 1
+        outside = Matrix.from_rational(flat, KERNEL_ALG)
+    assert not model.spec("L").lie_contains(outside)
+    rng = random.Random(21)
+    x, zero, vert = _kernel_data(rng, model)
+    for bad in (outside, vert + outside * KERNEL_ALG.gen("d2")):
+        with pytest.raises(MembershipError):
+            as_kernel_tangent(TangentData(model, "H", x, zero, bad))
 
 
 def test_tangent_add_matches_body_product():
@@ -428,8 +487,8 @@ def test_diff1_of_identical_squares_is_the_shared_frame():
     alg = algebra(["d1", "d2"])
     a, b, c = random_g_matrices(rng, alg)
     cube = g_square(alg, a, b, c)
-    assert diff1(cube, cube) == tau(cube, 2)
-    assert diff2(cube, cube) == tau(cube, 1)
+    assert diff(cube, cube, 1) == tau(cube, 2)
+    assert diff(cube, cube, 2) == tau(cube, 1)
 
 
 def test_diff1_subtracts_first_axis_coefficients():
@@ -439,7 +498,7 @@ def test_diff1_subtracts_first_axis_coefficients():
     a2, _, c2 = random_g_matrices(rng, alg)
     g1 = g_square(alg, a1, b, c1)
     g2 = g_square(alg, a2, b, c2)
-    got = diff1(g2, g1)
+    got = diff(g2, g1, 1)
     want = g_square(alg, a2 - a1, b, c2 - c1)
     assert got == want
 
@@ -449,7 +508,15 @@ def test_diff_requires_shared_slice():
     g1 = g_square(alg, e01(alg, 1), e02(alg, 1), e02(alg, 0))
     g2 = g_square(alg, e01(alg, 1), e02(alg, 2), e02(alg, 0))
     with pytest.raises(DifferenceError):
-        diff1(g2, g1)  # the d2-frames differ
+        diff(g2, g1, 1)  # the d2-frames differ
+
+
+@pytest.mark.parametrize("axis", [0, 3])
+def test_diff_refuses_an_axis_other_than_1_or_2(axis):
+    alg = algebra(["d1", "d2"])
+    cube = g_square(alg, e01(alg), e02(alg), e02(alg, 0))
+    with pytest.raises(DifferenceError, match=f"not {axis}"):
+        diff(cube, cube, axis)
 
 
 def test_strong_diff_basics():
@@ -498,7 +565,7 @@ def test_thm_chain_identity_for_differences():
             g1 = sample_microcube(rng, model, "G", ("d1", "d2"), alg)
             g2 = perturbed_square(rng, g1)
             lhs = degenerate_square(strong_diff(g2, g1), ("d1", "d2"), alg)
-            rhs = diff2(diff1(g2, g1), tau(g1, 2))
+            rhs = diff(diff(g2, g1, 1), tau(g1, 2), 2)
             assert lhs == rhs
 
 
@@ -602,8 +669,8 @@ ALG3 = algebra(["d1", "d2", "d3"])
 # each function that derives a cube from a checked one, with one call on a cube
 DERIVED = {
     "slice_multi": lambda c: slice_multi(c, {1: 0, 3: "d3"}),
-    "slice_cube-own-name": lambda c: slice_cube(c, 2, "d2"),
-    "slice_cube-zero": lambda c: slice_cube(c, 1, 0),
+    "slice_cube-own-name": lambda c: slice_multi(c, {2: "d2"}),
+    "slice_cube-zero": lambda c: slice_multi(c, {1: 0}),
     "permute": lambda c: permute(c, (3, 1, 2)),
     "scale_arg": lambda c: scale_arg(c, 2, Fraction(-3, 2)),
     "tau": lambda c: tau(c, 3),

@@ -67,7 +67,7 @@ def sample_body(rng, model, grp, alg, bound=Fraction(2)):
     spec = model.spec(grp)
     body = Matrix.from_rational(_constant_member(rng, spec, bound), alg)
     size = spec.size
-    if model.lie_basis(grp):
+    if model.spec(grp).lie_basis:
         for mask in range(1, 1 << len(alg.names)):
             if mask in alg.killed:
                 continue
@@ -289,6 +289,24 @@ def test_matrix_group_refuses_blocks_it_cannot_test():
     assert group.contains(Matrix.identity(3, ALG0))
 
 
+@pytest.mark.parametrize(
+    "free, message",
+    [
+        ([(-1, 0)], "below 2: \\(-1, 0\\)"),
+        ([(0, -1)], "below 2: \\(0, -1\\)"),
+        ([(2, 0)], "below 2: \\(2, 0\\)"),
+        ([(0, 2)], "below 2: \\(0, 2\\)"),
+        ([(0, 1), (0, 1)], "repeated free cell"),
+    ],
+    ids=["negative-row", "negative-column", "row-past-size", "column-past-size", "repeated"],
+)
+def test_matrix_group_refuses_free_cells_it_cannot_hold(free, message):
+    # a negative flat index would wrap to another cell, one past the size
+    # would not exist, and a repeated cell would give two equal basis matrices
+    with pytest.raises(ValueError, match=message):
+        MatrixGroup(2, free)
+
+
 # -- table reads against per-entry oracles ----------------------------------------
 
 
@@ -387,8 +405,7 @@ def test_lie_contains_matches_the_group_over_dual_numbers():
         for grp in ("G", "H", "L"):
             spec = model.spec(grp)
             n = spec.size
-            basis = spec.lie_basis()
-            assert basis is spec.lie_basis()  # built once per group
+            basis = spec.lie_basis
             sl_blocks = sum(kind == "SL" for _, kind in spec.blocks)
             assert len(basis) == len(spec.free) - sl_blocks
             assert all(spec.lie_contains(b) for b in basis)

@@ -310,6 +310,33 @@ def test_killed_generator_collapses_to_zero():
     assert a.gen("d1").is_zero()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: algebra(["d1", "d2"], killed=[("d1", "d1")]),
+        lambda: algebra(["d1", "d2"]).kill([("d2", "d2")]),
+    ],
+    ids=["algebra", "kill"],
+)
+def test_a_killed_monomial_refuses_a_repeated_generator(build):
+    # d1 * d1 is already 0: read as d1 it would kill the generator itself
+    with pytest.raises(ValueError, match="repeated generator in monomial"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: algebra(["d1", "d2"], killed=[("d1", "x")]),
+        lambda: algebra(["d1", "d2"]).kill([("x",)]),
+    ],
+    ids=["algebra", "kill"],
+)
+def test_a_killed_monomial_refuses_an_unknown_generator(build):
+    with pytest.raises(ValueError, match="unknown generator in monomial: 'x'"):
+        build()
+
+
 def test_str_roundtrip_smoke():
     a = D(2)
     x = a.one - a.gen("d1") + Fraction(1, 2) * a.term(1, ("d1", "d2"))
