@@ -208,13 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             cfg = parse_config(handle.read())
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.suite is not None:
-            overrides["suite"] = args.suite
-        if args.trials is not None:
-            overrides["trials"] = args.trials
+        overrides = {
+            key: value
+            for key in ("seed", "suite", "trials")
+            if (value := getattr(args, key)) is not None
+        }
         if args.mutation:
             overrides["mutation"] = True
         if overrides:

@@ -306,18 +306,6 @@ def _check_sizes(a: Matrix, b: Matrix) -> None:
         raise SizeMismatch(f"{a.size}x{a.size} against {b.size}x{b.size}")
 
 
-def _det(rows):
-    """The determinant of a square matrix of size at most 2 (`MatrixGroup`
-    refuses larger blocks), over any commutative ring: Weil elements,
-    rationals or integers."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    raise NotImplementedError("determinant only needed for sizes <= 2")
-
-
 @lru_cache(maxsize=None)
 def _eye(n: int) -> tuple[int, ...]:
     """The flat n x n identity."""

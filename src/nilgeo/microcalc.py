@@ -13,9 +13,11 @@ wherever one of its arguments is 0 is read off its top coefficient by
 `top_tangent`: the strong difference and the bracket read their words so,
 and `kernel_loop_tangent` reads curvature and the covariant derivative.
 
-Slicing, permuting, rescaling and restricting a cube are mask plans of
-`weil`, which `_transform` applies throughout an arrow: one plan, since an
-arrow's coordinates live over its body's algebra (`GroupoidModel.validate`).
+Slicing, permuting and rescaling a cube are mask plans of `weil` (the
+permutation's own, `_relabel_plan`, is built here), which `_transform`
+applies throughout an arrow: one plan, since an arrow's coordinates live
+over its body's algebra (`GroupoidModel.validate`).  Tangent data take a
+plan the same way (`_tangent_transform`).
 
 The cube invariants and group membership are checked where an arrow
 enters from outside: the public `make_microcube`, which `degenerate_square`,
@@ -42,7 +44,7 @@ name, never renaming one, so it inherits each far read its parent has kept
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .matrices import Matrix, _plus_identity
@@ -58,8 +60,8 @@ from .models import (
 )
 from .polynomials import Poly
 from .weil import (
-    Scalar, WeilAlgebra, WeilElement, _Plan, _check_algebra, _drop_plan, _rename_plan,
-    _restrict_plan, _scale_plan, _times_plan,
+    Scalar, WeilAlgebra, WeilElement, _Plan, _check_algebra, _convert_plan, _drop_plan,
+    _scale_plan, _times_plan,
 )
 
 
@@ -144,28 +146,32 @@ def arrow_drop(a: Arrow, names: Sequence[str]) -> Arrow:
     return _transform(a, _drop_plan(a.algebra, a.algebra.mask(names)))
 
 
-def _tangent_drop(td: "TangentData", names: Sequence[str]) -> "TangentData":
-    """`arrow_drop` for tangent data."""
-    plan = _drop_plan(td.algebra, td.algebra.mask(names))
+def _tangent_transform(td: "TangentData", plan: _Plan) -> "TangentData":
+    """`_transform` for tangent data."""
     anchor, direction = (tuple(w._apply(plan) for w in p) for p in (td.anchor, td.direction))
     return TangentData(td.model, td.grp, anchor, direction, td.vert._apply(plan))
 
 
+def _tangent_drop(td: "TangentData", names: Sequence[str]) -> "TangentData":
+    """`arrow_drop` for tangent data."""
+    return _tangent_transform(td, _drop_plan(td.algebra, td.algebra.mask(names)))
+
+
+@lru_cache(maxsize=None)
 def _relabel_plan(alg: WeilAlgebra, pairs: tuple[tuple[str, str], ...]) -> _Plan:
-    """`weil._rename_plan`, refused with `CubeError` unless the renaming sends
-    each killed monomial of `alg` to a killed one or to zero: only then is it
-    a map of algebras, so that it keeps a cube a cube."""
+    """Rename each generator `old` to `new` over the (old, new) pairs, a
+    permutation of generators, at once.  Refused with `CubeError` unless it
+    sends each killed monomial of `alg` to a killed one: only then is it a
+    map of algebras, so that it keeps a cube a cube."""
     bits = [(alg.gen_bit(old), alg.gen_bit(new)) for old, new in pairs]
-    moved = sum(b for b, _ in bits)
-    for m in alg.killed:
-        image, zero = m & ~moved, False
-        for old_bit, new_bit in bits:
-            if m & old_bit:
-                zero = zero or bool(image & new_bit)
-                image |= new_bit
-        if not zero and image not in alg.killed:
-            raise CubeError(f"renaming {dict(pairs)} does not respect the killed monomials")
-    return _rename_plan(alg, pairs)
+    moved = sum(b for b, _ in bits)  # distinct bits: the sum is their union
+
+    def image(m: int) -> int:
+        return (m & ~moved) | sum(new for old, new in bits if m & old)
+
+    if any(image(m) not in alg.killed for m in alg.killed):
+        raise CubeError(f"renaming {dict(pairs)} does not respect the killed monomials")
+    return _Plan(alg, lambda m: (image(m), 1))
 
 
 def _cube_args(args: Sequence[str], alg: WeilAlgebra) -> tuple[str, ...]:
@@ -332,13 +338,7 @@ class TangentData:
     def convert(self, alg: WeilAlgebra) -> "TangentData":
         if alg is self.algebra:
             return self
-        return TangentData(
-            self.model,
-            self.grp,
-            tuple(c.convert(alg) for c in self.anchor),
-            tuple(c.convert(alg) for c in self.direction),
-            self.vert.convert(alg),
-        )
+        return _tangent_transform(self, _convert_plan(self.algebra, alg))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.direction) and self.vert.is_zero()
@@ -468,10 +468,10 @@ def strong_diff(g2: Microcube, g1: Microcube) -> TangentData:
     if g1.args != g2.args or g1.degree != 2:
         raise DifferenceError("strong difference needs two microsquares on the same arguments")
     top = g1.args
-    plan = _restrict_plan(g1.algebra.kill([top]))
-    below = [_transform(g.arrow, plan) for g in (g1, g2)]
-    if below[0] != below[1]:
-        raise DifferenceError("squares disagree below the top coefficient")
+    # off the top coefficient is where d1 = 0 or d2 = 0
+    for d in top:
+        if arrow_drop(g1.arrow, (d,)) != arrow_drop(g2.arrow, (d,)):
+            raise DifferenceError("squares disagree below the top coefficient")
     delta = compose(g2.arrow, invert(g1.arrow))  # both squares start at the anchor
     td = top_tangent(delta, top, DifferenceError)
     # multiplying the correction from the other side must give the same data

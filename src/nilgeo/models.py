@@ -30,15 +30,16 @@ states its Lie algebra (`lie_contains`, and the basis tuple `lie_basis`),
 whose elements are constant matrices over the empty algebra `ALG0`
 (`_lie_value` checks one).
 Group and Lie tests and projections read a table by position (`contains`,
-`lie_contains`, `Matrix.gather`), with no entries built; an SL block's
-determinant is summed over pairs of the table's masks (`_unit_det`).
+`lie_contains`, `Matrix.gather`), with no entries built; a block's
+determinant is one table over masks, summed over pairs of the table's
+masks (`_det`): a GL block reads it off the constant part alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Matrix, _det, _normal
+from .matrices import Matrix, _normal
 from .weil import WeilAlgebra, WeilElement, algebra
 
 Point = tuple[WeilElement, ...]
@@ -67,7 +68,9 @@ class MatrixGroup:
     last, l, carries E_ii - E_ll.
 
     Only patterns closed under multiplication are declared here, so
-    membership is a support check plus the block determinants.
+    membership is a support check plus the block determinants.  Blocks
+    share no index, and an SL block's diagonal cells are all free or all
+    fixed, so that each basis matrix lies in the Lie algebra.
     """
 
     def __init__(self, size: int, free=(), blocks=()):
@@ -81,24 +84,26 @@ class MatrixGroup:
                 raise ValueError(f"a free cell needs both indices below {size}: {(i, j)}")
         if any(kind not in ("GL", "SL") for _, kind in self.blocks):
             raise ValueError("a block is 'GL' or 'SL'")
-        # `_det` and `_unit_det` cover sizes 1 and 2, which is every block a model needs
-        for span, _ in self.blocks:
+        # `_det` covers sizes 1 and 2, which is every block a model needs
+        for span, kind in self.blocks:
             if len(set(span) & set(range(size))) != len(span) or len(span) not in (1, 2):
                 raise ValueError(f"a block spans 1 or 2 distinct indices below {size}: {span}")
+            if kind == "SL" and 0 < sum((i, i) in self.free for i in span) < len(span):
+                raise ValueError(f"an SL block's diagonal is all free or all fixed: {span}")
+        spanned = [i for span, _ in self.blocks for i in span]
+        if len(set(spanned)) != len(spanned):
+            raise ValueError(f"blocks share an index: {self.blocks}")
         # flat positions off the free cells, where the table reads as I
         fixed = [k for k in range(size * size) if divmod(k, size) not in self.free]
         self._zeros = tuple(k for k in fixed if k % (size + 1))
         self._ones = tuple(k for k in fixed if not k % (size + 1))
         self._fixed = self._zeros + self._ones
         self._blank = (0,) * (size * size)
-        # the flat positions of each GL block, row by row; the SL spans
-        self._gl = tuple(
-            tuple(tuple(i * size + j for j in span) for i in span)
-            for span, kind in self.blocks
-            if kind == "GL"
+        # each block's kind and flat positions, row by row; the SL spans
+        self._blocks = tuple(
+            (kind, tuple(i * size + j for i in span for j in span)) for span, kind in self.blocks
         )
         self._sl = tuple(span for span, kind in self.blocks if kind == "SL")
-        self._sl_flat = tuple(tuple(i * size + j for i in span for j in span) for span in self._sl)
         # the Lie basis in the order of `free`
         last = {i: span[-1] for span in self._sl for i in span}
         basis = []
@@ -130,13 +135,13 @@ class MatrixGroup:
             for mask, v in t.items():
                 if mask and any([v[k] for k in self._fixed]):
                     return False
-        # the integer determinant of den times a constant block vanishes
-        # exactly when the rational one does
-        for rows in self._gl:
-            if not _det([[c[k] for k in r] for r in rows]):
-                return False
-        for flat in self._sl_flat:
-            if not _unit_det(t, den, m.algebra.killed, flat):
+        # den^k times a GL block's determinant has a nonzero constant term
+        # exactly when the determinant does; an SL block's is exactly den^k
+        for kind, flat in self._blocks:
+            if kind == "GL":
+                if not _det({0: c}, (), flat):
+                    return False
+            elif _det(t, m.algebra.killed, flat) != {0: den if len(flat) == 1 else den * den}:
                 return False
         return True
 
@@ -152,27 +157,26 @@ class MatrixGroup:
         )
 
 
-def _unit_det(t: dict, den: int, killed, flat: tuple[int, ...]) -> bool:
-    """Whether the 1 x 1 or 2 x 2 block at the row-major flat positions
-    `flat` of a matrix table over `den` has determinant exactly one, read
-    off the table: den^k times the determinant, for a k x k block, is the
-    entry's table itself, or the sum of a * d - b * c over ordered pairs of
-    disjoint masks whose union survives (a and b read at the first, c and d
-    at the second).  It must be den^k at mask 0 and 0 at every other mask."""
+def _det(t: dict, killed, flat: tuple[int, ...]) -> dict[int, int]:
+    """den^k times the determinant of the k x k block, k 1 or 2, at the
+    row-major flat positions `flat` of a matrix table over den, as a table
+    over masks with its zero entries dropped: the entry's table itself, or
+    the sum of a * d - b * c over ordered pairs of disjoint masks whose
+    union is not `killed` (a and b read at the first, c and d at the
+    second)."""
     if len(flat) == 1:
         (k,) = flat
-        det, one = {m: v[k] for m, v in t.items()}, den
-    else:
-        a, b, c, d = flat
-        det, one = {}, den * den
-        get = det.get
-        items = list(t.items())
-        for m1, x in items:
-            for m2, y in items:
-                if m1 & m2 or (m := m1 | m2) in killed:
-                    continue
-                det[m] = get(m, 0) + x[a] * y[d] - x[b] * y[c]
-    return det.pop(0, 0) == one and not any(det.values())
+        return {m: v[k] for m, v in t.items() if v[k]}
+    a, b, c, d = flat
+    det: dict[int, int] = {}
+    get = det.get
+    items = list(t.items())
+    for m1, x in items:
+        for m2, y in items:
+            if m1 & m2 or (m := m1 | m2) in killed:
+                continue
+            det[m] = get(m, 0) + x[a] * y[d] - x[b] * y[c]
+    return {m: v for m, v in det.items() if v}
 
 
 def _full(n: int, kind: str) -> MatrixGroup:

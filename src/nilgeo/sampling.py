@@ -371,8 +371,7 @@ def _heisenberg_witness() -> bool:
     """On the square of the coordinate sections E01 then E02, the standard
     preset's curvature is the central E02."""
     heis, alg = build_model("heisenberg"), algebra(["d1", "d2"])
-    e01 = Matrix.from_rational(((0, 1, 0), (0, 0, 0), (0, 0, 0)), ALG0)
-    e02 = Matrix.from_rational(((0, 0, 1), (0, 0, 0), (0, 0, 0)), ALG0)
+    e01, e02 = heis.spec("G").lie_basis
     xs, ys = ConstantSection(heis, "G", e01), ConstantSection(heis, "G", e02)
     omega = curvature(preset_connection(heis), bisection_product(ys, xs, (), ("d1", "d2"), alg))
     return omega.vert == e02.convert(alg)

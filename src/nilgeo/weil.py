@@ -3,9 +3,9 @@
 Elements live in quotients of R[g1, ..., gn] by the relations gi^2 = 0,
 optionally together with an extra set of square-free monomials identified
 with zero.  Every element is a finite table of rational coefficients
-indexed by subsets of the generator list, so equality, substitution and
-restriction are all decidable and exact.  Algebras are interned by
-`algebra()`, so equality of algebras is identity.
+indexed by subsets of the generator list, so equality and substitution
+are decidable and exact.  Algebras are interned by `algebra()`, so
+equality of algebras is identity.
 
 Monomials are encoded as bit masks over the algebra's generator ordering.
 Internally a single common denominator is factored out of each element and
@@ -22,13 +22,13 @@ their own table of the same shape, one integer matrix per monomial (see
 (`polynomials._evaluate`).
 
 Dropping generators, taking a cofactor, multiplying by one term,
-renaming, restricting to a quotient, rescaling a generator and converting
-to another algebra only re-key the masks of a table.  Each is one *plan*
-here (`_Plan`), which elements, matrices and arrows apply alike.  Each
-builder but rescaling is cached: its arguments are interned algebras,
-masks and generator names, or for one term its rational coefficient,
-under a bounded cache.  Rescaling, whose factor is any rational and
-changes from call to call, builds its plan afresh.
+rescaling a generator and converting to another algebra only re-key the
+masks of a table, as does `microcalc`'s permutation of a cube's
+arguments.  Each is one *plan* (`_Plan`), which elements, matrices and
+arrows apply alike.  Each builder but rescaling is cached: its arguments
+are interned algebras, masks and generator names, or for one term its
+rational coefficient, under a bounded cache.  Rescaling, whose factor is
+any rational and changes from call to call, builds its plan afresh.
 Scalars are exact: a float raises `TypeError`.
 
 Two rules are written once here for `matrices` and `polynomials` too: the
@@ -49,10 +49,6 @@ Scalar = Union[int, Fraction]
 
 class AlgebraMismatch(ValueError):
     """Raised when a binary operation mixes distinct quotient algebras."""
-
-
-class SubstitutionError(ValueError):
-    """Raised when a generator image is not square-zero in the target."""
 
 
 class NotInvertible(ZeroDivisionError):
@@ -149,21 +145,16 @@ class WeilAlgebra:
         return tuple(g for i, g in enumerate(self.names) if mask >> i & 1)
 
     def gen_bit(self, name: str) -> int:
-        return 1 << self._index[name]
+        return _mask(self._index, (name,))
 
     # -- element constructors ---------------------------------------------
 
     def scalar(self, q: Scalar) -> "WeilElement":
-        if type(q) is int:
-            return WeilElement(self, {0: q} if q else {}, 1)
-        if not isinstance(q, Fraction):
-            q = Fraction(_exact(q))
-        if not q:
-            return self.zero
-        return WeilElement(self, {0: q.numerator}, q.denominator)
+        q = _exact(q)  # an int has a numerator and a denominator of 1 too
+        return WeilElement(self, {0: q.numerator} if q else {}, q.denominator)
 
     def gen(self, name: str) -> "WeilElement":
-        bit = 1 << self._index[name]
+        bit = self.gen_bit(name)
         if bit in self.killed:
             return self.zero
         return WeilElement(self, {bit: 1}, 1)
@@ -176,13 +167,6 @@ class WeilAlgebra:
         return WeilElement(self, {mask: coeff.numerator}, coeff.denominator)
 
     # -- derived algebras ---------------------------------------------------
-
-    def kill(self, monomials: Iterable[Iterable[str]]) -> "WeilAlgebra":
-        extra = [tuple(m) for m in monomials]
-        if not extra:
-            return self
-        old = [self.mono_names(m) for m in self.killed]
-        return algebra(self.names, old + extra)
 
     def extend(self, *new_names: str) -> "WeilAlgebra":
         missing = [g for g in new_names if g not in self._index]
@@ -295,31 +279,6 @@ def _times_plan(alg: "WeilAlgebra", mask: int, num: int, den: int) -> _Plan:
     return _Plan(
         alg, lambda m: None if m & mask or m | mask in killed else (m | mask, num), den
     )
-
-
-@lru_cache(maxsize=None)
-def _rename_plan(alg: "WeilAlgebra", pairs: tuple[tuple[str, str], ...]) -> _Plan:
-    """Rename each generator `old` to `new` over the (old, new) pairs at once;
-    a monomial whose image would repeat a generator raises."""
-    bits = [(alg.gen_bit(old), alg.gen_bit(new)) for old, new in pairs]
-    moved = sum(b for b, _ in bits)  # distinct bits: the sum is their union
-
-    def rule(m):
-        new = m & ~moved
-        for old_bit, new_bit in bits:
-            if m & old_bit:
-                if new & new_bit:
-                    raise SubstitutionError("renaming collides inside a monomial")
-                new |= new_bit
-        return None if new in alg.killed else (new, 1)
-
-    return _Plan(alg, rule)
-
-
-@lru_cache(maxsize=None)
-def _restrict_plan(target: "WeilAlgebra") -> _Plan:
-    """The image in `target`, a quotient by more monomials."""
-    return _Plan(target, lambda m: None if m in target.killed else (m, 1))
 
 
 def _scale_plan(alg: "WeilAlgebra", name: str, a: Scalar) -> _Plan:
@@ -468,15 +427,9 @@ class WeilElement(_Transforms):
 
     def __mul__(self, other):
         if type(other) is not WeilElement:
-            if type(other) is int:
-                if other == 0:
-                    return self.algebra.zero
+            if isinstance(other, (int, Fraction)):  # an int's denominator is 1
                 if other == 1:
                     return self
-                return _build(
-                    self.algebra, {m: v * other for m, v in self._c.items()}, self._den
-                )
-            if isinstance(other, Fraction):
                 return _build(
                     self.algebra,
                     {m: v * other.numerator for m, v in self._c.items()},

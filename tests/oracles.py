@@ -33,6 +33,16 @@ def rows(m):
     return tuple(tuple(entry(m, i, j) for j in range(n)) for i in range(n))
 
 
+def det(rows):
+    """Oracle: the determinant of a square matrix of size 1 or 2 given by
+    its rows, over any commutative ring: Weil elements, rationals or
+    integers."""
+    if len(rows) == 1:
+        return rows[0][0]
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
 def matrix(entries):
     """The `Matrix` with these rows of `WeilElement`s of one algebra, built
     from program calls only: the sum of E_ij * a_ij over the unit matrices

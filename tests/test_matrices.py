@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
-    coeffs, entry, inverse, matrix, partial, poly_terms, rational_inverse, regular_inverse, rows,
+    coeffs, det, entry, inverse, matrix, partial, poly_terms, rational_inverse, regular_inverse,
+    rows,
 )
 
 from nilgeo import matrices
 from nilgeo.matrices import Matrix, NotUnipotent, SizeMismatch
-from nilgeo.microcalc import TangentData
+from nilgeo.microcalc import CubeError, TangentData, _relabel_plan
 from nilgeo.models import ALG0, MatrixGroup, build_model
 from nilgeo.polynomials import Poly, PolyMatrix
 from nilgeo.sampling import sample_point, sample_vert
@@ -17,8 +18,6 @@ from nilgeo.weil import (
     _coefficient_plan,
     _convert_plan,
     _drop_plan,
-    _rename_plan,
-    _restrict_plan,
     _scale_plan,
     algebra,
 )
@@ -198,7 +197,7 @@ def test_det_of_unipotent_perturbation():
     a = Matrix.from_rational([[2, 1], [3, -1]], alg)
     m = Matrix.identity(2, alg) + a * alg.gen("d1")
     # det(I + d*A) = 1 + d*tr(A) once d^2 = 0
-    assert matrices._det(rows(m)) == alg.one + alg.gen("d1") * _trace(a)
+    assert det(rows(m)) == alg.one + alg.gen("d1") * _trace(a)
 
 
 def test_trace_and_coefficient():
@@ -480,7 +479,7 @@ def test_equal_values_from_different_paths_agree():
     slope = Matrix.from_rational([[half, 0], [0, Fraction(1, 3)]], alg)
     d12 = alg.term(5, ("d1", "d2"))
     other = algebra(["d1"])
-    swap = _rename_plan(alg, (("d1", "d2"), ("d2", "d1")))
+    swap = _relabel_plan(alg, (("d1", "d2"), ("d2", "d1")))
     paths = [
         matrix(want_rows),
         pm(x),
@@ -572,13 +571,15 @@ def test_plans_match_per_entry_oracle(alg):
             plans = [
                 _drop_plan(alg, mask),
                 _coefficient_plan(alg, mask),
-                _rename_plan(alg, tuple(zip(names, names[1:] + names[:1]))),
-                _restrict_plan(alg.kill([names])),
                 _convert_plan(alg, wide),
             ] + [
                 _scale_plan(alg, g, Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
                 for g in names
             ]
+            try:
+                plans.append(_relabel_plan(alg, tuple(zip(names, names[1:] + names[:1]))))
+            except CubeError:  # a renaming that is no map of algebras
+                pass
             for plan in plans:
                 assert_same(a._apply(plan), ea._entrywise(lambda w: w._apply(plan)))
 

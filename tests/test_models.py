@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import entry, invert, matrix, rows
+from oracles import det, entry, invert, matrix, rows
 
-from nilgeo.matrices import Matrix, _det
+from nilgeo.matrices import Matrix
 from nilgeo.models import (
     ALG0,
     Arrow,
@@ -57,7 +57,7 @@ def _block_member(rng, k, kind, bound):
         )
     while True:
         rows = tuple(tuple(sample_rational(rng, bound) for _ in range(k)) for _ in range(k))
-        if _det(rows) != 0:
+        if det(rows) != 0:
             return rows
 
 
@@ -307,6 +307,54 @@ def test_matrix_group_refuses_free_cells_it_cannot_hold(free, message):
         MatrixGroup(2, free)
 
 
+@pytest.mark.parametrize(
+    "free, blocks, message",
+    [
+        ([(0, 0)], [((0, 1), "SL")], "all free or all fixed"),
+        ([(0, 0), (0, 1)], [((0, 1), "SL")], "all free or all fixed"),
+        ([(1, 1)], [((1, 0), "SL")], "all free or all fixed"),
+        ([(0, 0), (1, 1)], [((0, 1), "GL"), ((1,), "GL")], "share an index"),
+        ([(0, 0)], [((0,), "SL"), ((0,), "GL")], "share an index"),
+    ],
+    ids=["diagonal-first-free", "diagonal-first-free-with-off", "diagonal-last-free",
+         "overlap-gl", "repeated-span"],
+)
+def test_matrix_group_refuses_blocks_that_disagree_with_its_cells(free, blocks, message):
+    # E00 - E11 would be a basis matrix with the fixed cell (1, 1) set
+    with pytest.raises(ValueError, match=message):
+        MatrixGroup(2, free, blocks)
+
+
+def test_matrix_group_keeps_sl_blocks_with_a_wholly_free_or_fixed_diagonal():
+    torus = MatrixGroup(2, [(0, 0), (1, 1)], [((0, 1), "SL")])
+    assert [b.constant_matrix() for b in torus.lie_basis] == [((1, 0), (0, -1))]
+    shear = MatrixGroup(2, [(0, 1)], [((0, 1), "SL")])
+    assert [b.constant_matrix() for b in shear.lie_basis] == [((0, 1), (0, 0))]
+    assert all(g.lie_contains(b) for g in (torus, shear) for b in g.lie_basis)
+
+
+def test_every_2x2_group_that_builds_holds_its_lie_basis():
+    cells = [(i, j) for i in range(2) for j in range(2)]
+    spans = [((0,), kind) for kind in ("GL", "SL")] + [
+        (span, kind) for span in ((1,), (0, 1)) for kind in ("GL", "SL")
+    ]
+    choices = [[]] + [[b] for b in spans] + [
+        [a, b] for k, a in enumerate(spans) for b in spans[k + 1:]
+    ]
+    built = 0
+    for bits in range(1 << len(cells)):
+        free = [c for k, c in enumerate(cells) if bits >> k & 1]
+        for blocks in choices:
+            try:
+                group = MatrixGroup(2, free, blocks)
+            except ValueError:
+                continue
+            built += 1
+            for b in group.lie_basis:
+                assert group.lie_contains(b), (free, blocks, b)
+    assert built > len(choices)
+
+
 # -- table reads against per-entry oracles ----------------------------------------
 
 
@@ -323,8 +371,8 @@ def entry_contains(spec, m):
     ):
         return False
     for span, kind in spec.blocks:
-        det = _det([[entry(m, i, j) for j in span] for i in span])
-        if not (det.constant_term() != 0 if kind == "GL" else det == alg.one):
+        value = det([[entry(m, i, j) for j in span] for i in span])
+        if not (value.constant_term() != 0 if kind == "GL" else value == alg.one):
             return False
     return True
 
@@ -388,7 +436,7 @@ def test_members_off_only_at_a_nilpotent_monomial_are_rejected():
         assert not spec.contains(bad) and not entry_contains(spec, bad)
         assert spec.contains(bad.drop(("d2",)))
     bump = Matrix.identity(2, alg) + _unit(2, 0, 0, alg) * d12
-    assert _det(rows(bump)) == alg.one + d12
+    assert det(rows(bump)) == alg.one + d12
     assert build_model("trivial_gauge", "gl2").spec("H").contains(bump)
 
 
