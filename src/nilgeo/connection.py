@@ -14,23 +14,26 @@ matrices over `models.ALG0`) as they are, checks each monomial's
 coefficient matrix of a `PolyMatrix`, and evaluates the coefficients at
 one anchor from one shared monomial table.
 Every edge of a cube is lifted in one place, `lifted_edge`; `forms` and
-`bianchi` take their edges from it too.  Each axis is read once,
-at its far corner (`microcalc.Microcube.far_edge`); the edge from any other
-corner is that tangent with the off arguments dropped by a drop plan of
-`weil`, a map of algebras, or read directly at the origin; both reads are
-`microcalc._edge_tangent`.  Each connection keeps each distinct edge's lift,
-keyed by its value, for as long as it lives (the samplers build one per
-trial).  A lift not yet kept is the kept far-corner lift of its axis dropped
-the same way; only when that is missing too is it one `apply`, read at the
-edge's generator and checked for membership in H, since `apply` is outside
-data.  `curvature` reads a square's two far-corner edges first, so a fresh
-square costs two applies, and `bianchi.build_cube` lifts the far corners
-first, so a fresh cube costs three applies and three checks.  Its face
-curvatures and `forms.d_nabla` read the kept lifts: the faces share their
-edges with the cube as equal values, and a face sliced without renaming
-inherits the cube's far reads (`microcalc.slice_multi`).
+`bianchi` take their edges from it too.  Each axis is read once, at its far
+corner (`microcalc.Microcube.far_edge`), and every other edge of the axis
+is named by that read and the mask of the generators dropped from it, a
+drop plan of `weil` and a map of algebras; an edge from the origin of an
+axis not yet read at its far corner is read there directly.  Both reads are
+`microcalc._edge_tangent`.  Each connection keeps each edge's lift for as
+long as it lives (the samplers build one per trial): keyed by the far read
+itself and the drop mask, so a kept lift is found without building or
+hashing a tangent, or by value for an origin read.  A lift not yet kept is
+the kept lift of its far read dropped by the mask; only when that is
+missing too is it one `apply` on the dropped tangent, read at the edge's
+generator and checked for membership in H, since `apply` is outside data.
+`curvature` reads a square's two far-corner edges first, so a fresh square
+costs two applies, and `bianchi.build_cube` lifts the far corners first, so
+a fresh cube costs three applies and three checks.  Its face curvatures and
+`forms.d_nabla` read the kept lifts: a face sliced without renaming
+inherits the cube's far reads with its zeroed argument added to their
+masks (`microcalc.slice_multi`), so it names each edge as the cube does.
 `apply` must therefore be a function of its tangent (a stateful one is seen
-once per distinct edge), and it must commute with dropping generators.
+once per edge), and it must commute with dropping generators.
 The linear map does: polynomial evaluation and a rational-linear map
 commute with maps of algebras.
 The lift of a microsquare is the path of two lifted edges, wrapped unchecked
@@ -54,8 +57,7 @@ from .microcalc import (
     TangentData,
     _edge_tangent,
     _fresh_pair,
-    _tangent_drop,
-    arrow_drop,
+    _transform,
     as_kernel_tangent,
     bisection_product,
     bracket_sections,
@@ -65,7 +67,7 @@ from .microcalc import (
 )
 from .models import Arrow, GroupoidModel, Point, compose, compose_all, invert
 from .polynomials import PolyMatrix
-from .weil import WeilAlgebra
+from .weil import WeilAlgebra, _drop_plan
 
 
 class ConnectionError_(ValueError):
@@ -159,7 +161,8 @@ class Connection:
 
     def __init__(self, model: GroupoidModel, images: Sequence = (), coeffs: Sequence = ()):
         self.model = model
-        # (algebra, generator, tangent) -> lifted arrow, see `lifted_edge`
+        # (far read, drop mask) or, for an origin read, (algebra, generator,
+        # tangent) -> lifted arrow, see `lifted_edge`
         self._edges: dict = {}
         self.coeffs = tuple(coeffs)
         self.images, self._vert = _linear_map(
@@ -205,35 +208,42 @@ def lifted_edge(
     arguments in `corner` are on and the others are 0.
 
     Each axis is read once per cube, at its far corner
-    (`Microcube.far_edge`), and this edge's tangent is that read with the
-    off arguments dropped.  An edge from the origin is read there instead,
-    by the same `microcalc._edge_tangent` and with no inverse, until the
-    cube has read its axis at the far corner.
-    The lift of an edge the connection has not seen is the far-corner lift
-    dropped the same way when that one is already kept, since `apply`
+    (`Microcube.far_edge`), and this edge is named by that read and its
+    drop mask with the off arguments added.  The memo key holds the read
+    object itself, never its id: the read then stays alive while the memo
+    does, so no other read can take its address.  An edge from the origin is read there instead, by the
+    same `microcalc._edge_tangent` and with no inverse, and keyed by value,
+    until the cube has read its axis at the far corner.
+    The lift of an edge the connection has not seen is the kept lift of its
+    far read, with an empty mask, dropped by the edge's mask, since `apply`
     commutes with dropping generators and a drop of a checked arrow stays
-    in H; otherwise it is `apply` read at the edge's generator and checked
-    for membership in H, since `apply` is outside data.  The memo keeps
-    every distinct edge for as long as the connection lives, so each is
-    applied and checked at most once."""
+    in H; otherwise it is `apply` on the dropped tangent, read at the
+    edge's generator and checked for membership in H, since `apply` is
+    outside data.  The memo keeps every edge for as long as the connection
+    lives, so each is applied and checked at most once."""
     if not 1 <= k <= cube.degree:
         raise CubeError(f"edge index {k} out of range")
     alg, g = cube.algebra, cube.args[k - 1]
-    off = [h for i, h in enumerate(cube.args, 1) if i != k and i not in corner]
-    far = cube.far_edge(k) if corner or k in cube.far_edges else None
-    if far is None:
-        td = _edge_tangent(arrow_drop(cube.arrow, off), (g,))
-    else:
-        td = _tangent_drop(far, off) if off else far
-    key = (alg, g, td)  # equal tangents over distinct algebras stay apart
-    arrow = conn._edges.get(key)
+    off = alg.mask(h for i, h in enumerate(cube.args, 1) if i != k and i not in corner)
+    edges = conn._edges
+    if not corner and k not in cube.far_edges:
+        td = _edge_tangent(_transform(cube.arrow, _drop_plan(alg, off)), (g,))
+        key = (alg, g, td)  # equal tangents over distinct algebras stay apart
+        arrow = edges.get(key)
+        if arrow is None:
+            arrow = edges[key] = cube.model.check(conn.apply(td).arrow_at(alg.gen(g)))
+        return arrow
+    read, mask = cube.far_edge(k)
+    key = (read, mask | off)
+    arrow = edges.get(key)
     if arrow is None:
-        far_arrow = None if far is None else conn._edges.get((alg, g, far))
-        if far_arrow is not None:
-            arrow = arrow_drop(far_arrow, off)
+        root = edges.get((read, 0))
+        if root is not None:
+            arrow = _transform(root, _drop_plan(alg, key[1]))
         else:
+            td = read.dropped(key[1])
             arrow = cube.model.check(conn.apply(td).arrow_at(alg.gen(g)))
-        conn._edges[key] = arrow
+        edges[key] = arrow
     return arrow
 
 

@@ -31,14 +31,19 @@ their arrow with the unchecked `_cube`; so does `connection.lift`, whose
 arrow composes two checked lifted edges.
 
 Every edge tangent is read off its arrow by `_edge_tangent`.  Each cube
-reads the edge tangent of each argument once, at its far corner
-(`Microcube.far_edge`): the edge along d_k with every other argument on.
-The edge from any other corner is that tangent with the off arguments
-dropped (`_tangent_drop`), so a cube's twelve edges cost three reads, and
-an edge from the origin can be read directly, with no inverse, since its
-body is I at d_k = 0.  A slice freezes each argument at 0 or at its own
-name, never renaming one, so it inherits each far read its parent has kept
-(`_inherit_far_edges`), and the faces of a lifted cube read none again.
+reads the edge tangent of each argument once, at its far corner: the edge
+along d_k with every other argument on.  `Microcube.far_edge` names that
+edge by where it was read, as a pair: the read, held by a `_FarRead` that
+hashes by identity, and the mask of the generators dropped from it since.
+The edge from any other corner is the same read with the off arguments
+added to the mask, so a cube's twelve edges cost three reads and a drop is
+built (`_FarRead.dropped`) only when a tangent is needed; an edge from the
+origin can be read directly, with no inverse, since its body is I at
+d_k = 0.  A slice freezes each argument at 0 or at its own name, and a
+rescale by 0 or 1 drops its argument or keeps it; neither renames, so each
+inherits its parent's far reads with the zeroed arguments OR-ed into their
+masks (`_inherit_far_edges`), and the faces of a lifted cube read none
+again.
 """
 
 from __future__ import annotations
@@ -106,20 +111,38 @@ class Microcube:
         return self.arrow.model
 
     @cached_property
-    def far_edges(self) -> dict[int, "TangentData"]:
-        """Argument index -> the far-corner edge tangents `far_edge` has read
-        so far on this cube."""
+    def far_edges(self) -> dict[int, tuple["_FarRead", int]]:
+        """Argument index -> the far read of its edge, as `far_edge` gives
+        it, for each argument read or inherited so far on this cube."""
         return {}
 
-    def far_edge(self, k: int) -> "TangentData":
-        """The tangent of the edge along argument k with every other
-        argument on, read once per cube by `_edge_tangent`.  The edge from
-        any other corner is this tangent with the off arguments dropped
-        (`_tangent_drop`), since dropping is a map of algebras."""
+    def far_edge(self, k: int) -> tuple["_FarRead", int]:
+        """The edge along argument k with every other argument on, named by
+        where it was read: a far-corner read of a root cube and the mask of
+        the generators dropped from it since.  A cube that holds no read of
+        axis k reads one here, by `_edge_tangent`, with an empty mask."""
         far = self.far_edges.get(k)
         if far is None:
-            far = self.far_edges[k] = _edge_tangent(self.arrow, (self.args[k - 1],))
+            read = _FarRead(_edge_tangent(self.arrow, (self.args[k - 1],)))
+            far = self.far_edges[k] = (read, 0)
         return far
+
+
+class _FarRead:
+    """One edge tangent read at a root cube's far corner.  It hashes and
+    compares by identity, so a memo keyed by it names an edge by where it
+    was read and never hashes the tangent."""
+
+    __slots__ = ("td",)
+
+    def __init__(self, td: "TangentData"):
+        self.td = td
+
+    def dropped(self, mask: int) -> "TangentData":
+        """The read with the generators of `mask` at 0 (`_tangent_transform`
+        of a drop plan, a map of algebras)."""
+        td = self.td
+        return _tangent_transform(td, _drop_plan(td.algebra, mask)) if mask else td
 
 
 def _edge_tangent(a: Arrow, d: tuple[str]) -> "TangentData":
@@ -150,11 +173,6 @@ def _tangent_transform(td: "TangentData", plan: _Plan) -> "TangentData":
     """`_transform` for tangent data."""
     anchor, direction = (tuple(w._apply(plan) for w in p) for p in (td.anchor, td.direction))
     return TangentData(td.model, td.grp, anchor, direction, td.vert._apply(plan))
-
-
-def _tangent_drop(td: "TangentData", names: Sequence[str]) -> "TangentData":
-    """`arrow_drop` for tangent data."""
-    return _tangent_transform(td, _drop_plan(td.algebra, td.algebra.mask(names)))
 
 
 @lru_cache(maxsize=None)
@@ -240,25 +258,28 @@ def slice_multi(cube: Microcube, frozen: dict[int, object]) -> Microcube:
     else:
         corr = arrow_drop(a, remaining)
         out = _cube(compose(a, invert(corr)), remaining)
-    _inherit_far_edges(cube, out, zeroed)
+    _inherit_far_edges(cube, out, cube.algebra.mask(zeroed))
     return out
 
 
-def _inherit_far_edges(parent: Microcube, child: Microcube, zeroed: list[str]) -> None:
-    """Hand a slice of `parent` each far-corner read the parent has kept
-    along one of the slice's arguments.  The slice's read is the parent's
-    with the zeroed arguments dropped; the correction by the frozen arrow
-    does not change it, since that arrow is free of the slice's arguments
-    and cancels between the read's two factors."""
+def _inherit_far_edges(parent: Microcube, child: Microcube, zeroed: int) -> None:
+    """Hand `child`, a slice of `parent` or a rescale by 0 or 1, each far
+    read the parent holds along an argument of the child that is not in the
+    mask `zeroed` of the zeroed arguments, with `zeroed` added to its drops:
+    neither renames, so drops compose as a mask OR, and no tangent is built.
+    A slice's correction by the frozen arrow does not change the read,
+    since that arrow is free of the slice's arguments and cancels between
+    the read's two factors."""
     kept = parent.__dict__.get("far_edges")
     if not kept:
         return
-    index = {g: j for j, g in enumerate(child.args, 1)}
+    alg = child.algebra
+    index = {g: j for j, g in enumerate(child.args, 1) if not alg.gen_bit(g) & zeroed}
     reads = child.far_edges
-    for k, far in kept.items():
+    for k, (read, mask) in kept.items():
         j = index.get(parent.args[k - 1])
         if j is not None:
-            reads[j] = _tangent_drop(far, zeroed) if zeroed else far
+            reads[j] = (read, mask | zeroed)
 
 
 def permute(cube: Microcube, theta: Sequence[int]) -> Microcube:
@@ -289,11 +310,16 @@ def tau(cube: Microcube, keep: int) -> Microcube:
 
 
 def scale_arg(cube: Microcube, i: int, a: Scalar) -> Microcube:
-    """Rescale argument i by the rational a."""
+    """Rescale argument i by the rational a.  At a = 1 the rescale is the
+    identity and at a = 0 it drops the argument, so there the rescaled cube
+    inherits the far reads as a slice does."""
     if not 1 <= i <= cube.degree:
         raise CubeError(f"scale index {i} out of range")
     g = cube.args[i - 1]
-    return _cube(_transform(cube.arrow, _scale_plan(cube.algebra, g, a)), cube.args)
+    out = _cube(_transform(cube.arrow, _scale_plan(cube.algebra, g, a)), cube.args)
+    if a == 0 or a == 1:
+        _inherit_far_edges(cube, out, 0 if a else cube.algebra.gen_bit(g))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ straight into the integer tables that `weil`, `matrices` and
 `matrices._normal`) and build no `Fraction` on the way; `sample_rational`
 is the one draw as a `Fraction`.  What a draw needs of its bound is one
 table per bound (`_draw_table`), looked up once per sampler call, since
-hashing the bound costs about as much as the draw.
+hashing the bound costs about as much as the draw; it holds the bit length
+of each range, so a draw reads `rng.getrandbits` directly and draws what
+`rng.randrange` would.
 
 A Lie-algebra element is a constant matrix over `models.ALG0`, so
 `sample_lie_rows` is `sample_vert` over that algebra.
@@ -52,23 +54,38 @@ from .weil import WeilAlgebra, WeilElement, _build as weil_build, algebra
 
 DENOMINATORS = (1, 1, 1, 2, 3)
 _DEN = lcm(*DENOMINATORS)  # every draw is an integer over this
+_PICK, _PICK_BITS = len(DENOMINATORS), len(DENOMINATORS).bit_length()
 
 
 @lru_cache(maxsize=None)
-def _draw_table(bound: Fraction) -> tuple[tuple[int, int], ...]:
-    """For each entry den of `DENOMINATORS`, (top, _DEN // den): the largest
-    numerator over den of size at most `bound`, and den's cofactor in `_DEN`."""
-    return tuple(
-        (bound.numerator * den // bound.denominator, _DEN // den) for den in DENOMINATORS
-    )
+def _draw_table(bound: Fraction) -> tuple[tuple[int, int, int, int], ...]:
+    """For each entry den of `DENOMINATORS`, (span, bits, top, _DEN // den):
+    the count 2 * top + 1 of numerators over den of size at most `bound`
+    and its bit length, the largest such numerator, and den's cofactor in
+    `_DEN`."""
+    table = []
+    for den in DENOMINATORS:
+        top = bound.numerator * den // bound.denominator
+        span = 2 * top + 1
+        table.append((span, span.bit_length(), top, _DEN // den))
+    return tuple(table)
 
 
-def _numerator(rng: random.Random, table: tuple[tuple[int, int], ...]) -> int:
+def _numerator(rng: random.Random, table: tuple[tuple[int, int, int, int], ...]) -> int:
     """A random rational of size at most the bound of `table`, as a
-    numerator over `_DEN`.  The two calls draw what `rng.choice(DENOMINATORS)`
-    and `rng.randint(-top, top)` draw, from the same stream."""
-    top, scale = table[rng.randrange(len(table))]
-    return (rng.randrange(2 * top + 1) - top) * scale
+    numerator over `_DEN`.  It draws what `rng.choice(DENOMINATORS)` and
+    `rng.randint(-top, top)` draw, from the same stream: each is a number
+    below a bound n read from n.bit_length() random bits and redrawn while
+    it reaches n, as CPython's `Random._randbelow_with_getrandbits` does."""
+    getrandbits = rng.getrandbits
+    r = getrandbits(_PICK_BITS)
+    while r >= _PICK:
+        r = getrandbits(_PICK_BITS)
+    span, bits, top, scale = table[r]
+    r = getrandbits(bits)
+    while r >= span:
+        r = getrandbits(bits)
+    return (r - top) * scale
 
 
 def sample_rational(rng: random.Random, bound: Fraction = Fraction(2)) -> Fraction:

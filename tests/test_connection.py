@@ -33,7 +33,6 @@ from nilgeo.microcalc import (
     make_microcube,
     scale_arg,
     slice_multi,
-    slice_multi,
     strong_diff,
     tau,
     top_tangent,
@@ -673,14 +672,19 @@ def test_each_lifted_edge_is_the_checked_apply_of_its_slice(model):
             for edges in (_edges(len(names)), _edges(len(names))[::-1]):
                 conn, cube = make(), make_microcube(sampled.arrow, names)
                 for corner, k in edges:
-                    frozen = {
-                        i: g if i in corner else 0 for i, g in enumerate(names, 1) if i != k
-                    }
-                    td = conn.apply(from_tangent(slice_multi(cube, frozen)))
-                    want = model.check(td.arrow_at(alg.gen(names[k - 1])))
+                    want = _slice_lift(conn, cube, corner, k)
                     assert lifted_edge(conn, cube, corner, k) == want, (corner, k)
                     compared += 1
     assert compared == len(makers) * 2 * (4 + 12)
+
+
+def _slice_lift(conn, cube, corner, k):
+    """The memo-free lift of an edge: `apply` on the tangent of its own
+    slice, read at its generator and checked."""
+    names = cube.args
+    frozen = {i: g if i in corner else 0 for i, g in enumerate(names, 1) if i != k}
+    td = conn.apply(from_tangent(slice_multi(Microcube(cube.arrow, names), frozen)))
+    return cube.model.check(td.arrow_at(cube.algebra.gen(names[k - 1])))
 
 
 def _drop(td, names):
@@ -747,8 +751,9 @@ def test_a_fresh_cube_costs_three_applies(model):
 
 @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
 def test_face_slices_inherit_their_cubes_far_reads(model):
-    # a face at 0 inherits each far read with the zeroed argument dropped,
-    # a face kept at its own name the read itself
+    # a face at 0 inherits each far read with the zeroed argument added to
+    # its drops, a face kept at its own name the read as it is; either way
+    # the inherited tangent is a fresh read of the face
     rng = random.Random(41)
     names = ("d1", "d2", "d3")
     alg = algebra(names + ("e",))
@@ -756,13 +761,59 @@ def test_face_slices_inherit_their_cubes_far_reads(model):
         cube = sample_microcube(rng, model, "G", names, alg)
         build_cube(make(), cube)
         assert sorted(cube.far_edges) == [1, 2, 3]
+        assert all(mask == 0 for _, mask in cube.far_edges.values())
         for i, g in enumerate(names, 1):
             for e in (0, g):
                 face = slice_multi(cube, {i: e})
                 assert sorted(face.far_edges) == [1, 2], (i, e)
                 fresh = Microcube(face.arrow, face.args)
-                for k, read in face.far_edges.items():
-                    assert read == fresh.far_edge(k), (i, e, k)
+                for k, (read, mask) in face.far_edges.items():
+                    assert read is cube.far_edge(names.index(face.args[k - 1]) + 1)[0]
+                    assert mask == (alg.gen_bit(g) if e == 0 else 0), (i, e, k)
+                    assert read.dropped(mask) == fresh.far_edge(k)[0].td, (i, e, k)
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_a_lifted_cubes_faces_read_its_edge_lifts(model):
+    # after build_cube each edge of each of the six faces is the memo-free
+    # lift of its own slice, read from the cube's kept lifts, so the six
+    # face curvatures cost no apply
+    rng = random.Random(42)
+    names = ("d1", "d2", "d3")
+    for make in _connections(rng, model):
+        cube = sample_microcube(rng, model, "G", names, algebra(names))
+        conn, oracle = make(), make()
+        build_cube(conn, cube)
+        calls = _count_applies(conn)
+        faces = [slice_multi(cube, {i: e}) for i, g in enumerate(names, 1) for e in (0, g)]
+        for face in faces:
+            for corner, k in _edges(2):
+                want = _slice_lift(oracle, face, corner, k)
+                assert lifted_edge(conn, face, corner, k) == want, (face.args, corner, k)
+        for face in faces:
+            curvature(conn, face)
+        assert calls == []
+
+
+@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def test_rescales_by_zero_and_one_inherit_their_squares_far_reads(model):
+    # a rescale by 1 keeps each read; one by 0 adds its argument to the
+    # drops of the other read and hands over none along it; any other
+    # rescale hands over nothing
+    rng = random.Random(43)
+    names = ("d1", "d2")
+    for make in _connections(rng, model):
+        square = sample_microcube(rng, model, "G", names, algebra(names))
+        curvature(make(), square)
+        for i, g in enumerate(names, 1):
+            for a in (0, 1, -1, 2, Fraction(1, 2)):
+                scaled = scale_arg(square, i, a)
+                want = [1, 2] if a == 1 else [3 - i] if a == 0 else []
+                assert sorted(scaled.far_edges) == want, (i, a)
+                fresh = Microcube(scaled.arrow, names)
+                for k, (read, mask) in scaled.far_edges.items():
+                    assert read is square.far_edge(k)[0], (i, a, k)
+                    assert read.dropped(mask) == fresh.far_edge(k)[0].td, (i, a, k)
 
 
 @pytest.mark.parametrize("k", [0, 3])

@@ -125,6 +125,17 @@ def halved_kernel(monkeypatch):
     _rebind(monkeypatch, weil, "_kernel", lambda f: kernel)
 
 
+def unmasked_inheritance(monkeypatch):
+    # a slice inherits its parent's far reads with the parent's drops only,
+    # not the arguments the slice zeroes
+    _rebind(
+        monkeypatch,
+        microcalc,
+        "_inherit_far_edges",
+        lambda f: lambda parent, child, zeroed: f(parent, child, 0),
+    )
+
+
 GAUGE = ("trivial_gauge[scalar]", "trivial_gauge[gl2]", "trivial_gauge[sl2]")
 
 ROWS = (
@@ -143,6 +154,7 @@ ROWS = (
     + [(unflipped_step_inverse, "trivial_gauge[gl2]", "bianchi-abstract")]
     + [(unsigned_step_shift, "direct_product", "prop-1.1")]
     + [(halved_kernel, "heisenberg", "weil-ring")]
+    + [(unmasked_inheritance, "heisenberg", "face-curvature")]
 )
 
 

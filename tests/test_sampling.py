@@ -54,7 +54,10 @@ def _same_stream(a, b):
     assert a.random() == b.random()
 
 
-@pytest.mark.parametrize("bound", BOUNDS, ids=str)
+# at 0 each denominator has one numerator, drawn from one random bit and
+# redrawn while it is set; 1/3 mixes one numerator with three; 100 reads up
+# to ten bits for 601 numerators
+@pytest.mark.parametrize("bound", BOUNDS + (Fraction(0), Fraction(1, 3), Fraction(100)), ids=str)
 def test_scalar_draws_match_the_fraction_oracle(bound):
     a, b = _twins(f"rational:{bound}")
     for _ in range(DRAWS):
