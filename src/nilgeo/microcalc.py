@@ -8,16 +8,20 @@ connection and curvature machinery consumes.
 Two views of a tangent coexist here.  `Microcube` keeps the full arrow
 (needed for slicing, permuting and word building); `TangentData` keeps the
 linearization (anchor, boundary velocity, vertical matrix), which is the
-right shape for fiberwise-linear bookkeeping.  A word that is the identity
-wherever one of its arguments is 0 is read off its top coefficient by
-`top_tangent`: the strong difference and the bracket read their words so,
-and `kernel_loop_tangent` reads curvature and the covariant derivative.
+right shape for fiberwise-linear bookkeeping.  Both are slotted classes,
+compared and hashed by value and immutable by convention, as `Arrow` is;
+a cube's far reads (below) are no part of its value.  A word that is the
+identity wherever one of its arguments is 0 is read off its top
+coefficient by `top_tangent`: the strong difference and the bracket read
+their words so, and `kernel_loop_tangent` reads curvature and the
+covariant derivative.
 
 Slicing, permuting and rescaling a cube are mask plans of `weil` (the
 permutation's own, `_relabel_plan`, is built here), which `_transform`
 applies throughout an arrow: one plan, since an arrow's coordinates live
 over its body's algebra (`GroupoidModel.validate`).  Tangent data take a
-plan the same way (`_tangent_transform`).
+plan the same way (`_tangent_transform`).  A constant coordinate comes back
+unchanged from each of these plans, which all fix the empty monomial.
 
 The cube invariants and group membership are checked where an arrow
 enters from outside: the public `make_microcube`, which `degenerate_square`,
@@ -48,8 +52,8 @@ again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .matrices import Matrix, _plus_identity
@@ -87,12 +91,19 @@ class DifferenceError(ValueError):
 # microcubes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Microcube:
-    """An n-cube of arrows: identity at the origin, source pinned."""
+    """An n-cube of arrows: identity at the origin, source pinned.
+
+    `far_edges` maps an argument index to the far read of its edge, as
+    `far_edge` gives it, for each argument read or inherited so far on this
+    cube; it is filled lazily and is no part of the cube's value."""
 
     arrow: Arrow
     args: tuple[str, ...]
+    far_edges: dict[int, tuple["_FarRead", int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def degree(self) -> int:
@@ -109,12 +120,6 @@ class Microcube:
     @property
     def model(self) -> GroupoidModel:
         return self.arrow.model
-
-    @cached_property
-    def far_edges(self) -> dict[int, tuple["_FarRead", int]]:
-        """Argument index -> the far read of its edge, as `far_edge` gives
-        it, for each argument read or inherited so far on this cube."""
-        return {}
 
     def far_edge(self, k: int) -> tuple["_FarRead", int]:
         """The edge along argument k with every other argument on, named by
@@ -270,7 +275,7 @@ def _inherit_far_edges(parent: Microcube, child: Microcube, zeroed: int) -> None
     A slice's correction by the frozen arrow does not change the read,
     since that arrow is free of the slice's arguments and cancels between
     the read's two factors."""
-    kept = parent.__dict__.get("far_edges")
+    kept = parent.far_edges
     if not kept:
         return
     alg = child.algebra
@@ -326,7 +331,7 @@ def scale_arg(cube: Microcube, i: int, a: Scalar) -> Microcube:
 # tangent data
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TangentData:
     """Linear data of a tangent: d |-> (anchor + d*direction, I + d*vert)."""
 
@@ -602,9 +607,10 @@ def _commutator_word(
     return compose_all(a4, a3, a2, a1)
 
 
+@lru_cache(maxsize=None)
 def _fresh_pair(alg: WeilAlgebra, a: str, b: str) -> tuple[WeilAlgebra, str, str]:
     """`alg` extended by two fresh generators named after `a` and `b`,
-    with their names."""
+    with their names; cached, as algebras are interned."""
     u = alg.fresh_name(a)
     ext = alg.extend(u)
     v = ext.fresh_name(b)

@@ -21,7 +21,11 @@ configuration, keyed by name (``heisenberg``, ``direct_product``,
 by `build_model` and `all_models`; `sampling` keys presets by that name.
 
 An arrow is (source point, target point, matrix body); both points are
-coordinate tuples of Weil elements (empty over a one-point base).
+coordinate tuples of Weil elements (empty over a one-point base).  An
+`Arrow` is compared and hashed by value and, like `Matrix`, is immutable by
+convention: a slotted class, so building one sets no frozen field.  Its
+coordinates pass through a mask plan as `weil` says: a constant comes
+back unchanged from any plan that fixes the empty monomial.
 Composition follows function order: ``compose(g, h)`` applies h first and
 needs the source of g to equal the target of h exactly.
 
@@ -189,7 +193,7 @@ def _full(n: int, kind: str) -> MatrixGroup:
 # arrows
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Arrow:
     """Groupoid arrow: matrix body travelling from source to target."""
 

@@ -5,7 +5,9 @@ optionally together with an extra set of square-free monomials identified
 with zero.  Every element is a finite table of rational coefficients
 indexed by subsets of the generator list, so equality and substitution
 are decidable and exact.  Algebras are interned by `algebra()`, so
-equality of algebras is identity.
+equality of algebras is identity.  Elements, like the `Arrow`,
+`TangentData` and `Microcube` built over them, are compared and hashed by
+value and are immutable by convention.
 
 Monomials are encoded as bit masks over the algebra's generator ordering.
 Internally a single common denominator is factored out of each element and
@@ -25,10 +27,14 @@ Dropping generators, taking a cofactor, multiplying by one term,
 rescaling a generator and converting to another algebra only re-key the
 masks of a table, as does `microcalc`'s permutation of a cube's
 arguments.  Each is one *plan* (`_Plan`), which elements, matrices and
-arrows apply alike.  Each builder but rescaling is cached: its arguments
-are interned algebras, masks and generator names, or for one term its
-rational coefficient, under a bounded cache.  Rescaling, whose factor is
-any rational and changes from call to call, builds its plan afresh.
+arrows apply alike.  An element that is a constant passes unchanged,
+with no table built, through any plan that fixes the empty monomial (a
+drop, a rescale, a relabel or a convert, which lands it in the target
+algebra); a cofactor or a one-term product moves it.  Each builder but
+rescaling is cached: its arguments are interned algebras, masks and
+generator names, or for one term its rational coefficient, under a
+bounded cache.  Rescaling, whose factor is any rational and changes from
+call to call, builds its plan afresh.
 Scalars are exact: a float raises `TypeError`.
 
 Two rules are written once here for `matrices` and `polynomials` too: the
@@ -368,11 +374,20 @@ class WeilElement(_Transforms):
 
     def _apply(self, *plans: _Plan) -> "WeilElement":
         """The image under a mask plan, or the sum of the images under
-        several plans with one target and one denominator."""
+        several plans with one target and one denominator.  A constant
+        under one plan that fixes the empty monomial is itself over the
+        plan's target, with no table built."""
+        c = self._c
+        if len(plans) == 1 and len(c) == 1 and 0 in c:
+            plan = plans[0]
+            if plan[0] == (0, plan.den):
+                if plan.target is self.algebra:
+                    return self
+                return WeilElement(plan.target, c, self._den)
         out: dict[int, int] = {}
         get = out.get
         for plan in plans:
-            for m, v in self._c.items():
+            for m, v in c.items():
                 if (hit := plan[m]) is not None:
                     out[hit[0]] = get(hit[0], 0) + v * hit[1]
         return _build(plan.target, out, self._den * plan.den)

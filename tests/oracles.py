@@ -15,6 +15,19 @@ def coeffs(e):
     return {e.algebra.mono_names(m): Fraction(v, e._den) for m, v in sorted(e._c.items())}
 
 
+def apply_plan(e, plan):
+    """Oracle: the image of a `WeilElement` under a mask plan of `weil`,
+    entry by entry: each monomial's image and factor, from the plan's
+    rule, as one term of the target algebra, and the terms summed."""
+    target, out = plan.target, plan.target.zero
+    for m, v in sorted(e._c.items()):
+        hit = plan.rule(m)
+        if hit is not None:
+            q = Fraction(v * hit[1], e._den * plan.den)
+            out = out + target.term(q, target.mono_names(hit[0]))
+    return out
+
+
 def entry(m, i, j):
     """The entry (i, j) of a `Matrix` as a `WeilElement`, read back off its
     integer table; i and j index like a tuple of rows."""

@@ -281,6 +281,7 @@ def test_memo_keys_from_different_algebras_do_not_raise(monkeypatch):
     squares = sample_squares(rng, SCALAR, 1) + sample_squares(
         rng, SCALAR, 1, algebra(["d1", "d2", "e"])
     )
+    assert hash(squares[0]) == hash(squares[1]) == 0
     with pytest.raises(AlgebraMismatch):
         squares[0] == squares[1]
     assert validate_form(zero_form(SCALAR, 2), squares) == []

@@ -91,6 +91,31 @@ def random_g_matrices(rng, alg):
     return pick(), pick(), pick()
 
 
+# -- value types -----------------------------------------------------------------
+
+
+def test_arrows_tangents_and_cubes_compare_and_hash_by_value():
+    alg = algebra(["d1", "d2"])
+    one, two = (g_square(alg, e01(alg), e02(alg, 3), e02(alg, 7)) for _ in range(2))
+    t1, t2 = (TangentData(HEIS, "G", (), (), e01(alg, 2)) for _ in range(2))
+    for a, b in ((one.arrow, two.arrow), (t1, t2), (one, two)):
+        assert a is not b and a == b and hash(a) == hash(b)
+    # an arrow and a tangent with the same field values are different things
+    fields = (HEIS, "G", (), (), e01(alg))
+    assert Arrow(*fields) != TangentData(*fields)
+    # none keeps a __dict__: each is built with no frozen setattr
+    assert not any(hasattr(v, "__dict__") for v in (one.arrow, t1, one))
+
+
+def test_far_reads_are_no_part_of_a_cubes_value():
+    alg = algebra(["d1", "d2"])
+    one, two = (g_square(alg, e01(alg), e02(alg, 3), e02(alg, 7)) for _ in range(2))
+    one.far_edge(1)
+    slice_multi(one, {2: 0}).far_edge(1)
+    assert one.far_edges and not two.far_edges
+    assert one == two and hash(one) == hash(two)
+
+
 # -- slices -------------------------------------------------------------------
 
 

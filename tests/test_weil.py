@@ -6,14 +6,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import coeffs
+from oracles import apply_plan, coeffs
 
 import nilgeo
 from nilgeo.microcalc import CubeError, _relabel_plan
+from nilgeo.models import ALG0
+from nilgeo.suites import ALG1, ALG2, ALG3, PAIRED
 from nilgeo.weil import (
     AlgebraMismatch,
     NotInvertible,
+    _coefficient_plan,
+    _convert_plan,
+    _drop_plan,
     _scale_plan,
+    _times_plan,
     algebra,
 )
 
@@ -455,3 +461,48 @@ def test_every_plan_matches_its_oracle_on_every_subset(alg):
             continue
         with pytest.raises(AlgebraMismatch):
             x.convert(algebra(alg.names, killed=dead + [("d1", "d2")]))
+
+
+def _plans(rng, alg):
+    """A plan of every builder over `alg`, tagged with whether it fixes the
+    empty monomial: every drop and cofactor, every one-term product and
+    rescale (at 0, 1 and a random rational), the cyclic renaming of the
+    generators, and converts to `alg` itself and to a wider algebra."""
+    masks = [m for m in range(1 << len(alg.names)) if m not in alg.killed]
+    dead = [alg.mono_names(m) for m in alg.killed]
+    wide = algebra(alg.names[::-1] + ("e",), killed=dead)
+    q = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3)))
+    cycle = tuple(zip(alg.names, alg.names[1:] + alg.names[:1]))
+    return (
+        [(_drop_plan(alg, m), True) for m in masks]
+        + [(_coefficient_plan(alg, m), not m) for m in masks]
+        + [(_times_plan(alg, m, q.numerator, q.denominator), False) for m in masks if m]
+        + [(_scale_plan(alg, g, a), True) for g in alg.names for a in (0, 1, q)]
+        + [(_relabel_plan(alg, cycle), True)]
+        + [(_convert_plan(alg, alg), True), (_convert_plan(alg, wide), True)]
+    )
+
+
+@pytest.mark.parametrize(
+    "alg", [ALG0, ALG1, ALG2, ALG3, PAIRED], ids=["ALG0", "ALG1", "ALG2", "ALG3", "PAIRED"]
+)
+def test_every_plan_matches_the_entrywise_oracle_and_keeps_a_constant(alg):
+    # a constant under a plan that fixes the empty monomial is itself, or
+    # for a convert the same value over the target; any other plan moves it
+    rng = random.Random(41)
+    constants = [alg.one, alg.scalar(Fraction(-7, 3))]
+    elements = constants + [alg.zero] + [random_element(rng, alg) for _ in range(4)]
+    for plan, fixes in _plans(rng, alg):
+        assert (plan[0] == (0, plan.den)) == fixes
+        for x in elements:
+            got = x._apply(plan)
+            assert got.algebra is plan.target
+            assert got == apply_plan(x, plan)
+        for x in constants:
+            got = x._apply(plan)
+            if fixes and plan.target is alg:
+                assert got is x
+            elif fixes:
+                assert got.constant_term() == x.constant_term()
+            else:
+                assert got != x
